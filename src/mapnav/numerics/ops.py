@@ -329,17 +329,22 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # convolution and resampling
 
 
-def _promote_nchw(x: Tensor):
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected (C,H,W) or (B,C,H,W), got {x.shape}")
+def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
+    """Patch matrix (B, C*kh*kw, ho*wo) of a stride-1 correlation of ``x``
+    (B,C,H,W) zero-padded by ``ph`` rows and ``pw`` columns on each side."""
+    bsz, c, h, w = x.shape
+    xp = np.zeros((bsz, c, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    ho, wo = win.shape[2:4]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(bsz, c * kh * kw, ho * wo)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation convolution; input (C,H,W) or (B,C,H,W)."""
-    x4, squeeze = _promote_nchw(x)
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation; input (C,H,W) or (B,C,H,W)."""
+    x4 = x.data.reshape((1,) + x.shape) if x.ndim == 3 else x.data
+    if x4.ndim != 4:
+        raise ShapeError(f"conv2d: expected (C,H,W) or (B,C,H,W), got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4D, got {w.shape}")
     co, ci, kh, kw = w.shape
@@ -348,49 +353,54 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {ci}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    if (h + 2 * padding - kh) % stride != 0 or (ww + 2 * padding - kw) % stride != 0:
-        raise ConfigError(
-            f"conv2d: non-integral output size for input {h}x{ww}, "
-            f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (ww + 2 * padding - kw) // stride + 1
+    if not 0 <= padding < min(kh, kw):
+        raise ConfigError(f"conv2d: padding {padding} not in [0, {min(kh, kw)}) "
+                          f"for kernel {kh}x{kw}")
+    ho, wo = h + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
+    if ho < 1 or wo < 1:
+        raise ConfigError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{ww} "
+                          f"padded by {padding}")
 
-    xp = np.pad(x4.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B,C,ho,wo,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        bsz, ci * kh * kw, ho * wo
-    )
+    cols = _im2col(x4, kh, kw, padding, padding)
     w2 = w.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(w2, cols).reshape(bsz, co, ho, wo)
     if b is not None:
         out_data = out_data + b.data.reshape(1, co, 1, 1)
+    if x.ndim == 3:
+        out_data = out_data[0]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def factory(out):
         def bw():
             g = out.grad.reshape(bsz, co, ho * wo)
-            accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+            if w.requires_grad:
+                accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
             if b is not None:
-                accumulate(b, out.grad.sum(axis=(0, 2, 3)))
-            gcols = np.matmul(w2.T, g).reshape(bsz, ci, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                        :, :, i, j
-                    ]
-            gx = gxp[:, :, padding : padding + h, padding : padding + ww]
+                accumulate(b, g.sum(axis=(0, 2)))
+            if not x.requires_grad:
+                return
+            if co <= ci:
+                # full correlation of the output grad with the flipped,
+                # channel-transposed kernel: its patch matrix has co*k*k
+                # rows, against ci*k*k for the scatter below
+                wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+                gcols = _im2col(g.reshape(bsz, co, ho, wo), kh, kw,
+                                kh - 1 - padding, kw - 1 - padding)
+                gx = np.matmul(wt, gcols)
+            else:
+                # col2im: scatter the patch-matrix grad back onto the input
+                gcols = np.matmul(w2.T, g).reshape(bsz, ci, kh, kw, ho, wo)
+                gxp = np.zeros((bsz, ci, h + 2 * padding, ww + 2 * padding))
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
+                gx = gxp[:, :, padding : padding + h, padding : padding + ww]
             accumulate(x, gx.reshape(x.shape))
 
         return bw
 
-    out = make_op(out_data, parents, factory)
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return make_op(out_data, parents, factory)
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:
@@ -411,7 +421,7 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> Tensor:
     """Upsampling decoder step: nearest 2x upsample followed by conv2d."""
-    return conv2d(upsample_nearest2(x), w, b, stride=1, padding=padding)
+    return conv2d(upsample_nearest2(x), w, b, padding=padding)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
@@ -434,53 +444,27 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     return make_op(data, (x,), factory)
 
 
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) align-corners linear interpolation weights."""
+    src = np.linspace(0.0, n_in - 1.0, n_out) if n_out > 1 else np.zeros(1)
+    i0 = np.clip(np.floor(src).astype(np.int64), 0, max(n_in - 2, 0))
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    m[rows, i0] += 1.0 - (src - i0)
+    m[rows, i1] += src - i0
+    return m
+
+
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resampling of the last two axes (align-corners convention)."""
-    h, w = x.shape[-2], x.shape[-1]
-
-    def grid(n_in, n_out):
-        if n_out == 1:
-            src = np.zeros(1)
-        else:
-            src = np.linspace(0.0, n_in - 1.0, n_out)
-        i0 = np.floor(src).astype(np.int64)
-        i0 = np.clip(i0, 0, n_in - 2) if n_in > 1 else i0
-        i1 = np.minimum(i0 + 1, n_in - 1)
-        frac = src - i0
-        return i0, i1, frac
-
-    r0, r1, fr = grid(h, out_h)
-    c0, c1, fc = grid(w, out_w)
-    fr = fr.reshape(-1, 1)
-    fc = fc.reshape(1, -1)
-    w00 = (1 - fr) * (1 - fc)
-    w01 = (1 - fr) * fc
-    w10 = fr * (1 - fc)
-    w11 = fr * fc
-
-    d = x.data
-    data = (
-        d[..., r0[:, None], c0[None, :]] * w00
-        + d[..., r0[:, None], c1[None, :]] * w01
-        + d[..., r1[:, None], c0[None, :]] * w10
-        + d[..., r1[:, None], c1[None, :]] * w11
-    )
+    rh = _interp_matrix(x.shape[-2], out_h)
+    rw = _interp_matrix(x.shape[-1], out_w)
+    data = rh @ x.data @ rw.T
 
     def factory(out):
         def bw():
-            g = out.grad
-            # fresh C-order buffer: reshape below must be a view (writes via
-            # np.add.at would otherwise land in a silent copy when x.data is
-            # non-contiguous, e.g. a stack of transposed views)
-            gx = np.zeros(x.shape)
-            flat = gx.reshape(-1, h, w)
-            gflat = np.ascontiguousarray(g).reshape(-1, out_h, out_w)
-            for k in range(flat.shape[0]):
-                np.add.at(flat[k], (r0[:, None], c0[None, :]), gflat[k] * w00)
-                np.add.at(flat[k], (r0[:, None], c1[None, :]), gflat[k] * w01)
-                np.add.at(flat[k], (r1[:, None], c0[None, :]), gflat[k] * w10)
-                np.add.at(flat[k], (r1[:, None], c1[None, :]), gflat[k] * w11)
-            accumulate(x, gx)
+            accumulate(x, rh.T @ out.grad @ rw)
 
         return bw
 

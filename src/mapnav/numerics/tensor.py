@@ -67,7 +67,13 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def backward(self):
-        """Backpropagate from a scalar; populates ``grad`` on the graph."""
+        """Backpropagate from a scalar; populates ``grad`` on the graph.
+
+        The graph is consumed: each node drops its backward closure and its
+        parent links once the closure has run, so the activations and buffers
+        the closures held are freed as soon as the caller drops the loss. To
+        backpropagate again, run the forward pass again.
+        """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar, got shape {self.shape}")
         topo = []
@@ -86,9 +92,12 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
 
     # Convenience arithmetic (thin wrappers over the ops module).
     def __add__(self, other):

@@ -182,6 +182,10 @@ def generate_splits(config) -> dict[str, list]:
 
 
 def save_records(path, records: list[TrainingRecord]):
+    for r in records:
+        if not (0 <= r.episode_id < 2**32 and 0 <= r.t < 2**16):
+            raise UsageError(f"{path}: record (episode {r.episode_id}, t {r.t}) does not fit "
+                             "the record format (uint32 episode id, uint16 t)")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         if not records:

@@ -43,7 +43,7 @@ def batch_loss(model: CM2Model, batch, config: RunConfig):
 
 
 def train(config: RunConfig, records: list[TrainingRecord], out_dir,
-          steps: int | None = None, log_every: int = 50) -> tuple[CM2Model, list[dict]]:
+          steps: int | None = None) -> tuple[CM2Model, list[dict]]:
     """Train a model on the given records; writes checkpoint(s) and a loss
     curve CSV into ``out_dir``. Returns (model, loss history)."""
     if not records:

@@ -1,5 +1,8 @@
 """Autodiff primitives: finite-difference gradient checks, value oracles,
 optimizer behavior, and checkpoint serialization."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,15 +122,34 @@ def test_grad_conv_ops(rng):
     check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(x, 9, 9), c4)), {"x": x})
     c5 = nm.Tensor(rng.normal(size=(2, 3, 12, 12)))
     check(lambda: nm.tsum(nm.mul(nm.upsample_nearest2(x), c5)), {"x": x})
+    c6 = nm.Tensor(rng.normal(size=(2, 3, 4, 5)))
+    check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(x, 4, 5), c6)), {"x": x})
+    # fewer output than input channels: input grad by full correlation
+    xw, ww, bw = P(rng, 2, 5, 6, 6), P(rng, 3, 5, 3, 3), P(rng, 3)
+    for pad in (1, 0):
+        c7 = nm.Tensor(rng.normal(size=(2, 3, 4 + 2 * pad, 4 + 2 * pad)))
+        check(lambda: nm.tsum(nm.mul(nm.conv2d(xw, ww, bw, padding=pad), c7)),
+              {"x": xw, "w": ww, "b": bw})
+    w1, b1 = P(rng, 2, 3, 1, 1), P(rng, 2)
+    c8 = nm.Tensor(rng.normal(size=(2, 2, 6, 6)))
+    check(lambda: nm.tsum(nm.mul(nm.conv2d(x, w1, b1), c8)), {"x": x, "w": w1, "b": b1})
+    # a data input: no grad for it, the kernel and bias grads still flow
+    xd = nm.Tensor(rng.normal(size=(2, 3, 6, 6)))
+    check(lambda: nm.tsum(nm.mul(nm.conv2d(xd, w, b, padding=1), c)), {"w": w, "b": b})
+    assert xd.grad is None
 
 
 def test_conv_contract_errors(rng):
     x, w = P(rng, 3, 6, 6), P(rng, 4, 3, 2, 2)
     with pytest.raises(ConfigError):
         nm.conv2d(x, w)  # even kernel
-    w3 = P(rng, 4, 3, 3, 3)
+    w9 = P(rng, 4, 3, 9, 9)
     with pytest.raises(ConfigError):
-        nm.conv2d(x, w3, stride=2, padding=1)  # (6+2-3)/2 not integral
+        nm.conv2d(x, w9, padding=1)  # 9x9 kernel on a 6x6 input padded to 8x8
+    w3 = P(rng, 4, 3, 3, 3)
+    for padding in (-1, 3):
+        with pytest.raises(ConfigError):
+            nm.conv2d(x, w3, padding=padding)  # outside [0, kernel size)
 
 
 def test_grad_losses(rng):
@@ -157,6 +179,22 @@ def test_conv2d_matches_direct_convolution(rng):
             for j in range(5):
                 ref[o, i, j] = np.sum(xp[:, i:i + 3, j:j + 3] * w[o])
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def test_bilinear_resize_matches_direct_interpolation(rng):
+    x = rng.normal(size=(2, 6, 7))
+    for oh, ow in ((4, 5), (9, 11)):
+        out = nm.bilinear_resize(nm.Tensor(x), oh, ow).data
+        ref = np.zeros((2, oh, ow))
+        for i in range(oh):
+            for j in range(ow):
+                # align corners: output corners sit on input corners
+                sy, sx = i * 5 / (oh - 1), j * 6 / (ow - 1)
+                y0, x0 = min(int(sy), 4), min(int(sx), 5)
+                fy, fx = sy - y0, sx - x0
+                ref[:, i, j] = ((1 - fy) * ((1 - fx) * x[:, y0, x0] + fx * x[:, y0, x0 + 1])
+                                + fy * ((1 - fx) * x[:, y0 + 1, x0] + fx * x[:, y0 + 1, x0 + 1]))
+        assert np.allclose(out, ref, atol=1e-12)
 
 
 def test_softmax_simplex_and_stability():
@@ -206,6 +244,23 @@ def test_gradient_accumulation_across_reuse(rng):
     loss = nm.tsum(nm.add(a, a))
     loss.backward()
     assert np.allclose(a.grad, 2.0)
+
+
+def test_backward_releases_the_tape(rng):
+    # with the collector off, only reference counts can free the graph
+    a = P(rng, 4, 4)
+    gc.disable()
+    try:
+        mid = nm.mul(a, a)
+        mid_data = weakref.ref(mid.data)
+        loss = nm.tsum(nm.sigmoid(mid))
+        del mid
+        loss.backward()
+        del loss
+        assert mid_data() is None
+    finally:
+        gc.enable()
+    assert a.grad is not None
 
 
 def test_repeated_backward_requires_zero_grad(rng):

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_load_rejects_bad_magic(tmp_path):
     bad.write_bytes(b"NOTDATA!" + b"\x00" * 16)
     with pytest.raises(UsageError):
         load_records(bad)
+
+
+def test_save_rejects_fields_the_format_cannot_hold(records, tmp_path):
+    # generate_split numbers episodes fp_seed * 100000 + n, past uint32 from
+    # floorplan seed 42950 on
+    too_big = [replace(records[0], episode_id=42950 * 100000),
+               replace(records[0], t=2**16)]
+    for i, rec in enumerate(too_big):
+        path = tmp_path / f"r{i}.bin"
+        with pytest.raises(UsageError, match=f"episode {rec.episode_id}, t {rec.t}"):
+            save_records(path, [records[1], rec])
+        assert not path.exists()
 
 
 def test_generate_split_layout():
@@ -212,7 +225,8 @@ def test_training_deterministic(train_records, tmp_path):
     assert [r["loss"] for r in h1] == [r["loss"] for r in h2]
     assert (tmp_path / "r1" / "model.ckpt").read_bytes() == \
            (tmp_path / "r2" / "model.ckpt").read_bytes()
-    assert (tmp_path / "r1" / "loss_curve.csv").exists()
+    assert (tmp_path / "r1" / "loss_curve.csv").read_bytes() == \
+           (tmp_path / "r2" / "loss_curve.csv").read_bytes()
 
 
 def test_training_loss_decreases(train_records, tmp_path):
