@@ -1,4 +1,4 @@
-from .tensor import Tensor, no_grad, grad_enabled
+from .tensor import Tensor, no_grad
 from .ops import (
     add, sub, mul, scale, tsum, tmean,
     reshape, transpose, concat, stack, take,
@@ -14,7 +14,7 @@ from .gradcheck import grad_check
 from .checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
-    "Tensor", "no_grad", "grad_enabled",
+    "Tensor", "no_grad",
     "add", "sub", "mul", "scale", "tsum", "tmean",
     "reshape", "transpose", "concat", "stack", "take",
     "matmul", "linear",

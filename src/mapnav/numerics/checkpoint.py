@@ -42,16 +42,21 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise UsageError(f"{path}: not a checkpoint file (bad magic)")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        config = json.loads(f.read(cfg_len).decode("utf-8")) if cfg_len else {}
-        (count,) = struct.unpack("<I", f.read(4))
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack("<" + "I" * rank, f.read(4 * rank))
-            n = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims)
-            params[name] = np.array(data)
+        try:  # a short read, bad utf-8 or bad JSON raises here
+            (cfg_len,) = struct.unpack("<I", f.read(4))
+            config = json.loads(f.read(cfg_len).decode("utf-8")) if cfg_len else {}
+            (count,) = struct.unpack("<I", f.read(4))
+            params = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", f.read(2))
+                name = f.read(name_len).decode("utf-8")
+                (rank,) = struct.unpack("<B", f.read(1))
+                dims = struct.unpack("<" + "I" * rank, f.read(4 * rank))
+                n = int(np.prod(dims)) if rank else 1
+                data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims)
+                params[name] = np.array(data)
+        except (struct.error, ValueError) as e:
+            raise UsageError(f"{path}: truncated or corrupt checkpoint ({e})") from e
+        if f.read(1) or not isinstance(config, dict):
+            raise UsageError(f"{path}: corrupt checkpoint (trailing bytes or non-object config)")
         return params, config

@@ -220,12 +220,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
-    mask = a.data > 0
-    data = np.where(mask, a.data, alpha * a.data)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"leaky_relu: alpha {alpha} not in [0, 1]")
+    data = np.maximum(a.data, alpha * a.data)
 
     def factory(out):
         def bw():
-            accumulate(a, out.grad * np.where(mask, 1.0, alpha))
+            accumulate(a, out.grad * np.where(a.data > 0, 1.0, alpha))
 
         return bw
 
@@ -329,19 +330,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # convolution and resampling
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
-    """Patch matrix (B, C*kh*kw, ho*wo) of a stride-1 correlation of ``x``
-    (B,C,H,W) zero-padded by ``ph`` rows and ``pw`` columns on each side."""
-    bsz, c, h, w = x.shape
-    xp = np.zeros((bsz, c, h + 2 * ph, w + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    ho, wo = win.shape[2:4]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(bsz, c * kh * kw, ho * wo)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation; input (C,H,W) or (B,C,H,W)."""
+    """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W): one GEMM per kernel
+    tap (i, j) with the view at ``i*wp + j`` of the zero-padded, row-flattened
+    input ``xp`` (B, ci, hp*wp + kw-1). Output column ``r*wp + c`` is pixel
+    (r, c) for ``c < wo``; the wrap-around columns ``c >= wo`` are dropped.
+    Backward reuses ``xp``: the tape holds about one padded input."""
     x4 = x.data.reshape((1,) + x.shape) if x.ndim == 3 else x.data
     if x4.ndim != 4:
         raise ShapeError(f"conv2d: expected (C,H,W) or (B,C,H,W), got {x.shape}")
@@ -356,16 +350,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
     if not 0 <= padding < min(kh, kw):
         raise ConfigError(f"conv2d: padding {padding} not in [0, {min(kh, kw)}) "
                           f"for kernel {kh}x{kw}")
-    ho, wo = h + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
+    hp, wp = h + 2 * padding, ww + 2 * padding
+    ho, wo = hp - kh + 1, wp - kw + 1
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{ww} "
                           f"padded by {padding}")
 
-    cols = _im2col(x4, kh, kw, padding, padding)
-    w2 = w.data.reshape(co, ci * kh * kw)
-    out_data = np.matmul(w2, cols).reshape(bsz, co, ho, wo)
-    if b is not None:
-        out_data = out_data + b.data.reshape(1, co, 1, 1)
+    def grid(flat):  # (B, C, hp*wp + kw-1) buffer -> (B, C, hp, wp) padded-image view
+        return flat[:, :, : hp * wp].reshape(bsz, -1, hp, wp)
+
+    inner = np.s_[:, :, padding : padding + h, padding : padding + ww]
+    n = ho * wp
+    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # one (co, ci) matrix per tap
+    xp = np.zeros((bsz, ci, hp * wp + kw - 1))
+    grid(xp)[inner] = x4
+    acc = np.matmul(wt[0, 0], xp[:, :, :n])
+    tmp = np.empty_like(acc)
+    for i, j, s in taps[1:]:
+        acc += np.matmul(wt[i, j], xp[:, :, s : s + n], out=tmp)
+    bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
+    out_data = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
     if x.ndim == 3:
         out_data = out_data[0]
 
@@ -373,30 +378,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
 
     def factory(out):
         def bw():
-            g = out.grad.reshape(bsz, co, ho * wo)
-            if w.requires_grad:
-                accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+            gf = np.zeros((bsz, co, n))  # wrap-around columns get zero grad: they add nothing
+            gf.reshape(bsz, co, ho, wp)[:, :, :, :wo] = out.grad.reshape(bsz, co, ho, wo)
             if b is not None:
-                accumulate(b, g.sum(axis=(0, 2)))
-            if not x.requires_grad:
-                return
-            if co <= ci:
-                # full correlation of the output grad with the flipped,
-                # channel-transposed kernel: its patch matrix has co*k*k
-                # rows, against ci*k*k for the scatter below
-                wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-                gcols = _im2col(g.reshape(bsz, co, ho, wo), kh, kw,
-                                kh - 1 - padding, kw - 1 - padding)
-                gx = np.matmul(wt, gcols)
-            else:
-                # col2im: scatter the patch-matrix grad back onto the input
-                gcols = np.matmul(w2.T, g).reshape(bsz, ci, kh, kw, ho, wo)
-                gxp = np.zeros((bsz, ci, h + 2 * padding, ww + 2 * padding))
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
-                gx = gxp[:, :, padding : padding + h, padding : padding + ww]
-            accumulate(x, gx.reshape(x.shape))
+                accumulate(b, gf.sum(axis=(0, 2)))
+            if w.requires_grad:
+                gw = np.empty(wt.shape)
+                for i, j, s in taps:
+                    gw[i, j] = np.matmul(gf, xp[:, :, s : s + n].transpose(0, 2, 1)).sum(axis=0)
+                accumulate(w, gw.transpose(2, 3, 0, 1))
+            if x.requires_grad:
+                gxp, tmpx = np.zeros(xp.shape), np.empty((bsz, ci, n))
+                for i, j, s in taps:
+                    gxp[:, :, s : s + n] += np.matmul(wt[i, j].T, gf, out=tmpx)
+                accumulate(x, grid(gxp)[inner].reshape(x.shape))
 
         return bw
 
@@ -430,14 +425,16 @@ def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     h, w = x.shape[-2], x.shape[-1]
     if h % factor or w % factor:
         raise ConfigError(f"avg_pool2d: {h}x{w} not divisible by {factor}")
-    shp = x.shape[:-2] + (h // factor, factor, w // factor, factor)
-    data = x.data.reshape(shp).mean(axis=(-3, -1))
+    phases = [np.s_[..., a::factor, c::factor] for a in range(factor) for c in range(factor)]
+    data = sum(x.data[p] for p in phases) / (factor * factor)
 
     def factory(out):
         def bw():
             g = out.grad / (factor * factor)
-            g = np.repeat(np.repeat(g, factor, axis=-2), factor, axis=-1)
-            accumulate(x, g)
+            gx = np.empty(x.shape)
+            for p in phases:
+                gx[p] = g
+            accumulate(x, gx)
 
         return bw
 

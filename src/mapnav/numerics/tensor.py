@@ -31,10 +31,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -62,9 +58,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self):
         """Backpropagate from a scalar; populates ``grad`` on the graph.

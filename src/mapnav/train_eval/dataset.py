@@ -210,29 +210,34 @@ def load_records(path) -> list[TrainingRecord]:
         data = fh.read()
     if data[:8] != MAGIC:
         raise UsageError(f"{path}: not a training-record file")
-    off = 8
-    count, s, k, m = struct.unpack_from("<IHHH", data, off)
-    off += 10
-    records = []
-    for _ in range(count):
-        episode_id, t = struct.unpack_from("<IH", data, off)
-        off += 6
-        x, y, theta = struct.unpack_from("<3d", data, off)
-        off += 24
-        tokens = np.frombuffer(data, "<u2", m, off).astype(np.int64)
-        off += 2 * m
-        occ = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-        off += s * s
-        chi = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-        off += s * s
-        sem = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-        off += s * s
-        wps = np.frombuffer(data, "<f8", k * 2, off).reshape(k, 2).copy()
-        off += 16 * k
-        xi = np.frombuffer(data, np.uint8, k, off).copy()
-        off += k
-        records.append(TrainingRecord(
-            episode_id=episode_id, t=t, pose=Pose(x, y, theta), tokens=tokens,
-            occ_labels=occ, chi_labels=chi, sem_labels=sem,
-            waypoints_ego=wps, traversed=xi))
+    try:  # a field or array that runs past the end raises here
+        off = 8
+        count, s, k, m = struct.unpack_from("<IHHH", data, off)
+        off += 10
+        records = []
+        for _ in range(count):
+            episode_id, t = struct.unpack_from("<IH", data, off)
+            off += 6
+            x, y, theta = struct.unpack_from("<3d", data, off)
+            off += 24
+            tokens = np.frombuffer(data, "<u2", m, off).astype(np.int64)
+            off += 2 * m
+            occ = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
+            off += s * s
+            chi = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
+            off += s * s
+            sem = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
+            off += s * s
+            wps = np.frombuffer(data, "<f8", k * 2, off).reshape(k, 2).copy()
+            off += 16 * k
+            xi = np.frombuffer(data, np.uint8, k, off).copy()
+            off += k
+            records.append(TrainingRecord(
+                episode_id=episode_id, t=t, pose=Pose(x, y, theta), tokens=tokens,
+                occ_labels=occ, chi_labels=chi, sem_labels=sem,
+                waypoints_ego=wps, traversed=xi))
+    except (struct.error, ValueError) as e:
+        raise UsageError(f"{path}: truncated or corrupt record file ({e})") from e
+    if off != len(data):
+        raise UsageError(f"{path}: corrupt record file ({len(data) - off} bytes after the end)")
     return records

@@ -164,6 +164,7 @@ def test_gradcheck_every_primitive():
            {"l": logits})
 
 
+@pytest.mark.slow
 def test_gradcheck_full_losses_within_time_budget():
     t0 = time.time()
     cfg = RunConfig(ego_size=24, d=16, k=3, unet_base=8, unet_depth=3,
@@ -283,6 +284,7 @@ def test_goal_selection_matches_brute_force_scan():
         assert goal == pytest.approx(tuple(world))
 
 
+@pytest.mark.slow
 def test_closed_loop_with_gt_maps_and_heatmaps():
     t0 = time.time()
     config = ControllerConfig()

@@ -105,6 +105,15 @@ def test_eval_missing_checkpoint(workdir, tmp_path):
                  "--data", str(workdir["data"])]) == EXIT_USAGE
 
 
+def test_eval_truncated_checkpoint(workdir, tmp_path, capsys):
+    blob = (workdir["run"] / "model.ckpt").read_bytes()
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes(blob[:len(blob) // 2])
+    assert main(["eval", "--config", str(workdir["config"]), "--ckpt", str(bad),
+                 "--data", str(workdir["data"])]) == EXIT_USAGE
+    assert "truncated or corrupt checkpoint" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- rollout + viz
 def first_episode_id(workdir):
     line = (workdir["data"] / "unseen_episodes.jsonl").read_text().splitlines()[0]

@@ -1,6 +1,7 @@
 """Autodiff primitives: finite-difference gradient checks, value oracles,
 optimizer behavior, and checkpoint serialization."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -83,6 +84,12 @@ def test_grad_activations(rng):
     check(lambda: nm.tsum(nm.mul(nm.relu(a), c)), {"a": a})
     check(lambda: nm.tsum(nm.mul(nm.leaky_relu(a), c)), {"a": a})
     check(lambda: nm.tsum(nm.mul(nm.sigmoid(a), c)), {"a": a})
+    for alpha in (0.0, 0.01, 1.0):
+        assert np.array_equal(nm.leaky_relu(a, alpha).data,
+                              np.where(a.data > 0, a.data, alpha * a.data))
+    for alpha in (-0.1, 1.5):  # max(x, alpha*x) is leaky ReLU only for alpha in [0, 1]
+        with pytest.raises(ConfigError):
+            nm.leaky_relu(a, alpha)
 
 
 def test_grad_softmax_layernorm(rng):
@@ -124,7 +131,7 @@ def test_grad_conv_ops(rng):
     check(lambda: nm.tsum(nm.mul(nm.upsample_nearest2(x), c5)), {"x": x})
     c6 = nm.Tensor(rng.normal(size=(2, 3, 4, 5)))
     check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(x, 4, 5), c6)), {"x": x})
-    # fewer output than input channels: input grad by full correlation
+    # fewer output than input channels
     xw, ww, bw = P(rng, 2, 5, 6, 6), P(rng, 3, 5, 3, 3), P(rng, 3)
     for pad in (1, 0):
         c7 = nm.Tensor(rng.normal(size=(2, 3, 4 + 2 * pad, 4 + 2 * pad)))
@@ -137,6 +144,11 @@ def test_grad_conv_ops(rng):
     xd = nm.Tensor(rng.normal(size=(2, 3, 6, 6)))
     check(lambda: nm.tsum(nm.mul(nm.conv2d(xd, w, b, padding=1), c)), {"w": w, "b": b})
     assert xd.grad is None
+    # non-square input and kernel: row and column strides of the flat buffer differ
+    xn, wn, bn = P(rng, 2, 3, 5, 7), P(rng, 2, 3, 3, 5), P(rng, 2)
+    c9 = nm.Tensor(rng.normal(size=(2, 2, 5, 5)))
+    check(lambda: nm.tsum(nm.mul(nm.conv2d(xn, wn, bn, padding=1), c9)),
+          {"x": xn, "w": wn, "b": bn})
 
 
 def test_conv_contract_errors(rng):
@@ -168,17 +180,60 @@ def test_grad_losses(rng):
 # ----------------------------------------------------------------------
 # value oracles
 
+def _direct_conv(x, w, pad):
+    """Per-pixel loop oracle for one (C,H,W) image."""
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    ref = np.zeros((co, xp.shape[1] - kh + 1, xp.shape[2] - kw + 1))
+    for o in range(co):
+        for i in range(ref.shape[1]):
+            for j in range(ref.shape[2]):
+                ref[o, i, j] = np.sum(xp[:, i:i + kh, j:j + kw] * w[o])
+    return ref
+
+
 def test_conv2d_matches_direct_convolution(rng):
-    x = rng.normal(size=(3, 5, 5))
-    w = rng.normal(size=(2, 3, 3, 3))
-    out = nm.conv2d(nm.Tensor(x), nm.Tensor(w), padding=1).data
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    ref = np.zeros((2, 5, 5))
-    for o in range(2):
-        for i in range(5):
-            for j in range(5):
-                ref[o, i, j] = np.sum(xp[:, i:i + 3, j:j + 3] * w[o])
-    assert np.allclose(out, ref, atol=1e-12)
+    cases = [((3, 5, 5), (2, 3, 3, 3), 1),
+             ((3, 5, 5), (2, 3, 3, 3), 0),   # every row has wrap-around columns
+             ((3, 5, 7), (2, 3, 3, 3), 1),   # non-square input
+             ((3, 5, 7), (2, 3, 3, 5), 1),   # non-square kernel
+             ((3, 6, 4), (4, 3, 1, 1), 0)]
+    for xs, ws, pad in cases:
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        out = nm.conv2d(nm.Tensor(x), nm.Tensor(w), nm.Tensor(b), padding=pad).data
+        assert np.allclose(out, _direct_conv(x, w, pad) + b[:, None, None], atol=1e-12)
+    xb, wb = rng.normal(size=(3, 2, 5, 6)), rng.normal(size=(4, 2, 3, 3))
+    out = nm.conv2d(nm.Tensor(xb), nm.Tensor(wb), padding=1).data
+    assert out.shape == (3, 4, 5, 6)
+    for k in range(3):
+        assert np.allclose(out[k], _direct_conv(xb[k], wb, 1), atol=1e-12)
+
+
+def test_conv2d_tape_holds_no_patch_matrix(rng):
+    x = P(rng, 4, 16, 32, 32)
+    w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
+    tracemalloc.start()
+    try:
+        out = nm.conv2d(x, w, b, padding=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the output plus one zero-padded copy of the input, about 2.1x; an
+    # im2col patch matrix alone would be 9x
+    assert held <= 3 * x.data.nbytes, held / x.data.nbytes
+
+
+def test_avg_pool2d_matches_block_means(rng):
+    for factor in (2, 3):
+        x = rng.normal(size=(2, 3, 6, 12))
+        out = nm.avg_pool2d(nm.Tensor(x), factor).data
+        ref = np.zeros((2, 3, 6 // factor, 12 // factor))
+        for i in range(ref.shape[2]):
+            for j in range(ref.shape[3]):
+                ref[:, :, i, j] = x[:, :, i * factor:(i + 1) * factor,
+                                    j * factor:(j + 1) * factor].mean(axis=(2, 3))
+        assert np.allclose(out, ref, atol=1e-12)
 
 
 def test_bilinear_resize_matches_direct_interpolation(rng):
@@ -339,3 +394,22 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(UsageError):
         nm.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_or_corrupt_files(tmp_path, rng):
+    good = tmp_path / "m.ckpt"
+    nm.save_checkpoint(good, {"w": P(rng, 3, 4), "b": P(rng, 4)}, config={"d": 16})
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    # inside the config length, the config, a parameter header, parameter values
+    for cut in (10, 14, 30, 40, len(blob) - 5, len(blob) - 8):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(UsageError, match="truncated or corrupt"):
+            nm.load_checkpoint(bad)
+    cfg_at = blob.index(b'{"d"')
+    bad.write_bytes(blob[:cfg_at] + b"{'d'" + blob[cfg_at + 4:])  # not JSON
+    with pytest.raises(UsageError, match="truncated or corrupt"):
+        nm.load_checkpoint(bad)
+    bad.write_bytes(blob + b"\x00")
+    with pytest.raises(UsageError, match="trailing bytes"):
+        nm.load_checkpoint(bad)

@@ -103,6 +103,21 @@ def test_load_rejects_bad_magic(tmp_path):
         load_records(bad)
 
 
+def test_load_rejects_truncated_or_corrupt_files(records, tmp_path):
+    good = tmp_path / "r.bin"
+    save_records(good, records[:2])
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    # inside the header, the first record's pose, its label maps, the last byte
+    for cut in (12, 30, 100, len(blob) // 2, len(blob) - 1):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(UsageError, match="truncated or corrupt"):
+            load_records(bad)
+    bad.write_bytes(blob + b"\x00" * 3)
+    with pytest.raises(UsageError, match="3 bytes after the end"):
+        load_records(bad)
+
+
 def test_save_rejects_fields_the_format_cannot_hold(records, tmp_path):
     # generate_split numbers episodes fp_seed * 100000 + n, past uint32 from
     # floorplan seed 42950 on

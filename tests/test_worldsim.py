@@ -83,6 +83,7 @@ def test_floorplan_deterministic():
            [(r.r0, r.c0, r.r1, r.c1, r.kind) for r in b.rooms]
 
 
+@pytest.mark.slow
 def test_floorplan_invariants_100_seeds():
     for seed in range(100):
         plan = generate_floorplan(seed)
@@ -93,6 +94,7 @@ def test_floorplan_invariants_100_seeds():
         assert 3 <= len(plan.rooms) <= 6
 
 
+@pytest.mark.slow
 def test_floorplan_object_counts():
     for seed in range(100):
         plan = generate_floorplan(seed)
@@ -319,6 +321,7 @@ def test_episode_invariants(plan):
             assert plan.traversable(*pos_to_cell(x, y))
 
 
+@pytest.mark.slow
 def test_episode_mean_geodesic_scale():
     lengths = []
     for fp_seed in range(20):
