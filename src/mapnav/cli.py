@@ -25,6 +25,24 @@ def _load_config(path):
     return RunConfig.load(path)
 
 
+def _load_model(args, config):
+    """Load ``--ckpt``; a ``--config`` given with it must describe the same
+    model, or the run would silently use the checkpoint's."""
+    from dataclasses import asdict
+    from .model import CM2Model
+    if not os.path.exists(args.ckpt):
+        raise UsageError(f"checkpoint not found: {args.ckpt}")
+    model = CM2Model.load(args.ckpt)
+    if args.config is not None:
+        want, have = asdict(config.model_config()), asdict(model.config)
+        differ = [f"{k} (config {want[k]!r}, checkpoint {have[k]!r})"
+                  for k in want if want[k] != have[k]]
+        if differ:
+            raise UsageError(f"--config {args.config} disagrees with checkpoint "
+                             f"{args.ckpt}: {', '.join(differ)}")
+    return model
+
+
 def _load_pairs(path, world_size=64):
     """Episodes JSONL -> (Floorplan, Episode) pairs, regenerating worlds
     from their recorded seeds."""
@@ -90,7 +108,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import CM2Model
     from .train_eval.dataset import load_records
     from .train_eval.evaluate import (evaluate_map_quality, evaluate_navigation,
                                       write_metrics_csv)
@@ -98,9 +115,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     if args.workers:
         config.workers = args.workers
-    if not os.path.exists(args.ckpt):
-        raise UsageError(f"checkpoint not found: {args.ckpt}")
-    model = CM2Model.load(args.ckpt)
+    model = _load_model(args, config)
     pairs = _load_pairs(os.path.join(args.data, f"{args.split}_episodes.jsonl"),
                         config.world_size)
     per_episode, agg = evaluate_navigation(model, config, pairs,
@@ -143,13 +158,10 @@ def _find_episode(pairs, episode_id):
 
 
 def cmd_rollout(args) -> int:
-    from .model import CM2Model
     from .train_eval.evaluate import evaluate_episode
 
     config = _load_config(args.config)
-    if not os.path.exists(args.ckpt):
-        raise UsageError(f"checkpoint not found: {args.ckpt}")
-    model = CM2Model.load(args.ckpt)
+    model = _load_model(args, config)
     pairs = _load_pairs(args.episodes, config.world_size)
     plan, ep = _find_episode(pairs, args.episode)
     m = evaluate_episode(model, config, plan, ep, trace_path=args.trace)
@@ -159,14 +171,13 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    from .model import CM2Model
     from .viz import export_rollout
 
     config = _load_config(args.config)
-    for path in (args.ckpt, args.trace, args.episodes):
+    for path in (args.trace, args.episodes):
         if not os.path.exists(path):
             raise UsageError(f"input not found: {path}")
-    model = CM2Model.load(args.ckpt)
+    model = _load_model(args, config)
     pairs = _load_pairs(args.episodes, config.world_size)
     plan, ep = _find_episode(pairs, args.episode)
     n = export_rollout(args.trace, model, config, plan, ep, args.out)

@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"p_noise must be in [0,1], got {self.p_noise}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
+        if self.eval_episodes < 1:
+            raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
         self.controller_config().validate()
         self.model_config().validate()
         return self

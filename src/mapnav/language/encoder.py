@@ -10,9 +10,7 @@ import numpy as np
 
 from .. import numerics as nm
 from ..errors import UsageError
-from .vocab import MAX_TOKENS, PAD_ID, VOCAB_SIZE
-
-NEG_INF = -1e30
+from .vocab import PAD_ID, VOCAB_SIZE
 
 
 def positional_encoding(length: int, d: int) -> np.ndarray:
@@ -26,22 +24,13 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
 def init_instruction_params(rng: np.random.Generator, d: int,
                             vocab_size: int = VOCAB_SIZE, n_layers: int = 2,
                             prefix: str = "instr.") -> dict[str, nm.Tensor]:
-    ff = 2 * d
+    from ..model.attention import init_self_attention  # mapnav.model imports this module
+
     p = {}
     p[prefix + "embed"] = nm.Tensor(rng.normal(0.0, 0.02, size=(vocab_size, d)),
                                     requires_grad=True)
     for l in range(n_layers):
-        pre = f"{prefix}l{l}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + name] = nm.glorot_uniform(rng, (d, d), d, d)
-        p[pre + "ln1.g"] = nm.ones_param((d,))
-        p[pre + "ln1.b"] = nm.zeros_param((d,))
-        p[pre + "ln2.g"] = nm.ones_param((d,))
-        p[pre + "ln2.b"] = nm.zeros_param((d,))
-        p[pre + "ff1.w"] = nm.glorot_uniform(rng, (d, ff), d, ff)
-        p[pre + "ff1.b"] = nm.zeros_param((ff,))
-        p[pre + "ff2.w"] = nm.glorot_uniform(rng, (ff, d), ff, d)
-        p[pre + "ff2.b"] = nm.zeros_param((d,))
+        p.update(init_self_attention(rng, d, f"{prefix}l{l}."))
     p[prefix + "final.w"] = nm.glorot_uniform(rng, (d, d), d, d)
     p[prefix + "final.b"] = nm.zeros_param((d,))
     return p
@@ -50,28 +39,16 @@ def init_instruction_params(rng: np.random.Generator, d: int,
 def encode_instruction(tokens, params: dict[str, nm.Tensor], d: int,
                        n_layers: int = 2, prefix: str = "instr.") -> nm.Tensor:
     """Token ids (length M) -> instruction features X of shape (M, d)."""
+    from ..model.attention import apply_self_attention  # mapnav.model imports this module
+
     ids = np.asarray(tokens, dtype=np.int64)
     table = params[prefix + "embed"]
     if ids.size and ids.max() >= table.shape[0]:
         raise UsageError(f"token id {ids.max()} >= vocabulary size {table.shape[0]}")
-    m = ids.shape[0]
-    real = (ids != PAD_ID).astype(np.float64)
-    key_bias = nm.Tensor(np.where(real[None, :] > 0, 0.0, NEG_INF))
-
-    x = nm.add(nm.embedding_lookup(table, ids), nm.Tensor(positional_encoding(m, d)))
-    scale = 1.0 / np.sqrt(d)
+    real = pad_mask(ids)
+    x = nm.add(nm.embedding_lookup(table, ids), nm.Tensor(positional_encoding(ids.shape[0], d)))
     for l in range(n_layers):
-        pre = f"{prefix}l{l}."
-        h = nm.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        q = nm.matmul(h, params[pre + "wq"])
-        k = nm.matmul(h, params[pre + "wk"])
-        v = nm.matmul(h, params[pre + "wv"])
-        scores = nm.add(nm.scale(nm.matmul(q, nm.transpose(k)), scale), key_bias)
-        attn = nm.softmax_rows(scores)
-        x = nm.add(x, nm.matmul(nm.matmul(attn, v), params[pre + "wo"]))
-        h = nm.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        h = nm.relu(nm.linear(h, params[pre + "ff1.w"], params[pre + "ff1.b"]))
-        x = nm.add(x, nm.linear(h, params[pre + "ff2.w"], params[pre + "ff2.b"]))
+        x = apply_self_attention(x, params, f"{prefix}l{l}.", key_mask=real)
     x = nm.linear(x, params[prefix + "final.w"], params[prefix + "final.b"])
     return nm.mul(x, nm.Tensor(real[:, None]))
 

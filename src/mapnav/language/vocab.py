@@ -37,12 +37,3 @@ WORDS = [
 WORD_TO_ID = {w: i for i, w in enumerate(WORDS)}
 VOCAB_SIZE = len(WORDS)
 
-
-def save_vocab(path):
-    with open(path, "w") as f:
-        f.write("\n".join(WORDS) + "\n")
-
-
-def load_vocab(path) -> list[str]:
-    with open(path) as f:
-        return [line.rstrip("\n") for line in f if line.strip()]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .worldsim.agent import DepthScan, Pose
-from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, NUM_CLASSES, VOID, WALL
+from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, NUM_CLASSES, VOID
 
 OCC, FREE, UNK = 0, 1, 2
 DEFAULT_EGO_SIZE = 48
@@ -177,13 +177,3 @@ def crop_ego_semantic(plan: Floorplan, pose: Pose,
     out[labels, rows, cols] = 1.0
     return out
 
-
-def occupancy_from_semantic(sem_onehot: np.ndarray) -> np.ndarray:
-    """Collapse a semantic one-hot grid to occupied/free/void."""
-    labels = sem_onehot.argmax(axis=0)
-    known = sem_onehot.max(axis=0) > 0
-    out = np.zeros((3,) + labels.shape)
-    out[OCC] = (labels >= WALL) & known
-    out[FREE] = (labels == FLOOR) & known
-    out[UNK] = 1.0 - out[OCC] - out[FREE]
-    return out

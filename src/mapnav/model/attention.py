@@ -24,19 +24,30 @@ def init_self_attention(rng, d: int, prefix: str) -> dict:
     return p
 
 
+def _swap_last(t: nm.Tensor) -> nm.Tensor:
+    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
+    return nm.transpose(t, axes)
+
+
+def _key_bias(key_mask: np.ndarray) -> nm.Tensor:
+    """Additive score bias that masks out keys where ``key_mask`` is 0."""
+    return nm.Tensor(np.where(key_mask[..., None, :] > 0, 0.0, NEG_INF))
+
+
 def apply_self_attention(x: nm.Tensor, params: dict, prefix: str,
                          key_mask: np.ndarray | None = None) -> nm.Tensor:
-    """Pre-LN transformer layer; ``key_mask`` is 1 at attendable positions."""
+    """Pre-LN transformer layer over the rows of ``x`` (..., L, d); leading
+    axes are a batch. ``key_mask`` (..., L) is 1 at attendable positions."""
     d = x.shape[-1]
     scale = 1.0 / np.sqrt(d)
     h = nm.layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
     q = nm.matmul(h, params[prefix + "wq"])
     k = nm.matmul(h, params[prefix + "wk"])
     v = nm.matmul(h, params[prefix + "wv"])
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), scale)
+    scores = nm.scale(nm.matmul(q, _swap_last(k)), scale)
     if key_mask is not None:
-        scores = nm.add(scores, nm.Tensor(np.where(key_mask[None, :] > 0, 0.0, NEG_INF)))
-    attn = nm.softmax_rows(scores)
+        scores = nm.add(scores, _key_bias(key_mask))
+    attn = nm.softmax(scores, axis=-1)
     x = nm.add(x, nm.matmul(nm.matmul(attn, v), params[prefix + "wo"]))
     h = nm.layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
     h = nm.relu(nm.linear(h, params[prefix + "ff1.w"], params[prefix + "ff1.b"]))
@@ -57,8 +68,10 @@ def cross_modal_attend(y: nm.Tensor, x: nm.Tensor, params: dict, prefix: str,
     """Map tokens attend over instruction tokens.
 
     Self-attention runs on each modality, then the map side queries the
-    instruction side. Returns (H of shape (N, d), attention matrix (N, M) as
-    a plain array for inspection).
+    instruction side. ``y`` is (..., N, d) and ``x`` (..., M, d), with the
+    same leading (batch) axes; ``x_pad_mask`` is (..., M). Returns (H of
+    shape (..., N, d), attention (..., N, M) as a plain array for
+    inspection).
     """
     if y.shape[-1] != x.shape[-1]:
         raise ConfigError(f"feature dims differ: map {y.shape} vs text {x.shape}")
@@ -68,9 +81,9 @@ def cross_modal_attend(y: nm.Tensor, x: nm.Tensor, params: dict, prefix: str,
     q = nm.matmul(y, params[prefix + "wq"])
     k = nm.matmul(x, params[prefix + "wk"])
     v = nm.matmul(x, params[prefix + "wv"])
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / np.sqrt(d))
+    scores = nm.scale(nm.matmul(q, _swap_last(k)), 1.0 / np.sqrt(d))
     if x_pad_mask is not None:
-        scores = nm.add(scores, nm.Tensor(np.where(x_pad_mask[None, :] > 0, 0.0, NEG_INF)))
-    attn = nm.softmax_rows(scores)
+        scores = nm.add(scores, _key_bias(x_pad_mask))
+    attn = nm.softmax(scores, axis=-1)
     h = nm.matmul(attn, v)
     return h, attn.data.copy()

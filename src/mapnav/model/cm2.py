@@ -129,25 +129,23 @@ class CM2Model:
 
     def _attend_tokens(self, enc: nm.Tensor, instr, attn_prefix: str,
                        use_attention: bool = True):
-        """Per-sample cross-modal attention over encoded map tokens.
+        """Cross-modal attention over encoded map tokens, for the whole batch.
 
-        ``enc`` is (B,d,hs,ws); ``instr`` a list of (X, mask). Returns the
-        attended grid (B,d,hs,ws) and the per-sample attention matrices.
+        ``enc`` is (B,d,hs,ws); ``instr`` a list of B (X, mask). Returns the
+        attended grid (B,d,hs,ws) and the attention matrices (B,N,M).
         """
-        c = self.config
         bsz, d, hs, ws = enc.shape
-        hs_list, attn_list = [], []
-        for b in range(bsz):
-            y = nm.transpose(nm.reshape(nm.take(enc, b, axis=0), (d, hs * ws)))
-            if use_attention:
-                x, mask = instr[b]
-                h, attn = cross_modal_attend(y, x, self.params, attn_prefix,
-                                             x_pad_mask=mask)
-            else:
-                h, attn = self.params["const_h_o"], np.zeros((hs * ws, 1))
-            hs_list.append(nm.reshape(nm.transpose(h), (d, hs, ws)))
-            attn_list.append(attn)
-        return nm.stack(hs_list, axis=0), attn_list
+        if len(instr) != bsz:
+            raise ConfigError(f"{len(instr)} instructions for a batch of {bsz}")
+        if use_attention:
+            y = nm.transpose(nm.reshape(enc, (bsz, d, hs * ws)), (0, 2, 1))
+            xs, masks = zip(*instr)
+            h, attn = cross_modal_attend(y, nm.stack(xs, axis=0), self.params,
+                                         attn_prefix, x_pad_mask=np.stack(masks))
+        else:
+            h = nm.stack([self.params["const_h_o"]] * bsz, axis=0)
+            attn = np.zeros((bsz, hs * ws, 1))
+        return nm.reshape(nm.transpose(h, (0, 2, 1)), (bsz, d, hs, ws)), attn
 
     @staticmethod
     def _fit_bneck(h_grid: nm.Tensor, size: int) -> nm.Tensor:
@@ -166,7 +164,7 @@ class CM2Model:
         occ_in: (B,3,h,w) ego occupancy crop; sem_obs_in: (B,c,h,w)
         ground-projected semantic observation; instr: list of B
         (X, pad_mask) pairs. Returns (occ_probs, sem_probs, h_grid,
-        attention list).
+        attention (B,N,M)).
         """
         c = self.config
         occ_in = occ_in if isinstance(occ_in, nm.Tensor) else nm.Tensor(occ_in)
@@ -194,7 +192,7 @@ class CM2Model:
 
         sem_in: (B,c,h,w) semantic map (predicted or ground truth); instr:
         list of B (X, pad_mask); start_heatmap: (B,1,u,v). Returns
-        (heatmaps, traversed, h_grid, attention list).
+        (heatmaps, traversed, h_grid, attention (B,N,M)).
         """
         c = self.config
         sem_in = sem_in if isinstance(sem_in, nm.Tensor) else nm.Tensor(sem_in)

@@ -1,12 +1,12 @@
 from .tensor import Tensor, no_grad
 from .ops import (
     add, sub, mul, scale, tsum, tmean,
-    reshape, transpose, concat, stack, take,
+    reshape, transpose, concat, stack,
     matmul, linear,
-    relu, leaky_relu, sigmoid, softmax, softmax_rows, layer_norm,
+    relu, leaky_relu, sigmoid, softmax, layer_norm,
     embedding_lookup,
     conv2d, conv_transpose2d, upsample_nearest2, avg_pool2d, bilinear_resize,
-    mse_loss, binary_cross_entropy, pixelwise_cross_entropy,
+    binary_cross_entropy, pixelwise_cross_entropy,
     glorot_uniform, zeros_param, ones_param,
 )
 from .optim import Adam, AdamState, adam_step
@@ -16,12 +16,12 @@ from .checkpoint import save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor", "no_grad",
     "add", "sub", "mul", "scale", "tsum", "tmean",
-    "reshape", "transpose", "concat", "stack", "take",
+    "reshape", "transpose", "concat", "stack",
     "matmul", "linear",
-    "relu", "leaky_relu", "sigmoid", "softmax", "softmax_rows", "layer_norm",
+    "relu", "leaky_relu", "sigmoid", "softmax", "layer_norm",
     "embedding_lookup",
     "conv2d", "conv_transpose2d", "upsample_nearest2", "avg_pool2d", "bilinear_resize",
-    "mse_loss", "binary_cross_entropy", "pixelwise_cross_entropy",
+    "binary_cross_entropy", "pixelwise_cross_entropy",
     "glorot_uniform", "zeros_param", "ones_param",
     "Adam", "AdamState", "adam_step",
     "grad_check",

@@ -144,23 +144,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return make_op(data, tuple(tensors), factory)
 
 
-def take(a: Tensor, index: int, axis: int = 0) -> Tensor:
-    """Select one slice along an axis (removing that axis)."""
-    data = np.take(a.data, index, axis=axis)
-
-    def factory(out):
-        def bw():
-            g = np.zeros_like(a.data)
-            sl = [slice(None)] * a.ndim
-            sl[axis] = index
-            g[tuple(sl)] = out.grad
-            accumulate(a, g)
-
-        return bw
-
-    return make_op(data, (a,), factory)
-
-
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
@@ -180,14 +163,18 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading axes broadcast as in numpy."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError as e:  # leading axes that do not broadcast
+        raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} differ") from e
 
     def factory(out):
         def bw():
-            accumulate(a, out.grad @ b.data.T)
-            accumulate(b, a.data.T @ out.grad)
+            accumulate(a, unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
+            accumulate(b, unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
 
         return bw
 
@@ -265,13 +252,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return bw
 
     return make_op(y, (a,), factory)
-
-
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax of a 2D matrix (max-subtracted for stability)."""
-    if logits.ndim != 2:
-        raise ShapeError(f"softmax_rows expects 2D input, got {logits.shape}")
-    return softmax(logits, axis=1)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -470,23 +450,6 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    from .tensor import check_same_shape
-
-    check_same_shape(pred, target, "mse_loss")
-    diff = pred.data - target.data
-    data = np.array((diff * diff).mean())
-
-    def factory(out):
-        def bw():
-            accumulate(pred, out.grad * 2.0 * diff / diff.size)
-            accumulate(target, out.grad * -2.0 * diff / diff.size)
-
-        return bw
-
-    return make_op(data, (pred, target), factory)
 
 
 def binary_cross_entropy(pred: Tensor, target, positive_only: bool = False) -> Tensor:

@@ -55,10 +55,6 @@ class Adam:
         self.params = params
         self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def step(self, only_with_grad: bool = False):
         params = self.params
         if only_with_grad:

@@ -14,7 +14,7 @@ import contextlib
 
 import numpy as np
 
-from ..errors import ShapeError, UsageError
+from ..errors import UsageError
 
 _GRAD_ENABLED = True
 
@@ -55,9 +55,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Backpropagate from a scalar; populates ``grad`` on the graph.
@@ -164,7 +161,3 @@ def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
             g = g.sum(axis=i, keepdims=True)
     return g
 
-
-def check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")

@@ -168,16 +168,19 @@ def generate_splits(config) -> dict[str, list]:
     """Train records source plus seen/unseen evaluation splits.
 
     "seen": fresh episodes on training floorplans; "unseen": episodes on
-    held-out floorplans."""
+    held-out floorplans. Each evaluation split holds ``eval_episodes``
+    episodes, spread evenly over as many of its floorplans as needed."""
+    def eval_split(seeds, episode_offset):
+        seeds = seeds[:config.eval_episodes]
+        per_plan = -(-config.eval_episodes // max(1, len(seeds)))
+        return generate_split(config, seeds, episode_offset, per_plan)[:config.eval_episodes]
+
     train_seeds = range(config.num_floorplans)
-    unseen_seeds = range(config.num_floorplans,
-                         config.num_floorplans + config.heldout_floorplans)
-    n_eval = max(1, config.eval_episodes // max(1, config.num_floorplans))
     return {
         "train": generate_split(config, train_seeds, 0, config.episodes_per_floorplan),
-        "seen": generate_split(config, train_seeds, 1000, n_eval),
-        "unseen": generate_split(config, unseen_seeds, 2000,
-                                 max(1, config.eval_episodes // max(1, config.heldout_floorplans))),
+        "seen": eval_split(train_seeds, 1000),
+        "unseen": eval_split(range(config.num_floorplans,
+                                   config.num_floorplans + config.heldout_floorplans), 2000),
     }
 
 

@@ -117,7 +117,6 @@ def test_gradcheck_every_primitive():
     g, beta = P(5), P(5)
     cs = C(4, 5)
     _check(lambda: nm.tsum(nm.mul(nm.softmax(sm, axis=-1), cs)), {"a": sm})
-    _check(lambda: nm.tsum(nm.mul(nm.softmax_rows(sm), cs)), {"a": sm})
     _check(lambda: nm.tsum(nm.mul(nm.layer_norm(sm, g, beta), cs)),
            {"a": sm, "g": g, "b": beta})
 
@@ -145,8 +144,6 @@ def test_gradcheck_every_primitive():
            {"a": s1, "b": s2})
     _check(lambda: nm.tsum(nm.mul(nm.stack([s1, s2], axis=0), ck)),
            {"a": s1, "b": s2})
-    _check(lambda: nm.tsum(nm.take(nm.stack([s1, s2], axis=0), 1, axis=0)),
-           {"b": s2})
     r = P(2, 3, 4)
     cr, cm = C(4, 6), C(3)
     _check(lambda: nm.tsum(nm.mul(nm.reshape(nm.transpose(r, (2, 0, 1)), (4, 6)),
@@ -155,7 +152,6 @@ def test_gradcheck_every_primitive():
 
     pred = nm.Tensor(rng.uniform(0.05, 0.95, size=(3, 4)), requires_grad=True)
     target = rng.uniform(size=(3, 4))
-    _check(lambda: nm.mse_loss(pred, nm.Tensor(target)), {"p": pred})
     tgt01 = (target > 0.5).astype(float)
     _check(lambda: nm.binary_cross_entropy(pred, tgt01), {"p": pred})
     logits = P(2, 3, 4, 4)

@@ -114,6 +114,26 @@ def test_eval_truncated_checkpoint(workdir, tmp_path, capsys):
     assert "truncated or corrupt checkpoint" in capsys.readouterr().err
 
 
+def test_config_disagreeing_with_checkpoint_is_rejected(workdir, tmp_path, capsys):
+    other = tmp_path / "k7.json"
+    tiny_config(k=7, d=32).save(other)
+    ckpt = str(workdir["run"] / "model.ckpt")
+    episodes = str(workdir["data"] / "unseen_episodes.jsonl")
+    ep_id = str(first_episode_id(workdir))
+    viz_trace = tmp_path / "viz.jsonl"
+    viz_trace.write_text("")  # viz checks its inputs exist before the checkpoint
+    for argv in (["eval", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")],
+                 ["rollout", "--episodes", episodes, "--episode", ep_id,
+                  "--trace", str(tmp_path / "t.jsonl")],
+                 ["viz", "--episodes", episodes, "--episode", ep_id,
+                  "--trace", str(viz_trace), "--out", str(tmp_path / "img")]):
+        assert main(argv + ["--config", str(other), "--ckpt", ckpt]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "k (config 7, checkpoint 5)" in err and "d (config 32, checkpoint 16)" in err
+    for made in ("m.csv", "t.jsonl", "img"):
+        assert not (tmp_path / made).exists()
+
+
 # ----------------------------------------------------------- rollout + viz
 def first_episode_id(workdir):
     line = (workdir["data"] / "unseen_episodes.jsonl").read_text().splitlines()[0]
@@ -170,6 +190,8 @@ def test_config_rejects_invalid():
         tiny_config(mode="bogus")
     with pytest.raises(ConfigError):
         tiny_config(ego_size=25)
+    with pytest.raises(ConfigError):
+        tiny_config(eval_episodes=0)  # an evaluation split holds eval_episodes episodes
 
 
 def test_exit_code_constants():

@@ -9,7 +9,7 @@ from mapnav.errors import UsageError
 from mapnav.language import (
     MAX_TOKENS, PAD_ID, UNK_ID, VOCAB_SIZE, WORDS, WORD_TO_ID,
     detokenize, encode_instruction, generate_instruction,
-    init_instruction_params, load_vocab, save_vocab, tokenize,
+    init_instruction_params, tokenize,
 )
 from mapnav.worldsim import (
     CLASS_ID, FLOOR, WALL, Floorplan, generate_episode, generate_floorplan,
@@ -62,12 +62,6 @@ def test_tokenize_truncates():
     rec = tokenize("walk " * 50)
     assert rec.length == MAX_TOKENS
     assert len(rec.tokens) == MAX_TOKENS
-
-
-def test_vocab_file_round_trip(tmp_path):
-    path = tmp_path / "vocab.txt"
-    save_vocab(path)
-    assert load_vocab(path) == WORDS
 
 
 # ------------------------------------------------------------------- grammar
@@ -138,6 +132,49 @@ def instr_params():
 
 def toks(text):
     return np.asarray(tokenize(text).tokens)
+
+
+def np_encoder(ids, p, d, n_layers=2, prefix="instr."):
+    """Loop reference of the encoder: each query attends over the real
+    tokens only, and pad rows of the output are zero."""
+    real = np.flatnonzero(ids != PAD_ID)
+    pos, i = np.arange(len(ids))[:, None], np.arange(d)[None, :]
+    angle = pos / 10000.0 ** (2 * (i // 2) / d)
+    x = p[prefix + "embed"][ids] + np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+
+    def norm(v, g, b):
+        mu, var = v.mean(axis=-1, keepdims=True), v.var(axis=-1, keepdims=True)
+        return g * (v - mu) / np.sqrt(var + 1e-5) + b
+
+    for l in range(n_layers):
+        w = {k[len(f"{prefix}l{l}."):]: v for k, v in p.items()
+             if k.startswith(f"{prefix}l{l}.")}
+        h = norm(x, w["ln1.g"], w["ln1.b"])
+        q, k, v = h @ w["wq"], h @ w["wk"], h @ w["wv"]
+        mixed = np.zeros_like(x)
+        for r in range(len(ids)):
+            s = k[real] @ q[r] / math.sqrt(d)
+            e = np.exp(s - s.max())
+            mixed[r] = (e / e.sum()) @ v[real]
+        x = x + mixed @ w["wo"]
+        h = np.maximum(norm(x, w["ln2.g"], w["ln2.b"]) @ w["ff1.w"] + w["ff1.b"], 0.0)
+        x = x + h @ w["ff2.w"] + w["ff2.b"]
+    out = x @ p[prefix + "final.w"] + p[prefix + "final.b"]
+    out[ids == PAD_ID] = 0.0
+    return out
+
+
+def test_encoder_matches_numpy_reference(instr_params):
+    raw = {k: np.asarray(v.data) for k, v in instr_params.items()}
+    for text in ("walk straight then stop near the bed", "turn", "go " * 40):
+        ids = toks(text)
+        x = encode_instruction(ids, instr_params, D)
+        np.testing.assert_allclose(x.data, np_encoder(ids, raw, D), rtol=0, atol=1e-12)
+    one = init_instruction_params(np.random.default_rng(1), D, n_layers=1)
+    raw = {k: np.asarray(v.data) for k, v in one.items()}
+    ids = toks("turn left near the table")
+    x = encode_instruction(ids, one, D, n_layers=1)
+    np.testing.assert_allclose(x.data, np_encoder(ids, raw, D, n_layers=1), rtol=0, atol=1e-12)
 
 
 def test_encoder_shape_and_determinism(instr_params):

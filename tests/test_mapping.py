@@ -7,10 +7,10 @@ from mapnav.mapping import (
     FREE, OCC, UNK, LOGODDS_CLAMP, LOGODDS_FREE, LOGODDS_OCC, OCC_THRESHOLD,
     cell_to_ego, crop_ego_occupancy, crop_ego_semantic, ego_to_cell,
     ego_to_world, ground_project, new_global_occupancy,
-    occupancy_from_semantic, update_global, world_to_ego,
+    update_global, world_to_ego,
 )
 from mapnav.worldsim import (
-    CELL_SIZE, FLOOR, NUM_CLASSES, VOID, WALL, DepthScan, Floorplan, Pose,
+    CELL_SIZE, FLOOR, VOID, WALL, DepthScan, Floorplan, Pose,
     cell_center, generate_floorplan, raycast,
 )
 
@@ -228,13 +228,3 @@ def test_ground_project_agrees_with_gt_crop(plan):
                  if FLOOR not in neighborhood(gt, r, c))
     assert misses <= 0.01 * occ[FREE].sum()
 
-
-def test_occupancy_from_semantic():
-    sem = np.zeros((NUM_CLASSES, 2, 2))
-    sem[WALL, 0, 0] = 1.0
-    sem[FLOOR, 0, 1] = 1.0
-    sem[5, 1, 0] = 1.0  # an object class blocks
-    out = occupancy_from_semantic(sem)
-    assert out[OCC, 0, 0] == 1 and out[OCC, 1, 0] == 1
-    assert out[FREE, 0, 1] == 1
-    assert out[UNK, 1, 1] == 1

@@ -83,6 +83,18 @@ def test_cross_modal_matches_brute_force(attn_params):
         h_ref, attn_ref = np_cross_modal(y, x, raw(attn_params), "cm.", mask)
         assert np.max(np.abs(np.asarray(h.data) - h_ref)) < 1e-9
         assert np.max(np.abs(attn - attn_ref)) < 1e-9
+    # a batch: leading axis B, a different pad mask per sample
+    y = rng.normal(size=(3, 5, D))
+    x = rng.normal(size=(3, 8, D))
+    mask = np.ones((3, 8))
+    mask[0, 3:] = mask[1, 7:] = mask[2, 1:] = 0.0
+    h, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), attn_params,
+                                 "cm.", x_pad_mask=mask)
+    assert h.shape == (3, 5, D) and attn.shape == (3, 5, 8)
+    for b in range(3):
+        h_ref, attn_ref = np_cross_modal(y[b], x[b], raw(attn_params), "cm.", mask[b])
+        assert np.max(np.abs(np.asarray(h.data[b]) - h_ref)) < 1e-9
+        assert np.max(np.abs(attn[b] - attn_ref)) < 1e-9
 
 
 def test_attention_rows_and_pad_columns(attn_params):
@@ -234,6 +246,24 @@ def test_predict_path_ranges(mini, mini_inputs):
     t = np.asarray(trav.data)
     assert np.all((h > 0) & (h < 1))
     assert np.all((t > 0) & (t < 1))
+
+
+def test_predict_path_batch_matches_single_samples(mini, mini_inputs):
+    _, sem, instr, p0 = mini_inputs
+    sem3 = np.concatenate([sem, sem[::-1][:1]])
+    instr3 = instr + [mini.encode_instruction(np.asarray(tokenize("go to the tv").tokens))]
+    p03 = np.concatenate([p0, np.roll(p0[:1], 2, axis=-1)])
+    heat, trav, h_grid, attns = mini.predict_path(sem3, instr3, p03)
+    assert attns.shape == (3, 9, MAX_TOKENS)
+    for b in range(3):
+        heat1, trav1, h_grid1, attns1 = mini.predict_path(sem3[b:b + 1], instr3[b:b + 1],
+                                                          p03[b:b + 1])
+        # attention runs the same products per sample; the heads after it
+        # may take another BLAS kernel for a different row count
+        assert np.array_equal(np.asarray(h_grid.data[b]), np.asarray(h_grid1.data[0]))
+        assert np.array_equal(attns[b], attns1[0])
+        np.testing.assert_allclose(heat.data[b], heat1.data[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trav.data[b], trav1.data[0], rtol=1e-12, atol=0)
 
 
 def test_model_stateless(mini, mini_inputs):

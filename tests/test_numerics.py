@@ -56,13 +56,12 @@ def test_grad_shape_ops(rng):
           {"a": a})
 
 
-def test_grad_concat_stack_take(rng):
+def test_grad_concat_stack(rng):
     a, b = P(rng, 2, 3), P(rng, 2, 3)
     c = nm.Tensor(rng.normal(size=(4, 3)))
     c2 = nm.Tensor(rng.normal(size=(2, 2, 3)))
     check(lambda: nm.tsum(nm.mul(nm.concat([a, b], axis=0), c)), {"a": a, "b": b})
     check(lambda: nm.tsum(nm.mul(nm.stack([a, b], axis=0), c2)), {"a": a, "b": b})
-    check(lambda: nm.tsum(nm.take(nm.stack([a, b], axis=0), 1, axis=0)), {"b": b})
 
 
 def test_grad_matmul_linear(rng):
@@ -70,11 +69,24 @@ def test_grad_matmul_linear(rng):
     c = nm.Tensor(rng.normal(size=(5, 4)))
     check(lambda: nm.tsum(nm.mul(nm.matmul(x, w), c)), {"x": x, "w": w})
     check(lambda: nm.tsum(nm.mul(nm.linear(x, w, b), c)), {"x": x, "w": w, "b": b})
+    # leading axes: a batch against one matrix, batch against batch, and a
+    # size-1 leading axis broadcast against a batch
+    xb, w2, wb, x1 = P(rng, 2, 3, 4), P(rng, 4, 5), P(rng, 2, 4, 5), P(rng, 1, 3, 4)
+    cb = nm.Tensor(rng.normal(size=(2, 3, 5)))
+    check(lambda: nm.tsum(nm.mul(nm.matmul(xb, w2), cb)), {"x": xb, "w": w2})
+    check(lambda: nm.tsum(nm.mul(nm.matmul(xb, wb), cb)), {"x": xb, "w": wb})
+    check(lambda: nm.tsum(nm.mul(nm.matmul(x1, wb), cb)), {"x": x1, "w": wb})
 
 
 def test_matmul_shape_error(rng):
     with pytest.raises(ShapeError):
         nm.matmul(P(rng, 2, 3), P(rng, 4, 5))
+    with pytest.raises(ShapeError):
+        nm.matmul(P(rng, 2, 3, 4), P(rng, 2, 5, 4))  # inner dimensions 4 and 5
+    with pytest.raises(ShapeError):
+        nm.matmul(P(rng, 2, 3, 4), P(rng, 3, 4, 5))  # leading axes 2 and 3
+    with pytest.raises(ShapeError):
+        nm.matmul(P(rng, 4), P(rng, 4, 5))
 
 
 def test_grad_activations(rng):
@@ -97,7 +109,6 @@ def test_grad_softmax_layernorm(rng):
     g, b = P(rng, 5), P(rng, 5)
     c = nm.Tensor(rng.normal(size=(4, 5)))
     check(lambda: nm.tsum(nm.mul(nm.softmax(a, axis=-1), c)), {"a": a})
-    check(lambda: nm.tsum(nm.mul(nm.softmax_rows(a), c)), {"a": a})
     check(lambda: nm.tsum(nm.mul(nm.layer_norm(a, g, b), c)), {"a": a, "g": g, "b": b})
 
 
@@ -167,7 +178,6 @@ def test_conv_contract_errors(rng):
 def test_grad_losses(rng):
     pred = nm.Tensor(rng.uniform(0.05, 0.95, size=(3, 4)), requires_grad=True)
     target = rng.uniform(size=(3, 4))
-    check(lambda: nm.mse_loss(pred, nm.Tensor(target)), {"p": pred})
     tgt01 = (target > 0.5).astype(float)
     check(lambda: nm.binary_cross_entropy(pred, tgt01), {"p": pred})
     check(lambda: nm.binary_cross_entropy(pred, tgt01, positive_only=True), {"p": pred})

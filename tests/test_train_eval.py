@@ -14,7 +14,7 @@ from mapnav.train_eval import (
     METRIC_COLUMNS, TAU_SWEEP, VARIANTS, NavMetrics, aggregate_nav,
     assemble_batch, batch_loss, build_dataset, build_episode_records,
     compute_map_metrics, compute_pcw, episode_metrics, evaluate_map_quality,
-    format_table, generate_split, load_records, run_suite, save_records,
+    format_table, generate_split, generate_splits, load_records, run_suite, save_records,
     summarize, train, variant_config, write_report,
 )
 from mapnav.worldsim import (
@@ -140,6 +140,20 @@ def test_generate_split_layout():
     assert train_ids.isdisjoint(seen_ids)
     # same floorplans, different episodes
     assert {p.seed for p, _ in train_pairs} == {p.seed for p, _ in seen_pairs}
+
+
+def test_generate_splits_hold_eval_episodes():
+    # more floorplans than evaluation episodes, then fewer (5 over 2 plans)
+    for plans, heldout, n_eval in ((6, 4, 3), (2, 1, 5)):
+        config = tiny_config(num_floorplans=plans, heldout_floorplans=heldout,
+                             episodes_per_floorplan=1, eval_episodes=n_eval)
+        splits = generate_splits(config)
+        assert len(splits["train"]) == plans
+        assert len(splits["seen"]) == len(splits["unseen"]) == n_eval
+        assert {p.seed for p, _ in splits["seen"]} <= set(range(plans))
+        assert {p.seed for p, _ in splits["unseen"]} <= set(range(plans, plans + heldout))
+        ids = [ep.episode_id for split in splits.values() for _, ep in split]
+        assert len(set(ids)) == len(ids)
 
 
 # ------------------------------------------------------------------ metrics
