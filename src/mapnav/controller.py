@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mapping import OCC_THRESHOLD, ego_to_world
+from .mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, new_global_occupancy, sense
 from .model.supervision import heatmap_cell_to_ego
-from .worldsim.agent import TURN_STEP, Pose, wrap_angle
+from .worldsim.agent import FORWARD_STEP, TURN_STEP, Pose, step_agent, wrap_angle
 from .worldsim.floorplan import CELL_SIZE, cell_center, pos_to_cell
 
 _SQRT2 = math.sqrt(2.0)
@@ -153,7 +153,6 @@ def _bearing_action(pose: Pose, target_xy) -> str:
 
 
 def _forward_blocked(gmap: np.ndarray, pose: Pose) -> bool:
-    from .worldsim.agent import FORWARD_STEP
     nx = pose.x + FORWARD_STEP * math.cos(pose.theta)
     ny = pose.y + FORWARD_STEP * math.sin(pose.theta)
     r, c = pos_to_cell(nx, ny)
@@ -220,7 +219,6 @@ class RolloutResult:
 def gt_global_map(plan) -> np.ndarray:
     """Fully-observed log-odds map derived from the floorplan: obstacles at
     the positive clamp, floor at the negative clamp."""
-    from .mapping import LOGODDS_CLAMP
     gmap = np.full(plan.grid.shape, LOGODDS_CLAMP)
     gmap[plan.traversable_mask()] = -LOGODDS_CLAMP
     return gmap
@@ -229,7 +227,8 @@ def gt_global_map(plan) -> np.ndarray:
 def run_rollout(plan, episode, predict, config: ControllerConfig,
                 ego_size: int = 48, num_rays: int = 64,
                 max_range: float = 4.8, trace_path=None,
-                use_gt_map: bool = False) -> RolloutResult:
+                use_gt_map: bool = False, p_noise: float = 0.0,
+                rng: np.random.Generator | None = None) -> RolloutResult:
     """Closed-loop episode rollout.
 
     ``predict(pose, gmap, occ_frame, sem_frame)`` supplies the (k, u, v)
@@ -237,11 +236,9 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     modes, selects the short-term goal, plans one action, and checks the
     stop rule every step. ``use_gt_map`` plans on the fully-observed
     floorplan map instead of accumulated sensing (isolates controller
-    behavior from mapping noise).
+    behavior from mapping noise). ``p_noise`` and ``rng`` drive the sensor's
+    label noise.
     """
-    from .mapping import ground_project, new_global_occupancy, update_global
-    from .worldsim.agent import raycast, step_agent
-
     config.validate()
     pose = Pose(episode.start.x, episode.start.y, episode.start.theta)
     gmap = gt_global_map(plan) if use_gt_map else new_global_occupancy(plan.grid.shape[0])
@@ -253,10 +250,8 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     best_zeta = 0           # waypoint progress is monotone along the sequence
     committed = None        # latched world-frame short-term goal
     for t in range(config.budget):
-        scan = raycast(plan, pose, num_rays=num_rays, max_range=max_range)
-        occ_frame, sem_frame = ground_project(scan, ego_size)
-        if not use_gt_map:
-            update_global(gmap, occ_frame, pose)
+        occ_frame, sem_frame = sense(plan, pose, None if use_gt_map else gmap, ego_size,
+                                     num_rays, max_range, p_noise, rng)
         heatmaps = predict(pose, gmap, occ_frame, sem_frame)
         points = decode_waypoints(heatmaps)
         conf = float(np.max(heatmaps[-1]))

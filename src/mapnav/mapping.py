@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .worldsim.agent import DepthScan, Pose
+from .worldsim.agent import DepthScan, Pose, raycast
 from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, NUM_CLASSES, VOID
 
 OCC, FREE, UNK = 0, 1, 2
@@ -133,6 +133,20 @@ def update_global(gmap: np.ndarray, occ_frame: np.ndarray, pose: Pose) -> np.nda
         np.add.at(gmap, (wr[ok], wc[ok]), delta)
     np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
     return gmap
+
+
+def sense(plan: Floorplan, pose: Pose, gmap: np.ndarray | None, ego_size: int,
+          num_rays: int, max_range: float, p_noise: float,
+          rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """One observation: raycast at ``pose``, project it into single-frame ego
+    grids and register the occupancy into ``gmap`` (skipped when ``gmap`` is
+    None). Returns (occupancy frame, semantic frame)."""
+    scan = raycast(plan, pose, num_rays=num_rays, max_range=max_range,
+                   p_noise=p_noise, rng=rng)
+    occ_frame, sem_frame = ground_project(scan, ego_size)
+    if gmap is not None:
+        update_global(gmap, occ_frame, pose)
+    return occ_frame, sem_frame
 
 
 def _ego_world_cells(pose: Pose, size: int) -> tuple[np.ndarray, np.ndarray]:

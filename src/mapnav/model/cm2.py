@@ -79,6 +79,17 @@ def apply_map_encoder(x: nm.Tensor, params: dict, d: int, prefix: str) -> nm.Ten
     return h
 
 
+@dataclass
+class Forward:
+    """What one model forward gives its callers."""
+    occ_hat: nm.Tensor | None   # (B,3,h,w) occupancy probabilities; None in cm2-gt
+    sem: nm.Tensor              # (B,c,h,w) the semantic map the path head read
+    heatmaps: nm.Tensor         # (B,k,u,u) waypoint heatmaps
+    traversed: nm.Tensor        # (B,k) traversal probabilities
+    h_grid: nm.Tensor           # (B,d,g,g) the path head's attended token grid
+    attn: np.ndarray            # (B,N,M) the path head's attention
+
+
 class CM2Model:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  params: dict[str, nm.Tensor] | None = None):
@@ -127,25 +138,26 @@ class CM2Model:
                                self.config.n_instr_layers)
         return x, pad_mask(tokens)
 
-    def _attend_tokens(self, enc: nm.Tensor, instr, attn_prefix: str,
-                       use_attention: bool = True):
+    def _attend_tokens(self, enc: nm.Tensor | None, instr, attn_prefix: str):
         """Cross-modal attention over encoded map tokens, for the whole batch.
 
-        ``enc`` is (B,d,hs,ws); ``instr`` a list of B (X, mask). Returns the
-        attended grid (B,d,hs,ws) and the attention matrices (B,N,M).
+        ``enc`` is (B,d,g,g); ``instr`` a list of B (X, mask). Returns the
+        attended grid (B,d,g,g) and the attention matrices (B,N,M). ``enc``
+        None is the no-map-attention ablation: a learned constant grid
+        stands in, with zero attention (B,N,1).
         """
-        bsz, d, hs, ws = enc.shape
-        if len(instr) != bsz:
-            raise ConfigError(f"{len(instr)} instructions for a batch of {bsz}")
-        if use_attention:
-            y = nm.transpose(nm.reshape(enc, (bsz, d, hs * ws)), (0, 2, 1))
+        bsz, d, g = len(instr), self.config.d, self.config.token_grid
+        if enc is None:
+            h = nm.stack([self.params["const_h_o"]] * bsz, axis=0)
+            attn = np.zeros((bsz, g * g, 1))
+        else:
+            if enc.shape[0] != bsz:
+                raise ConfigError(f"{bsz} instructions for a batch of {enc.shape[0]}")
+            y = nm.transpose(nm.reshape(enc, (bsz, d, g * g)), (0, 2, 1))
             xs, masks = zip(*instr)
             h, attn = cross_modal_attend(y, nm.stack(xs, axis=0), self.params,
                                          attn_prefix, x_pad_mask=np.stack(masks))
-        else:
-            h = nm.stack([self.params["const_h_o"]] * bsz, axis=0)
-            attn = np.zeros((bsz, hs * ws, 1))
-        return nm.reshape(nm.transpose(h, (0, 2, 1)), (bsz, d, hs, ws)), attn
+        return nm.reshape(nm.transpose(h, (0, 2, 1)), (bsz, d, g, g)), attn
 
     @staticmethod
     def _fit_bneck(h_grid: nm.Tensor, size: int) -> nm.Tensor:
@@ -174,9 +186,9 @@ class CM2Model:
                 f"predict_maps: got occupancy {occ_in.shape}, semantics "
                 f"{sem_obs_in.shape} for ego_size {c.ego_size}, c {c.num_classes}"
             )
-        enc = apply_map_encoder(occ_in, self.params, c.d, "enc_o.")
-        h_grid, attns = self._attend_tokens(enc, instr, "attn_o.",
-                                            use_attention=c.use_map_attention)
+        enc = (apply_map_encoder(occ_in, self.params, c.d, "enc_o.")
+               if c.use_map_attention else None)
+        h_grid, attns = self._attend_tokens(enc, instr, "attn_o.")
         h_bneck = self._fit_bneck(h_grid, self.unet_o_spec.bneck_size)
         occ_logits, _ = apply_unet(occ_in, self.params, self.unet_o_spec, "g_o.",
                                    bneck_features=h_bneck)
@@ -211,6 +223,21 @@ class CM2Model:
         pooled = nm.tmean(bneck, axis=(-2, -1))
         traversed = nm.sigmoid(nm.linear(pooled, self.params["xi.w"], self.params["xi.b"]))
         return heatmaps, traversed, h_grid, attns
+
+    def forward(self, mode: str, instr, start_heatmap, occ=None, sem_obs=None,
+                sem_gt=None) -> Forward:
+        """Map prediction, then path prediction on the predicted semantics.
+
+        Mode "cm2-gt" (the paper's "given a map" setting) skips map
+        prediction and feeds the ground-truth semantic map ``sem_gt`` to the
+        path head; "cm2" needs ``occ`` and ``sem_obs`` instead.
+        """
+        if mode == "cm2-gt":
+            occ_hat, sem = None, nm.Tensor(sem_gt)
+        else:
+            occ_hat, sem, _, _ = self.predict_maps(occ, sem_obs, instr)
+        heatmaps, traversed, h_grid, attn = self.predict_path(sem, instr, start_heatmap)
+        return Forward(occ_hat, sem, heatmaps, traversed, h_grid, attn)
 
     # ------------------------------------------------------------------
     def zero_grad(self):

@@ -5,25 +5,10 @@ from .ops import (
     matmul, linear,
     relu, leaky_relu, sigmoid, softmax, layer_norm,
     embedding_lookup,
-    conv2d, conv_transpose2d, upsample_nearest2, avg_pool2d, bilinear_resize,
+    conv2d, upsample_nearest2, avg_pool2d, bilinear_resize,
     binary_cross_entropy, pixelwise_cross_entropy,
     glorot_uniform, zeros_param, ones_param,
 )
 from .optim import Adam, AdamState, adam_step
 from .gradcheck import grad_check
 from .checkpoint import save_checkpoint, load_checkpoint
-
-__all__ = [
-    "Tensor", "no_grad",
-    "add", "sub", "mul", "scale", "tsum", "tmean",
-    "reshape", "transpose", "concat", "stack",
-    "matmul", "linear",
-    "relu", "leaky_relu", "sigmoid", "softmax", "layer_norm",
-    "embedding_lookup",
-    "conv2d", "conv_transpose2d", "upsample_nearest2", "avg_pool2d", "bilinear_resize",
-    "binary_cross_entropy", "pixelwise_cross_entropy",
-    "glorot_uniform", "zeros_param", "ones_param",
-    "Adam", "AdamState", "adam_step",
-    "grad_check",
-    "save_checkpoint", "load_checkpoint",
-]

@@ -394,11 +394,6 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     return make_op(data, (x,), factory)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> Tensor:
-    """Upsampling decoder step: nearest 2x upsample followed by conv2d."""
-    return conv2d(upsample_nearest2(x), w, b, padding=padding)
-
-
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     if factor == 1:
         return x

@@ -89,44 +89,8 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    # Convenience arithmetic (thin wrappers over the ops module).
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.scale(self, -1.0)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, _as_tensor(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def make_op(data: np.ndarray, parents, backward_factory) -> Tensor:

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import GenerationError, UsageError
 from ..language.vocab import MAX_TOKENS
 from ..mapping import (FREE, OCC, UNK, crop_ego_occupancy, crop_ego_semantic,
-                       ground_project, new_global_occupancy, update_global)
-from ..model.supervision import make_gt_heatmaps, nearest_arc_length, sample_waypoints
-from ..mapping import world_to_ego
-from ..worldsim.agent import Pose, raycast, wrap_angle
-from ..worldsim.floorplan import NUM_CLASSES
+                       new_global_occupancy, sense, world_to_ego)
+from ..model.supervision import make_gt_heatmaps, sample_waypoints
+from ..worldsim.agent import Pose, wrap_angle
+from ..worldsim.episodes import generate_episode
+from ..worldsim.floorplan import NUM_CLASSES, generate_floorplan
 
 MAGIC = b"CM2DATA1"
 HEADING_JITTER = np.deg2rad(30.0)
@@ -95,10 +95,7 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         while history_s <= sa + 1e-9:
             hp = _path_point(path, arcs, history_s)
             hpose = Pose(hp[0], hp[1], _path_heading(path, arcs, history_s))
-            scan = raycast(plan, hpose, num_rays=num_rays, max_range=max_range,
-                           p_noise=p_noise, rng=rng)
-            occ_frame, _ = ground_project(scan, ego_size)
-            update_global(gmap, occ_frame, hpose)
+            sense(plan, hpose, gmap, ego_size, num_rays, max_range, p_noise, rng)
             if history_s >= total:
                 break
             history_s = min(history_s + HISTORY_SPACING, total)
@@ -106,10 +103,7 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         theta = wrap_angle(_path_heading(path, arcs, sa)
                            + rng.uniform(-HEADING_JITTER, HEADING_JITTER))
         pose = Pose(float(p[0]), float(p[1]), theta)
-        scan = raycast(plan, pose, num_rays=num_rays, max_range=max_range,
-                       p_noise=p_noise, rng=rng)
-        occ_frame, chi_frame = ground_project(scan, ego_size)
-        update_global(gmap, occ_frame, pose)
+        _, chi_frame = sense(plan, pose, gmap, ego_size, num_rays, max_range, p_noise, rng)
         occ_crop = crop_ego_occupancy(gmap, pose, ego_size)
         sem_crop = crop_ego_semantic(plan, pose, ego_size)
         traversed = (wp_arcs <= sa + 1e-9).astype(np.uint8)
@@ -125,13 +119,19 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
     return records
 
 
+def episode_rng(seed: int, episode) -> np.random.Generator:
+    """The episode's own random stream: sensor noise and sampled headings
+    in its records, sensor noise in its rollouts."""
+    return np.random.default_rng([seed, episode.floorplan_seed, episode.episode_id])
+
+
 def build_dataset(plans_episodes, samples_per_episode: int, k: int,
                   ego_size: int, seed: int, num_rays: int = 64,
                   max_range: float = 4.8, p_noise: float = 0.0) -> list[TrainingRecord]:
     """``plans_episodes``: iterable of (Floorplan, Episode) pairs."""
     records = []
     for plan, episode in plans_episodes:
-        rng = np.random.default_rng([seed, episode.floorplan_seed, episode.episode_id])
+        rng = episode_rng(seed, episode)
         records.extend(build_episode_records(
             plan, episode, samples_per_episode, k, ego_size, rng,
             num_rays=num_rays, max_range=max_range, p_noise=p_noise))
@@ -144,9 +144,6 @@ def generate_split(config, floorplan_seeds, episode_offset: int,
     """(Floorplan, Episode) pairs for the given floorplan seeds; episode
     seeds are offset so train and eval episodes on shared floorplans
     differ."""
-    from ..worldsim.episodes import generate_episode
-    from ..worldsim.floorplan import generate_floorplan
-    from ..errors import GenerationError
     pairs = []
     for fp_seed in floorplan_seeds:
         plan = generate_floorplan(fp_seed, size=config.world_size)

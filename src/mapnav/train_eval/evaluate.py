@@ -11,32 +11,40 @@ from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
-from ..train_eval.dataset import TrainingRecord, record_arrays
+from ..train_eval.dataset import TrainingRecord, episode_rng, record_arrays
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
+from ..worldsim.episodes import episode_from_json, episode_to_json
 from ..worldsim.floorplan import generate_floorplan
 
 
-def make_predictor(model: CM2Model, config: RunConfig, plan, episode):
-    """Per-episode closure mapping rollout state to waypoint heatmaps."""
+def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
+    """Per-episode closure ``forward(pose, gmap, sem_frame)``: the model's
+    :class:`Forward` at one rollout state, in ``config.mode``, under no_grad."""
     instr = [model.encode_instruction(np.asarray(episode.tokens))]
     c = model.config
     u = c.heatmap_size
     start = np.array([[episode.start.x, episode.start.y]])
 
-    def predict(pose, gmap, occ_frame, sem_frame):
+    def forward(pose, gmap, sem_frame):
         with nm.no_grad():
-            start_ego = world_to_ego(pose, start)
-            p0, _ = make_gt_heatmaps(start_ego, u, u, config.sigma)
-            p0 = p0[None]
+            p0, _ = make_gt_heatmaps(world_to_ego(pose, start), u, u, config.sigma)
             if config.mode == "cm2-gt":
-                sem_in = crop_ego_semantic(plan, pose, c.ego_size)[None]
+                maps = {"sem_gt": crop_ego_semantic(plan, pose, c.ego_size)[None]}
             else:
-                occ_in = crop_ego_occupancy(gmap, pose, c.ego_size)[None]
-                _, sem_hat, _, _ = model.predict_maps(occ_in, sem_frame[None], instr)
-                sem_in = sem_hat
-            heat, _, _, _ = model.predict_path(sem_in, instr, p0)
-            return np.asarray(heat.data[0])
+                maps = {"occ": crop_ego_occupancy(gmap, pose, c.ego_size)[None],
+                        "sem_obs": sem_frame[None]}
+            return model.forward(config.mode, instr, p0[None], **maps)
+
+    return forward
+
+
+def make_predictor(model: CM2Model, config: RunConfig, plan, episode):
+    """Per-episode closure mapping rollout state to waypoint heatmaps."""
+    forward = episode_forward(model, config, plan, episode)
+
+    def predict(pose, gmap, occ_frame, sem_frame):
+        return np.asarray(forward(pose, gmap, sem_frame).heatmaps.data[0])
 
     return predict
 
@@ -46,7 +54,8 @@ def evaluate_episode(model: CM2Model, config: RunConfig, plan, episode,
     predict = make_predictor(model, config, plan, episode)
     result = run_rollout(plan, episode, predict, config.controller_config(),
                          ego_size=config.ego_size, num_rays=config.num_rays,
-                         max_range=config.max_range, trace_path=trace_path)
+                         max_range=config.max_range, trace_path=trace_path,
+                         p_noise=config.p_noise, rng=episode_rng(config.seed, episode))
     return episode_metrics(plan, episode, result.trajectory, result.stopped,
                            config.success_radius)
 
@@ -60,7 +69,6 @@ def _worker_init(ckpt_path, config_json):
 
 
 def _worker_eval(episode_json):
-    from ..worldsim.episodes import episode_from_json
     episode = episode_from_json(episode_json)
     plan = generate_floorplan(episode.floorplan_seed,
                               size=_WORKER["config"].world_size)
@@ -74,7 +82,6 @@ def evaluate_navigation(model: CM2Model, config: RunConfig, plans_episodes,
     ``ckpt_path`` per process."""
     pairs = list(plans_episodes)
     if workers > 1 and ckpt_path is not None:
-        from ..worldsim.episodes import episode_to_json
         payload = [episode_to_json(ep) for _, ep in pairs]
         with multiprocessing.Pool(workers, initializer=_worker_init,
                                   initargs=(ckpt_path, config.to_json())) as pool:
@@ -93,17 +100,14 @@ def evaluate_map_quality(model: CM2Model, config: RunConfig,
         for rec in records:
             occ, chi, sem, _, vis, p0, _ = record_arrays(rec, sigma=config.sigma)
             instr = [model.encode_instruction(rec.tokens)]
-            if config.mode == "cm2-gt":
-                sem_in = sem[None]
-            else:
-                _, sem_hat, _, _ = model.predict_maps(occ[None], chi[None], instr)
-                sem_in = sem_hat
-                pred_labels = np.asarray(sem_hat.data[0]).argmax(axis=0)
+            fwd = model.forward(config.mode, instr, p0[None], occ[None], chi[None],
+                                sem[None])
+            if fwd.occ_hat is not None:
+                pred_labels = np.asarray(fwd.sem.data[0]).argmax(axis=0)
                 mm = compute_map_metrics(pred_labels, rec.sem_labels)
                 ious.append(mm["IoU"])
                 f1s.append(mm["F1"])
-            heat, _, _, _ = model.predict_path(sem_in, instr, p0[None])
-            decoded = decode_waypoints(np.asarray(heat.data[0]))
+            decoded = decode_waypoints(np.asarray(fwd.heatmaps.data[0]))
             pcws.append(compute_pcw(decoded, rec.waypoints_ego, vis))
     out = {"PCW": float(np.mean(pcws)) if pcws else 0.0}
     out["IoU"] = float(np.mean(ious)) if ious else float("nan")

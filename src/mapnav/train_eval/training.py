@@ -29,15 +29,13 @@ def batch_loss(model: CM2Model, batch, config: RunConfig):
     Returns (total loss tensor, waypoint-loss value, map-loss value)."""
     occ, chi, sem, hm, vis, p0, xi, tokens = batch
     instr = [model.encode_instruction(t) for t in tokens]
-    if config.mode == "cm2-gt":
+    out = model.forward(config.mode, instr, p0, occ, chi, sem)
+    l_wp = loss_waypoint(out.heatmaps, hm, vis, out.traversed, xi,
+                         lambda_aux=config.lambda_xi)
+    if out.occ_hat is None:
         # path prediction on ground-truth semantic maps; no map heads
-        heat, trav, _, _ = model.predict_path(sem, instr, p0)
-        l_wp = loss_waypoint(heat, hm, vis, trav, xi, lambda_aux=config.lambda_xi)
         return l_wp, float(l_wp.item()), 0.0
-    occ_hat, sem_hat, _, _ = model.predict_maps(occ, chi, instr)
-    heat, trav, _, _ = model.predict_path(sem_hat, instr, p0)
-    l_wp = loss_waypoint(heat, hm, vis, trav, xi, lambda_aux=config.lambda_xi)
-    l_m = loss_map(occ_hat, sem_hat, occ, sem)
+    l_m = loss_map(out.occ_hat, out.sem, occ, sem)
     total = loss_total(l_wp, l_m, config.lambda_wp, config.lambda_m)
     return total, float(l_wp.item()), float(l_m.item())
 

@@ -11,9 +11,13 @@ import os
 
 import numpy as np
 
+from .controller import decode_waypoints
 from .errors import UsageError
 from .language.vocab import PAD_ID, WORDS
-from .mapping import ego_to_cell, new_global_occupancy, world_to_ego
+from .mapping import ego_to_cell, new_global_occupancy, sense, world_to_ego
+from .train_eval.dataset import episode_rng
+from .train_eval.evaluate import episode_forward
+from .worldsim.agent import Pose
 
 # fixed class -> RGB color table, indexed by class id
 CLASS_COLORS = np.array([
@@ -101,38 +105,30 @@ def attention_images(attn: np.ndarray, tokens, grid: int) -> list[tuple[str, np.
 
 
 def export_rollout(trace_path, model, config, plan, episode, out_dir):
-    """Replay a rollout trace and write per-step PPM/PGM image sets."""
-    from . import numerics as nm
-    from .controller import decode_waypoints
-    from .mapping import crop_ego_occupancy, ground_project, update_global
-    from .worldsim.agent import Pose, raycast
+    """Replay a rollout trace and write per-step PPM/PGM image sets.
 
+    The replay senses and runs the model at each traced pose as the rollout
+    did: in ``config.mode``, with its ``p_noise`` and the episode's rng.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(trace_path) as fh:
         steps = [json.loads(line) for line in fh if line.strip()]
-    instr = [model.encode_instruction(np.asarray(episode.tokens))]
-    c = model.config
+    forward = episode_forward(model, config, plan, episode)
+    rng = episode_rng(config.seed, episode)
     gmap = new_global_occupancy(plan.grid.shape[0])
     for row in steps:
         t = row["t"]
         pose = Pose(*row["pose"])
-        scan = raycast(plan, pose, num_rays=config.num_rays,
-                       max_range=config.max_range)
-        occ_frame, sem_frame = ground_project(scan, c.ego_size)
-        update_global(gmap, occ_frame, pose)
-        with nm.no_grad():
-            occ_in = crop_ego_occupancy(gmap, pose, c.ego_size)[None]
-            _, sem_hat, _, _ = model.predict_maps(occ_in, sem_frame[None], instr)
-            from .model.supervision import make_gt_heatmaps
-            start_ego = world_to_ego(pose, np.array([[episode.start.x, episode.start.y]]))
-            p0, _ = make_gt_heatmaps(start_ego, c.heatmap_size, c.heatmap_size, c.sigma)
-            heat, _, h_grid, attns = model.predict_path(sem_hat, instr, p0[None])
-        sem_labels = np.asarray(sem_hat.data[0]).argmax(axis=0)
-        decoded = decode_waypoints(np.asarray(heat.data[0]))
+        _, sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays,
+                             config.max_range, config.p_noise, rng)
+        out = forward(pose, gmap, sem_frame)
+        sem_labels = np.asarray(out.sem.data[0]).argmax(axis=0)
+        decoded = decode_waypoints(np.asarray(out.heatmaps.data[0]))
         frame = rollout_frame(plan, pose, tuple(episode.goal), sem_labels, decoded)
         write_ppm(os.path.join(out_dir, f"step{t:04d}-map.ppm"), frame)
-        pooled = np.asarray(h_grid.data[0]).mean(axis=0)
+        pooled = np.asarray(out.h_grid.data[0]).mean(axis=0)
         write_pgm(os.path.join(out_dir, f"step{t:04d}-features.pgm"), pooled)
-        for name, amap in attention_images(attns[0], episode.tokens, c.token_grid):
+        for name, amap in attention_images(out.attn[0], episode.tokens,
+                                           model.config.token_grid):
             write_pgm(os.path.join(out_dir, f"step{t:04d}-attn-{name}.pgm"), amap)
     return len(steps)

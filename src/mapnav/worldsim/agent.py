@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import UsageError
 from .floorplan import CELL_SIZE, FLOOR, Floorplan, OBJECT_CLASS_IDS, pos_to_cell
 
 FORWARD_STEP = 0.25
@@ -85,18 +86,18 @@ def _trace_ray(grid: np.ndarray, x: float, y: float, angle: float,
 
 
 def raycast(plan: Floorplan, pose: Pose, num_rays: int = DEFAULT_NUM_RAYS,
-            max_range: float = DEFAULT_MAX_RANGE, p_noise: float = 0.05,
+            max_range: float = DEFAULT_MAX_RANGE, p_noise: float = 0.0,
             rng: np.random.Generator | None = None) -> DepthScan:
     """Cast rays over a 90-degree FOV centered on the heading.
 
     With probability ``p_noise`` a hit's class label is replaced by a random
-    object class (stand-in for segmentation error).
+    object class (stand-in for segmentation error), drawn from ``rng``.
     """
+    if p_noise > 0 and rng is None:
+        raise UsageError(f"raycast with p_noise={p_noise} needs an rng")
     rel = np.linspace(-FOV / 2.0, FOV / 2.0, num_rays)
     ranges = np.empty(num_rays)
     classes = np.empty(num_rays, dtype=np.int64)
-    if p_noise > 0 and rng is None:
-        rng = np.random.default_rng(0)
     for i, a in enumerate(rel):
         rng_m, cls, _, _ = _trace_ray(plan.grid, pose.x, pose.y,
                                       pose.theta + a, max_range)

@@ -23,7 +23,7 @@ from mapnav.model import (CM2Model, ModelConfig, make_gt_heatmaps,
                           make_path_supervision)
 from mapnav.model.attention import cross_modal_attend, init_cross_modal
 from mapnav.train_eval import (aggregate_nav, build_dataset, compute_map_metrics,
-                               episode_metrics, generate_splits, record_arrays)
+                               episode_metrics, generate_split, record_arrays)
 from mapnav.train_eval.training import assemble_batch, batch_loss
 from mapnav.worldsim import Pose, generate_episode, generate_floorplan
 
@@ -132,8 +132,8 @@ def test_gradcheck_every_primitive():
     c3, c4, c5 = C(2, 3, 3, 3), C(2, 3, 9, 9), C(2, 3, 12, 12)
     _check(lambda: nm.tsum(nm.mul(nm.conv2d(xc, wc, bc, padding=1), c1)),
            {"x": xc, "w": wc, "b": bc})
-    _check(lambda: nm.tsum(nm.mul(nm.conv_transpose2d(xc, wc, bc), c2)),
-           {"x": xc, "w": wc})
+    _check(lambda: nm.tsum(nm.mul(nm.conv2d(nm.upsample_nearest2(xc), wc, bc, padding=1),
+                                  c2)), {"x": xc, "w": wc})
     _check(lambda: nm.tsum(nm.mul(nm.avg_pool2d(xc, 2), c3)), {"x": xc})
     _check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(xc, 9, 9), c4)), {"x": xc})
     _check(lambda: nm.tsum(nm.mul(nm.upsample_nearest2(xc), c5)), {"x": xc})
@@ -167,8 +167,8 @@ def test_gradcheck_full_losses_within_time_budget():
                     n_instr_layers=1, num_floorplans=2, heldout_floorplans=1,
                     episodes_per_floorplan=1, samples_per_episode=2,
                     seed=0).validate()
-    splits = generate_splits(cfg)
-    records = build_dataset(splits["train"], 2, cfg.k, cfg.ego_size, 0)[:2]
+    pairs = generate_split(cfg, range(cfg.num_floorplans), 0, cfg.episodes_per_floorplan)
+    records = build_dataset(pairs, 2, cfg.k, cfg.ego_size, 0)[:2]
     batch = assemble_batch(records, cfg.sigma)
     model = CM2Model(cfg.model_config(), rng=np.random.default_rng(0))
     rng = np.random.default_rng(3)
@@ -236,8 +236,8 @@ def test_heatmap_codec_on_dataset_waypoints():
     cfg = RunConfig(ego_size=48, k=10, num_floorplans=4, heldout_floorplans=1,
                     episodes_per_floorplan=4, samples_per_episode=4,
                     seed=0).validate()
-    splits = generate_splits(cfg)
-    records = build_dataset(splits["train"], cfg.samples_per_episode, cfg.k,
+    pairs = generate_split(cfg, range(cfg.num_floorplans), 0, cfg.episodes_per_floorplan)
+    records = build_dataset(pairs, cfg.samples_per_episode, cfg.k,
                             cfg.ego_size, cfg.seed)
     total = hits = 0
     for rec in records:

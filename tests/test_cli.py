@@ -163,6 +163,27 @@ def test_rollout_and_viz(workdir, tmp_path):
     assert any(f.endswith("-features.pgm") for f in os.listdir(imgdir))
 
 
+@pytest.mark.parametrize("over", [{}, {"mode": "cm2-gt"}, {"p_noise": 0.2}],
+                         ids=["cm2", "cm2-gt", "p_noise"])
+def test_viz_replay_equals_rollout(workdir, tmp_path, monkeypatch, over):
+    """viz senses and runs the model as the rollout did: at every traced step
+    the replay's final heatmap peaks at the trace's stop confidence."""
+    import mapnav.viz as viz
+    config = tmp_path / "config.json"
+    tiny_config(**over).save(config)
+    common = ["--config", str(config), "--ckpt", str(workdir["run"] / "model.ckpt"),
+              "--episodes", str(workdir["data"] / "unseen_episodes.jsonl"),
+              "--episode", str(first_episode_id(workdir)), "--trace", str(tmp_path / "t.jsonl")]
+    assert main(["rollout"] + common) == EXIT_OK
+    peaks = []
+    decode = viz.decode_waypoints
+    monkeypatch.setattr(viz, "decode_waypoints",
+                        lambda heat: peaks.append(float(heat[-1].max())) or decode(heat))
+    assert main(["viz"] + common + ["--out", str(tmp_path / "img")]) == EXIT_OK
+    rows = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
+    assert peaks == [r["stop_conf"] for r in rows]
+
+
 def test_rollout_unknown_episode(workdir, tmp_path):
     assert main(["rollout", "--config", str(workdir["config"]),
                  "--ckpt", str(workdir["run"] / "model.ckpt"),

@@ -6,7 +6,7 @@ import pytest
 from mapnav.mapping import (
     FREE, OCC, UNK, LOGODDS_CLAMP, LOGODDS_FREE, LOGODDS_OCC, OCC_THRESHOLD,
     cell_to_ego, crop_ego_occupancy, crop_ego_semantic, ego_to_cell,
-    ego_to_world, ground_project, new_global_occupancy,
+    ego_to_world, ground_project, new_global_occupancy, sense,
     update_global, world_to_ego,
 )
 from mapnav.worldsim import (
@@ -228,3 +228,18 @@ def test_ground_project_agrees_with_gt_crop(plan):
                  if FLOOR not in neighborhood(gt, r, c))
     assert misses <= 0.01 * occ[FREE].sum()
 
+
+
+def test_sense_is_raycast_project_update(plan):
+    pose = Pose(*cell_center(*np.argwhere(plan.traversable_mask())[30]), 1.1)
+    ref = new_global_occupancy(plan.grid.shape[0])
+    occ_ref, sem_ref = ground_project(
+        raycast(plan, pose, 32, 4.0, p_noise=0.3, rng=np.random.default_rng(2)), 24)
+    update_global(ref, occ_ref, pose)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    occ, sem = sense(plan, pose, gmap, 24, 32, 4.0, 0.3, np.random.default_rng(2))
+    assert np.array_equal(occ, occ_ref) and np.array_equal(sem, sem_ref)
+    assert np.array_equal(gmap, ref)
+    # without a map (rollouts on the ground-truth map) only the frames come back
+    occ2, sem2 = sense(plan, pose, None, 24, 32, 4.0, 0.3, np.random.default_rng(2))
+    assert np.array_equal(occ2, occ_ref) and np.array_equal(sem2, sem_ref)

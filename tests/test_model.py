@@ -284,17 +284,49 @@ def test_model_rejects_bad_shapes(mini, mini_inputs):
         mini.predict_path(occ, instr, p0)  # 3 channels where c expected
 
 
-def test_no_map_attention_ignores_instruction(mini_inputs):
+def test_no_map_attention_ignores_instruction(mini_inputs, monkeypatch):
+    import mapnav.model.cm2 as cm2
     config = ModelConfig(ego_size=24, d=D, k=3, unet_base=8, unet_depth=3,
                          n_instr_layers=1, use_map_attention=False)
     model = CM2Model(config, rng=np.random.default_rng(0))
     occ, sem, instr, _ = mini_inputs
     other = [model.encode_instruction(np.asarray(tokenize("go to the tv").tokens))
              for _ in range(2)]
+    encoded = []
+    real_encoder = cm2.apply_map_encoder
+    monkeypatch.setattr(cm2, "apply_map_encoder",
+                        lambda x, p, d, prefix: encoded.append(prefix) or real_encoder(
+                            x, p, d, prefix))
     a = model.predict_maps(occ, sem, [model.encode_instruction(
         np.asarray(tokenize(t).tokens)) for t in ("walk straight", "turn left")])
     b = model.predict_maps(occ, sem, other)
     assert np.array_equal(np.asarray(a[1].data), np.asarray(b[1].data))
+    # no occupancy encoder runs, so its weights cannot reach the maps
+    assert encoded == []
+    for name, p in model.params.items():
+        if name.startswith("enc_o."):
+            p.data = np.full(p.shape, np.nan)
+    c = model.predict_maps(occ, sem, other)
+    assert np.array_equal(np.asarray(c[1].data), np.asarray(b[1].data))
+    assert c[2].shape == (2, D, config.token_grid, config.token_grid)
+    assert c[3].shape == (2, config.n_tokens, 1) and not np.any(c[3])
+
+
+def test_forward_chains_map_and_path_heads(mini, mini_inputs):
+    occ, sem, instr, p0 = mini_inputs
+    out = mini.forward("cm2", instr, p0, occ=occ, sem_obs=sem)
+    occ_p, sem_p, _, _ = mini.predict_maps(occ, sem, instr)
+    heat, trav, h_grid, attn = mini.predict_path(sem_p, instr, p0)
+    for got, want in ((out.occ_hat, occ_p), (out.sem, sem_p), (out.heatmaps, heat),
+                      (out.traversed, trav), (out.h_grid, h_grid)):
+        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(out.attn, attn)
+    # given a map: the path head reads the ground-truth semantics, no map heads run
+    gt = mini.forward("cm2-gt", instr, p0, sem_gt=sem)
+    heat_gt, _, _, _ = mini.predict_path(sem, instr, p0)
+    assert gt.occ_hat is None
+    assert np.array_equal(gt.sem.data, sem)
+    assert np.array_equal(gt.heatmaps.data, heat_gt.data)
 
 
 # ------------------------------------------------------------------- losses

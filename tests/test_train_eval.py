@@ -357,3 +357,36 @@ def test_evaluate_map_quality_gt_mode(train_records, tmp_path):
     assert set(out) == {"PCW", "IoU", "F1"}
     assert 0.0 <= out["PCW"] <= 100.0
     assert math.isnan(out["IoU"]) and math.isnan(out["F1"])  # no map head
+
+
+# --------------------------------------------------------- closed-loop eval
+def test_evaluate_episode_honours_p_noise(plan, episode, tmp_path, monkeypatch):
+    """Eval senses with the config's label noise, drawn from the episode's
+    own rng: noisy runs repeat exactly, and differ from noise-free ones in
+    the semantic frames the model sees."""
+    import mapnav.train_eval.evaluate as evaluate
+    from mapnav.model import CM2Model
+    frames = []
+    make_predictor = evaluate.make_predictor
+
+    def recording(*args):
+        predict = make_predictor(*args)
+        frames.append([])
+
+        def wrapped(pose, gmap, occ_frame, sem_frame):
+            frames[-1].append(sem_frame)
+            return predict(pose, gmap, occ_frame, sem_frame)
+        return wrapped
+
+    monkeypatch.setattr(evaluate, "make_predictor", recording)
+    model = CM2Model(tiny_config().model_config(), rng=np.random.default_rng(0))
+    traces = []
+    for i, p_noise in enumerate((0.2, 0.2, 0.0)):
+        path = tmp_path / f"trace{i}.jsonl"
+        evaluate.evaluate_episode(model, tiny_config(p_noise=p_noise, budget=6), plan,
+                                  episode, trace_path=path)
+        traces.append(path.read_text())
+    noisy, again, clean = frames
+    assert traces[0] == traces[1]
+    assert all(np.array_equal(a, b) for a, b in zip(noisy, again))
+    assert any(not np.array_equal(a, b) for a, b in zip(noisy, clean))

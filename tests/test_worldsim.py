@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mapnav.errors import GenerationError, NoPathError
+from mapnav.errors import GenerationError, NoPathError, UsageError
 from mapnav.worldsim import (
     CELL_SIZE, FLOOR, WALL, VOID, Floorplan, Pose,
     astar_cells, cell_center, episode_from_json, episode_to_json,
@@ -218,6 +218,16 @@ def test_raycast_noise_flips_some_classes(plan):
     hit = clean.classes >= 0
     assert np.array_equal(clean.ranges, noisy.ranges)
     assert np.any(clean.classes[hit] != noisy.classes[hit])
+    # the noise is the rng's: the same seed draws the same labels
+    again = raycast(plan, pose, p_noise=1.0, rng=np.random.default_rng(0))
+    assert np.array_equal(noisy.classes, again.classes)
+
+
+def test_raycast_noise_needs_an_rng(plan):
+    pose = Pose(*cell_center(*np.argwhere(plan.traversable_mask())[10]), 0.7)
+    with pytest.raises(UsageError):
+        raycast(plan, pose, p_noise=0.2)
+    assert np.array_equal(raycast(plan, pose).classes, raycast(plan, pose, p_noise=0.0).classes)
 
 
 # --------------------------------------------------------------------- paths
