@@ -26,21 +26,28 @@ def _load_config(path):
 
 
 def _load_model(args, config):
-    """Load ``--ckpt``; a ``--config`` given with it must describe the same
-    model, or the run would silently use the checkpoint's."""
-    from dataclasses import asdict
+    """Load ``--ckpt``; returns (model, run config). Without ``--config`` the
+    run config takes its model fields from the checkpoint, so sensing and
+    cropping use the checkpoint's ``ego_size``. A ``--config`` given with it
+    must describe the same model, or the run would silently use the
+    checkpoint's."""
+    from dataclasses import asdict, fields, replace
     from .model import CM2Model
     if not os.path.exists(args.ckpt):
         raise UsageError(f"checkpoint not found: {args.ckpt}")
     model = CM2Model.load(args.ckpt)
-    if args.config is not None:
-        want, have = asdict(config.model_config()), asdict(model.config)
-        differ = [f"{k} (config {want[k]!r}, checkpoint {have[k]!r})"
-                  for k in want if want[k] != have[k]]
-        if differ:
-            raise UsageError(f"--config {args.config} disagrees with checkpoint "
-                             f"{args.ckpt}: {', '.join(differ)}")
-    return model
+    have = asdict(model.config)
+    if args.config is None:
+        run_fields = {f.name for f in fields(config)}
+        return model, replace(config, **{k: v for k, v in have.items()
+                                         if k in run_fields}).validate()
+    want = asdict(config.model_config())
+    differ = [f"{k} (config {want[k]!r}, checkpoint {have[k]!r})"
+              for k in want if want[k] != have[k]]
+    if differ:
+        raise UsageError(f"--config {args.config} disagrees with checkpoint "
+                         f"{args.ckpt}: {', '.join(differ)}")
+    return model, config
 
 
 def _load_pairs(path, world_size=64):
@@ -115,7 +122,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     if args.workers:
         config.workers = args.workers
-    model = _load_model(args, config)
+    model, config = _load_model(args, config)
     pairs = _load_pairs(os.path.join(args.data, f"{args.split}_episodes.jsonl"),
                         config.world_size)
     per_episode, agg = evaluate_navigation(model, config, pairs,
@@ -161,7 +168,7 @@ def cmd_rollout(args) -> int:
     from .train_eval.evaluate import evaluate_episode
 
     config = _load_config(args.config)
-    model = _load_model(args, config)
+    model, config = _load_model(args, config)
     pairs = _load_pairs(args.episodes, config.world_size)
     plan, ep = _find_episode(pairs, args.episode)
     m = evaluate_episode(model, config, plan, ep, trace_path=args.trace)
@@ -177,7 +184,7 @@ def cmd_viz(args) -> int:
     for path in (args.trace, args.episodes):
         if not os.path.exists(path):
             raise UsageError(f"input not found: {path}")
-    model = _load_model(args, config)
+    model, config = _load_model(args, config)
     pairs = _load_pairs(args.episodes, config.world_size)
     plan, ep = _find_episode(pairs, args.episode)
     n = export_rollout(args.trace, model, config, plan, ep, args.out)

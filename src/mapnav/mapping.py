@@ -74,14 +74,15 @@ def ground_project(scan: DepthScan, size: int = DEFAULT_EGO_SIZE,
     classes = np.asarray(scan.classes)
     cf, sf = np.cos(angles), np.sin(angles)
     # free sweep: sample every ray at sub-cell steps up to (not including) its
-    # range; occupied hits are written afterwards and take precedence
+    # range, all rays on one grid of steps; occupied hits are written
+    # afterwards and take precedence
     n_steps = np.ceil(ranges / step).astype(int)
-    for i in range(len(angles)):
-        t = np.arange(n_steps[i]) * step
-        rows = half - np.round(t * cf[i] / CELL_SIZE).astype(int)
-        cols = half + np.round(-t * sf[i] / CELL_SIZE).astype(int)
-        ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
-        occ[rows[ok], cols[ok]] = 1
+    t = np.arange(n_steps.max(initial=0)) * step
+    rows = half - np.round(t * cf[:, None] / CELL_SIZE).astype(int)
+    cols = half + np.round(-t * sf[:, None] / CELL_SIZE).astype(int)
+    ok = ((np.arange(len(t)) < n_steps[:, None])
+          & (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size))
+    occ[rows[ok], cols[ok]] = 1
     hit = classes >= 0
     rows = half - np.round(ranges[hit] * cf[hit] / CELL_SIZE).astype(int)
     cols = half + np.round(-ranges[hit] * sf[hit] / CELL_SIZE).astype(int)

@@ -52,37 +52,53 @@ class DepthScan:
     max_range: float
 
 
-def _trace_ray(grid: np.ndarray, x: float, y: float, angle: float,
-               max_range: float) -> tuple[float, int, int, int]:
-    """DDA traversal; returns (range, class, hit_row, hit_col).
+def _crossing_times(cell: int, step: np.ndarray, pos: float, d: np.ndarray,
+                    n: int) -> np.ndarray:
+    """(rays, n) times at which each ray crosses its next ``n`` cell
+    boundaries along one axis; inf for rays parallel to the boundaries."""
+    times = np.empty((len(d), n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times[:, 0] = np.where(d == 0, np.inf, ((cell + (step > 0)) * CELL_SIZE - pos) / d)
+        times[:, 1:] = np.where(d == 0, np.inf, CELL_SIZE / np.abs(d))[:, None]
+    return np.add.accumulate(times, axis=1)
 
-    class is -1 (no hit within max_range) or the blocking cell class.
+
+def _trace_rays(grid: np.ndarray, x: float, y: float, angles: np.ndarray,
+                max_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid DDA (Amanatides & Woo) for all rays at once; returns (ranges,
+    classes), class -1 (range ``max_range``) where a ray leaves the grid or
+    passes ``max_range`` before it enters a non-floor cell.
+
+    Each ray's x- and y-boundary crossing times are accumulated in sequence
+    (the scalar walk's ``t_max += t_delta``) and merged in time order, the
+    row step first on a tie; the crossing counts give the cell entered at
+    each crossing.
     """
-    dx, dy = np.cos(angle), np.sin(angle)
-    r, c = int(np.floor(y / CELL_SIZE)), int(np.floor(x / CELL_SIZE))
+    dx, dy = np.cos(angles), np.sin(angles)
+    r0, c0 = int(np.floor(y / CELL_SIZE)), int(np.floor(x / CELL_SIZE))
+    step_c = np.where(dx > 0, 1, -1)
+    step_r = np.where(dy > 0, 1, -1)
+    # a crossing time grows by at least one cell size per crossing, so the
+    # first crossing past max_range falls within n of each axis
+    n = int(max_range / CELL_SIZE) + 3
+    times = np.concatenate([_crossing_times(r0, step_r, y, dy, n),
+                            _crossing_times(c0, step_c, x, dx, n)], axis=1)
+    order = np.argsort(times, axis=1, kind="stable")
+    t = np.take_along_axis(times, order, axis=1)
+    n_x = np.cumsum(order >= n, axis=1)
+    n_y = np.arange(1, 2 * n + 1) - n_x
+    rows = r0 + step_r[:, None] * n_y
+    cols = c0 + step_c[:, None] * n_x
     g = grid.shape[0]
-    step_c = 1 if dx > 0 else -1
-    step_r = 1 if dy > 0 else -1
-    t_max_x = np.inf if dx == 0 else (((c + (step_c > 0)) * CELL_SIZE) - x) / dx
-    t_max_y = np.inf if dy == 0 else (((r + (step_r > 0)) * CELL_SIZE) - y) / dy
-    t_dx = np.inf if dx == 0 else CELL_SIZE / abs(dx)
-    t_dy = np.inf if dy == 0 else CELL_SIZE / abs(dy)
-    t = 0.0
-    while True:
-        if t_max_x < t_max_y:
-            t = t_max_x
-            t_max_x += t_dx
-            c += step_c
-        else:
-            t = t_max_y
-            t_max_y += t_dy
-            r += step_r
-        if t > max_range:
-            return max_range, -1, -1, -1
-        if not (0 <= r < g and 0 <= c < g):
-            return max_range, -1, -1, -1
-        if grid[r, c] != FLOOR:
-            return float(t), int(grid[r, c]), r, c
+    inside = (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
+    cells = grid[np.where(inside, rows, 0), np.where(inside, cols, 0)]
+    gone = (t > max_range) | ~inside
+    ray = np.arange(len(angles))
+    first = np.argmax(gone | (cells != FLOOR), axis=1)
+    hit = ~gone[ray, first]
+    ranges = np.where(hit, t[ray, first], max_range)
+    classes = np.where(hit, cells[ray, first].astype(np.int64), -1)
+    return ranges, classes
 
 
 def raycast(plan: Floorplan, pose: Pose, num_rays: int = DEFAULT_NUM_RAYS,
@@ -96,13 +112,10 @@ def raycast(plan: Floorplan, pose: Pose, num_rays: int = DEFAULT_NUM_RAYS,
     if p_noise > 0 and rng is None:
         raise UsageError(f"raycast with p_noise={p_noise} needs an rng")
     rel = np.linspace(-FOV / 2.0, FOV / 2.0, num_rays)
-    ranges = np.empty(num_rays)
-    classes = np.empty(num_rays, dtype=np.int64)
-    for i, a in enumerate(rel):
-        rng_m, cls, _, _ = _trace_ray(plan.grid, pose.x, pose.y,
-                                      pose.theta + a, max_range)
-        if cls >= 0 and p_noise > 0 and rng.uniform() < p_noise:
-            cls = OBJECT_CLASS_IDS[int(rng.integers(0, len(OBJECT_CLASS_IDS)))]
-        ranges[i] = rng_m
-        classes[i] = cls
+    ranges, classes = _trace_rays(plan.grid, pose.x, pose.y, pose.theta + rel,
+                                  max_range)
+    if p_noise > 0:
+        for i in np.flatnonzero(classes >= 0):
+            if rng.uniform() < p_noise:
+                classes[i] = OBJECT_CLASS_IDS[int(rng.integers(0, len(OBJECT_CLASS_IDS)))]
     return DepthScan(angles=rel, ranges=ranges, classes=classes, max_range=max_range)

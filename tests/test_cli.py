@@ -134,6 +134,24 @@ def test_config_disagreeing_with_checkpoint_is_rejected(workdir, tmp_path, capsy
         assert not (tmp_path / made).exists()
 
 
+def test_checkpoint_without_config_uses_its_model(workdir, tmp_path, monkeypatch):
+    """Without --config, eval and rollout take the model fields (ego 24 here,
+    not the default 48) from the checkpoint and sense at its ego size. The
+    default config is given a 30-step budget to keep the rollouts short."""
+    import mapnav.cli as cli
+    monkeypatch.setattr(cli, "_load_config", lambda path: RunConfig(budget=30).validate())
+    ckpt = str(workdir["run"] / "model.ckpt")
+    out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+    assert main(["eval", "--ckpt", ckpt, "--data", str(workdir["data"]),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[-1].startswith("aggregate")
+    assert main(["rollout", "--ckpt", ckpt,
+                 "--episodes", str(workdir["data"] / "unseen_episodes.jsonl"),
+                 "--episode", str(first_episode_id(workdir)),
+                 "--trace", str(trace)]) == EXIT_OK
+    assert trace.read_text().splitlines()
+
+
 # ----------------------------------------------------------- rollout + viz
 def first_episode_id(workdir):
     line = (workdir["data"] / "unseen_episodes.jsonl").read_text().splitlines()[0]

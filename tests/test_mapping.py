@@ -10,7 +10,7 @@ from mapnav.mapping import (
     update_global, world_to_ego,
 )
 from mapnav.worldsim import (
-    CELL_SIZE, FLOOR, VOID, WALL, DepthScan, Floorplan, Pose,
+    CELL_SIZE, FLOOR, NUM_CLASSES, VOID, WALL, DepthScan, Floorplan, Pose,
     cell_center, generate_floorplan, raycast,
 )
 
@@ -86,6 +86,63 @@ def test_ground_project_one_hot():
     occ, sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
     assert np.array_equal(occ.sum(axis=0), np.ones((48, 48)))
     assert np.array_equal(sem.sum(axis=0), np.ones((48, 48)))
+
+
+def ground_project_reference(scan, size):
+    """``ground_project`` with its free sweep written one ray at a time."""
+    occ = np.zeros((size, size), dtype=np.int8)
+    sem = np.zeros((size, size), dtype=np.int64)
+    step = CELL_SIZE / 4.0
+    half = size // 2
+    cf, sf = np.cos(scan.angles), np.sin(scan.angles)
+    n_steps = np.ceil(scan.ranges / step).astype(int)
+    for i in range(len(scan.angles)):
+        t = np.arange(n_steps[i]) * step
+        rows = half - np.round(t * cf[i] / CELL_SIZE).astype(int)
+        cols = half + np.round(-t * sf[i] / CELL_SIZE).astype(int)
+        ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
+        occ[rows[ok], cols[ok]] = 1
+    for i in np.flatnonzero(scan.classes >= 0):
+        r = half - int(np.round(scan.ranges[i] * cf[i] / CELL_SIZE))
+        c = half + int(np.round(-scan.ranges[i] * sf[i] / CELL_SIZE))
+        if 0 <= r < size and 0 <= c < size:
+            occ[r, c] = 2
+            sem[r, c] = scan.classes[i]
+    occ_onehot = np.stack([occ == 2, occ == 1, occ == 0]).astype(np.float64)
+    sem_onehot = np.zeros((NUM_CLASSES, size, size))
+    for r, c in np.argwhere(occ == 2):
+        sem_onehot[sem[r, c], r, c] = 1.0
+    sem_onehot[FLOOR][occ == 1] = 1.0
+    sem_onehot[VOID][occ == 0] = 1.0
+    return occ_onehot, sem_onehot
+
+
+def test_ground_project_matches_per_ray_oracle():
+    """The one-pass projection equals the per-ray sweep byte for byte at ego
+    24 and 48, on raycast scans and on scans with a zero range or no hit."""
+    plans = [generate_floorplan(s) for s in (0, 1)]
+    rng = np.random.default_rng(5)
+    angles = np.linspace(-np.pi / 4, np.pi / 4, 5)
+    scans = [
+        DepthScan(angles, np.array([0.0, 1.3, 0.0, 4.8, 0.05]),
+                  np.array([WALL, 4, -1, -1, WALL]), 4.8),      # zero ranges
+        DepthScan(angles, np.zeros(5), np.full(5, WALL), 4.8),   # all at range 0
+        DepthScan(angles, np.full(5, 4.0), np.full(5, -1), 4.0),  # no hits
+    ]
+    for plan in plans:
+        floor = np.argwhere(plan.traversable_mask())
+        for i in range(40):
+            pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
+                        float(rng.uniform(-np.pi, np.pi)))
+            scans.append(raycast(plan, pose, num_rays=(64, 17)[i % 2],
+                                 max_range=(4.8, 4.0)[i % 3 == 0], p_noise=0.3,
+                                 rng=np.random.default_rng(i)))
+    for size in (24, 48):
+        for scan in scans:
+            got = ground_project(scan, size)
+            want = ground_project_reference(scan, size)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -------------------------------------------------------------- global map

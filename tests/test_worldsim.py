@@ -1,12 +1,13 @@
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mapnav.errors import GenerationError, NoPathError, UsageError
 from mapnav.worldsim import (
-    CELL_SIZE, FLOOR, WALL, VOID, Floorplan, Pose,
+    CELL_SIZE, FLOOR, OBJECT_CLASS_IDS, WALL, VOID, Floorplan, Pose,
     astar_cells, cell_center, episode_from_json, episode_to_json,
     generate_episode, generate_floorplan, object_cells, pos_to_cell,
     raycast, resample_polyline, shortest_path, step_agent, wrap_angle,
@@ -228,6 +229,90 @@ def test_raycast_noise_needs_an_rng(plan):
     with pytest.raises(UsageError):
         raycast(plan, pose, p_noise=0.2)
     assert np.array_equal(raycast(plan, pose).classes, raycast(plan, pose, p_noise=0.0).classes)
+
+
+def trace_ray_reference(grid, x, y, angle, max_range):
+    """Scalar grid DDA, one ray at a time; the oracle for ``raycast``.
+    Returns (range, class), class -1 for no hit within max_range."""
+    dx, dy = np.cos(angle), np.sin(angle)
+    r, c = int(np.floor(y / CELL_SIZE)), int(np.floor(x / CELL_SIZE))
+    g = grid.shape[0]
+    step_c = 1 if dx > 0 else -1
+    step_r = 1 if dy > 0 else -1
+    t_max_x = np.inf if dx == 0 else (((c + (step_c > 0)) * CELL_SIZE) - x) / dx
+    t_max_y = np.inf if dy == 0 else (((r + (step_r > 0)) * CELL_SIZE) - y) / dy
+    t_dx = np.inf if dx == 0 else CELL_SIZE / abs(dx)
+    t_dy = np.inf if dy == 0 else CELL_SIZE / abs(dy)
+    while True:
+        if t_max_x < t_max_y:
+            t = t_max_x
+            t_max_x += t_dx
+            c += step_c
+        else:
+            t = t_max_y
+            t_max_y += t_dy
+            r += step_r
+        if t > max_range:
+            return max_range, -1
+        if not (0 <= r < g and 0 <= c < g):
+            return max_range, -1
+        if grid[r, c] != FLOOR:
+            return float(t), int(grid[r, c])
+
+
+def raycast_reference(plan, pose, num_rays, max_range, p_noise, rng):
+    rel = np.linspace(-FOV / 2.0, FOV / 2.0, num_rays)
+    ranges = np.empty(num_rays)
+    classes = np.empty(num_rays, dtype=np.int64)
+    for i, a in enumerate(rel):
+        rng_m, cls = trace_ray_reference(plan.grid, pose.x, pose.y,
+                                         pose.theta + a, max_range)
+        if cls >= 0 and p_noise > 0 and rng.uniform() < p_noise:
+            cls = OBJECT_CLASS_IDS[int(rng.integers(0, len(OBJECT_CLASS_IDS)))]
+        ranges[i] = rng_m
+        classes[i] = cls
+    return rel, ranges, classes
+
+
+def test_raycast_matches_scalar_dda_oracle():
+    """Batched raycast equals the one-ray-at-a-time DDA byte for byte, label
+    noise included (twin rngs), on poses at and between cell boundaries,
+    axis-aligned and random headings, odd and even ray counts, two ranges,
+    and a wall-less grid where rays leave the world."""
+    open_grid = np.full((40, 40), FLOOR, dtype=np.uint8)
+    plans = [generate_floorplan(s) for s in (0, 1, 2)]
+    plans.append(Floorplan(grid=open_grid, seed=0))
+    headings = (0.0, np.pi / 2, -np.pi / 2, -np.pi, np.pi, np.pi / 4)
+    rng = np.random.default_rng(7)
+    n_scans = axis_rays = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plan in plans:
+            floor = np.argwhere(plan.grid == FLOOR)
+            for i in range(300):
+                r, c = floor[rng.integers(len(floor))]
+                if i % 3 == 0:  # exactly on a cell corner
+                    x, y = c * CELL_SIZE, r * CELL_SIZE
+                else:
+                    x, y = (c + rng.uniform()) * CELL_SIZE, (r + rng.uniform()) * CELL_SIZE
+                theta = (headings[i % len(headings)] if i % 2 == 0
+                         else float(rng.uniform(-np.pi, np.pi)))
+                pose = Pose(float(x), float(y), theta)
+                num_rays = (3, 16, 17, 64)[i % 4]
+                max_range = (4.0, 4.8)[(i // 4) % 2]
+                p_noise = 0.3 if i % 5 == 0 else 0.0
+                seed = int(rng.integers(2**31))
+                got = raycast(plan, pose, num_rays=num_rays, max_range=max_range,
+                              p_noise=p_noise, rng=np.random.default_rng(seed))
+                want = raycast_reference(plan, pose, num_rays, max_range, p_noise,
+                                         np.random.default_rng(seed))
+                for a, b in zip((got.angles, got.ranges, got.classes), want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (pose, num_rays)
+                angles = theta + got.angles
+                axis_rays += int(np.sum((np.sin(angles) == 0) | (np.cos(angles) == 0)))
+                n_scans += 1
+    assert n_scans >= 1000
+    assert axis_rays > 0  # rays parallel to a grid axis were covered
 
 
 # --------------------------------------------------------------------- paths
