@@ -8,7 +8,6 @@ carrot point on the planned path.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -19,11 +18,9 @@ from .errors import ConfigError
 from .mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, new_global_occupancy, sense
 from .model.supervision import heatmap_cell_to_ego
 from .worldsim.agent import FORWARD_STEP, TURN_STEP, Pose, step_agent, wrap_angle
+from .worldsim.episodes import grid_astar
 from .worldsim.floorplan import CELL_SIZE, cell_center, pos_to_cell
 
-_SQRT2 = math.sqrt(2.0)
-_NEIGHBORS = [(-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
-              (-1, -1, _SQRT2), (-1, 1, _SQRT2), (1, -1, _SQRT2), (1, 1, _SQRT2)]
 CARROT_DISTANCE = 0.3
 # a decoded waypoint within this radius counts as reached: heatmap decoding
 # quantizes to 0.4 m cells, so a reached waypoint can decode up to ~0.28 m
@@ -103,45 +100,8 @@ def _cost_grid(gmap: np.ndarray, unknown_cost: float) -> np.ndarray:
 def _astar_weighted(cost: np.ndarray, start: tuple[int, int],
                     goal: tuple[int, int]) -> list[tuple[int, int]] | None:
     """A* with per-destination-cell cost multipliers; returns None if the
-    goal is unreachable."""
-    rows, cols = cost.shape
-
-    def h(cell):
-        dr, dc = abs(cell[0] - goal[0]), abs(cell[1] - goal[1])
-        return (dr + dc) + (_SQRT2 - 2.0) * min(dr, dc)
-
-    g_cost = {start: 0.0}
-    came: dict = {}
-    heap = [(h(start), start)]
-    closed = set()
-    while heap:
-        _, cur = heapq.heappop(heap)
-        if cur == goal:
-            path = [cur]
-            while cur in came:
-                cur = came[cur]
-                path.append(cur)
-            return path[::-1]
-        if cur in closed:
-            continue
-        closed.add(cur)
-        r, c = cur
-        for dr, dc, step in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < rows and 0 <= nc < cols):
-                continue
-            w = cost[nr, nc]
-            if not np.isfinite(w):
-                continue
-            if dr and dc and not (np.isfinite(cost[r, nc]) and np.isfinite(cost[nr, c])):
-                continue
-            ng = g_cost[cur] + step * w
-            nxt = (nr, nc)
-            if ng < g_cost.get(nxt, np.inf):
-                g_cost[nxt] = ng
-                came[nxt] = cur
-                heapq.heappush(heap, (ng + h(nxt), nxt))
-    return None
+    goal is unreachable or an endpoint lies outside the grid."""
+    return grid_astar(cost, start, goal)
 
 
 def _bearing_action(pose: Pose, target_xy) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,11 +14,6 @@ from .floorplan import CELL_SIZE, Floorplan, cell_center, pos_to_cell
 
 SQRT2 = float(np.sqrt(2.0))
 PATH_SPACING = 0.2
-
-_NEIGHBORS = [
-    (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
-    (-1, -1, SQRT2), (-1, 1, SQRT2), (1, -1, SQRT2), (1, 1, SQRT2),
-]
 
 
 @dataclass
@@ -59,47 +55,83 @@ def resample_polyline(points: np.ndarray, spacing: float = PATH_SPACING) -> np.n
     return out
 
 
+def grid_astar(cost: np.ndarray, start: tuple[int, int],
+               goal: tuple[int, int]) -> list[tuple[int, int]] | None:
+    """A* over 8-connected cells of a cost grid: a move costs its length (1
+    or sqrt(2)) times the cost of the cell it enters, non-finite cells are
+    blocked, and a diagonal move may not cut the corner of a blocked cell.
+    Returns the cell path, or None if the goal is unreachable or an endpoint
+    lies outside the grid.
+
+    The search runs on flat indices of the grid padded by one blocked cell,
+    so no move needs a bounds check. A flat index sorts like its (row, col),
+    so the heap pops cells in the same order as a search keyed on cells."""
+    rows, cols = cost.shape
+    if not (0 <= start[0] < rows and 0 <= start[1] < cols
+            and 0 <= goal[0] < rows and 0 <= goal[1] < cols):
+        return None
+    w = cols + 2
+    padded = np.full((rows + 2, w), np.inf)
+    padded[1:-1, 1:-1] = np.where(np.isfinite(cost), cost, np.inf)
+    r, c = np.divmod(np.arange(padded.size), w)
+    dr, dc = np.abs(r - goal[0] - 1), np.abs(c - goal[1] - 1)
+    h = ((dr + dc) + (SQRT2 - 2.0) * np.minimum(dr, dc)).tolist()   # octile
+    cost = padded.ravel().tolist()
+    inf = math.inf
+    src, dst = (start[0] + 1) * w + start[1] + 1, (goal[0] + 1) * w + goal[1] + 1
+    g = [inf] * len(cost)
+    g[src] = 0.0
+    came = {}
+    closed = bytearray(len(cost))
+    heap = [(h[src], src)]
+    straight = (-w, w, -1, 1)
+    # (move, corner cells it must not cut) for (-1,-1), (-1,1), (1,-1), (1,1)
+    diagonal = ((-w - 1, -1, -w), (-w + 1, 1, -w), (w - 1, -1, w), (w + 1, 1, w))
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        i = pop(heap)[1]
+        if i == dst:
+            path = [i]
+            while i in came:
+                i = came[i]
+                path.append(i)
+            return [(j // w - 1, j % w - 1) for j in reversed(path)]
+        if closed[i]:
+            continue
+        closed[i] = 1
+        gi = g[i]
+        for d in straight:
+            j = i + d
+            cj = cost[j]
+            if cj < inf:
+                ng = gi + cj             # a straight move has length 1
+                if ng < g[j]:
+                    g[j] = ng
+                    came[j] = i
+                    push(heap, (ng + h[j], j))
+        for d, a, b in diagonal:
+            j = i + d
+            cj = cost[j]
+            if cj < inf and cost[i + a] < inf and cost[i + b] < inf:
+                ng = gi + SQRT2 * cj
+                if ng < g[j]:
+                    g[j] = ng
+                    came[j] = i
+                    push(heap, (ng + h[j], j))
+    return None
+
+
 def astar_cells(traversable: np.ndarray, start: tuple[int, int],
                 goal: tuple[int, int]) -> list[tuple[int, int]]:
     """A* over 8-connected cells, diagonal cost sqrt(2), no corner cutting."""
-    if not traversable[start] or not traversable[goal]:
-        raise NoPathError(f"endpoint not traversable: {start} -> {goal}")
-
-    def h(cell):
-        dr = abs(cell[0] - goal[0])
-        dc = abs(cell[1] - goal[1])
-        return (dr + dc) + (SQRT2 - 2.0) * min(dr, dc)
-
-    g_cost = {start: 0.0}
-    came: dict = {}
-    heap = [(h(start), start)]
-    closed = set()
     rows, cols = traversable.shape
-    while heap:
-        _, cur = heapq.heappop(heap)
-        if cur == goal:
-            path = [cur]
-            while cur in came:
-                cur = came[cur]
-                path.append(cur)
-            return path[::-1]
-        if cur in closed:
-            continue
-        closed.add(cur)
-        r, c = cur
-        for dr, dc, cost in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < rows and 0 <= nc < cols) or not traversable[nr, nc]:
-                continue
-            if dr and dc and not (traversable[r, nc] and traversable[nr, c]):
-                continue  # no squeezing through diagonal gaps
-            ng = g_cost[cur] + cost
-            nxt = (nr, nc)
-            if ng < g_cost.get(nxt, np.inf):
-                g_cost[nxt] = ng
-                came[nxt] = cur
-                heapq.heappush(heap, (ng + h(nxt), nxt))
-    raise NoPathError(f"no path from {start} to {goal}")
+    for r, c in (start, goal):
+        if not (0 <= r < rows and 0 <= c < cols and traversable[r, c]):
+            raise NoPathError(f"endpoint not traversable: {start} -> {goal}")
+    path = grid_astar(np.where(traversable, 1.0, np.inf), start, goal)
+    if path is None:
+        raise NoPathError(f"no path from {start} to {goal}")
+    return path
 
 
 def shortest_path(plan: Floorplan, a: tuple[float, float],

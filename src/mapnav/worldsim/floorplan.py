@@ -74,24 +74,26 @@ def cell_center(r: int, c: int) -> tuple[float, float]:
 
 
 def floor_connected(grid: np.ndarray) -> bool:
-    """All floor cells mutually reachable through 4-neighbors."""
-    floor = grid == FLOOR
+    """All floor cells mutually reachable through 4-neighbors. The DFS runs
+    on flat indices of the floor mask padded by one non-floor cell, so a
+    cell's neighbors are i +- 1 and i +- the padded width."""
+    floor = np.pad(grid == FLOOR, 1)
+    w = floor.shape[1]
     total = int(floor.sum())
     if total == 0:
         return False
-    start = tuple(np.argwhere(floor)[0])
-    seen = np.zeros_like(floor)
+    free = floor.ravel().tolist()
+    start = free.index(True)
+    free[start] = False                 # a reached cell stops being free
     stack = [start]
-    seen[start] = True
     count = 0
     while stack:
-        r, c = stack.pop()
+        i = stack.pop()
         count += 1
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nr, nc = r + dr, c + dc
-            if floor[nr, nc] and not seen[nr, nc]:
-                seen[nr, nc] = True
-                stack.append((nr, nc))
+        for j in (i + w, i - w, i + 1, i - 1):
+            if free[j]:
+                free[j] = False
+                stack.append(j)
     return count == total
 
 

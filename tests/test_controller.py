@@ -194,6 +194,81 @@ def test_astar_matches_dijkstra_on_random_layouts(rng):
         assert got == pytest.approx(oracle, abs=1e-9)
 
 
+def scalar_astar_weighted(cost, start, goal):
+    """A* keyed on (row, col) cells with a bounds check per move; the
+    reference whose paths ``_astar_weighted`` must repeat cell for cell."""
+    rows, cols = cost.shape
+    moves = [(-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
+             (-1, -1, SQRT2), (-1, 1, SQRT2), (1, -1, SQRT2), (1, 1, SQRT2)]
+
+    def h(cell):
+        dr, dc = abs(cell[0] - goal[0]), abs(cell[1] - goal[1])
+        return (dr + dc) + (SQRT2 - 2.0) * min(dr, dc)
+
+    g_cost = {start: 0.0}
+    came = {}
+    heap = [(h(start), start)]
+    closed = set()
+    while heap:
+        _, cur = heapq.heappop(heap)
+        if cur == goal:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            return path[::-1]
+        if cur in closed:
+            continue
+        closed.add(cur)
+        r, c = cur
+        for dr, dc, step in moves:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols):
+                continue
+            w = cost[nr, nc]
+            if not np.isfinite(w):
+                continue
+            if dr and dc and not (np.isfinite(cost[r, nc]) and np.isfinite(cost[nr, c])):
+                continue
+            ng = g_cost[cur] + step * w
+            nxt = (nr, nc)
+            if ng < g_cost.get(nxt, np.inf):
+                g_cost[nxt] = ng
+                came[nxt] = cur
+                heapq.heappush(heap, (ng + h(nxt), nxt))
+    return None
+
+
+def test_astar_paths_equal_scalar_reference(rng):
+    """Same cells in the same order as the reference (or both None) on
+    random grids of free (1.0), unknown (2.0) and blocked cells, including
+    blocked start and goal cells, and on planner cost grids of a floorplan."""
+    grids = []
+    for shape in [(20, 20), (13, 31), (31, 13), (64, 64)]:
+        for _ in range(6):
+            cost = np.where(rng.random(shape) < 0.5, 1.0, 2.0)
+            cost[rng.random(shape) < rng.uniform(0.0, 0.35)] = np.inf
+            grids.append(cost)
+    plan = generate_floorplan(7)
+    grids.append(_cost_grid(gt_global_map(plan), 2.0))
+    found = 0
+    for cost in grids:
+        rows, cols = cost.shape
+        for _ in range(5):
+            start = (int(rng.integers(rows)), int(rng.integers(cols)))
+            goal = (int(rng.integers(rows)), int(rng.integers(cols)))
+            want = scalar_astar_weighted(cost, start, goal)
+            assert _astar_weighted(cost, start, goal) == want
+            found += want is not None and len(want) > 10
+    assert found > 30
+
+
+@pytest.mark.parametrize("start,goal", [((-1, 2), (3, 3)), ((3, 3), (-1, 2)),
+                                        ((6, 2), (3, 3)), ((3, 3), (2, 6))])
+def test_astar_off_grid_endpoint_gives_no_path(start, goal):
+    assert _astar_weighted(np.ones((6, 6)), start, goal) is None
+
+
 def test_cost_grid_thresholds():
     gmap = np.array([[-4.0, 0.0], [4.0, 0.4]])
     cost = _cost_grid(gmap, 2.0)

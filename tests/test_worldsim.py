@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mapnav.errors import GenerationError, NoPathError, UsageError
+from mapnav.worldsim import floorplan as floorplan_module
 from mapnav.worldsim import (
     CELL_SIZE, FLOOR, OBJECT_CLASS_IDS, WALL, VOID, Floorplan, Pose,
     astar_cells, cell_center, episode_from_json, episode_to_json,
     generate_episode, generate_floorplan, object_cells, pos_to_cell,
     raycast, resample_polyline, shortest_path, step_agent, wrap_angle,
-    FORWARD_STEP, TURN_STEP, FOV,
+    FORWARD_STEP, TURN_STEP, FOV, floor_connected,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -66,6 +67,74 @@ def dijkstra_cells(traversable, start, goal):
     return None
 
 
+def scalar_floor_connected(grid):
+    """DFS over (row, col) cells with no padding; the reference for
+    ``floor_connected`` on grids whose floor does not touch the border."""
+    floor = grid == FLOOR
+    total = int(floor.sum())
+    if total == 0:
+        return False
+    start = tuple(np.argwhere(floor)[0])
+    seen = np.zeros_like(floor)
+    stack = [start]
+    seen[start] = True
+    count = 0
+    while stack:
+        r, c = stack.pop()
+        count += 1
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nr, nc = r + dr, c + dc
+            if floor[nr, nc] and not seen[nr, nc]:
+                seen[nr, nc] = True
+                stack.append((nr, nc))
+    return count == total
+
+
+def scalar_astar_cells(traversable, start, goal):
+    """A* keyed on (row, col) cells with a bounds check per move; the
+    reference whose paths ``astar_cells`` must repeat cell for cell."""
+    if not traversable[start] or not traversable[goal]:
+        raise NoPathError(f"endpoint not traversable: {start} -> {goal}")
+
+    def h(cell):
+        dr = abs(cell[0] - goal[0])
+        dc = abs(cell[1] - goal[1])
+        return (dr + dc) + (SQRT2 - 2.0) * min(dr, dc)
+
+    moves = [(-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
+             (-1, -1, SQRT2), (-1, 1, SQRT2), (1, -1, SQRT2), (1, 1, SQRT2)]
+    g_cost = {start: 0.0}
+    came = {}
+    heap = [(h(start), start)]
+    closed = set()
+    rows, cols = traversable.shape
+    while heap:
+        _, cur = heapq.heappop(heap)
+        if cur == goal:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            return path[::-1]
+        if cur in closed:
+            continue
+        closed.add(cur)
+        r, c = cur
+        for dr, dc, cost in moves:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols) or not traversable[nr, nc]:
+                continue
+            if dr and dc and not (traversable[r, nc] and traversable[nr, c]):
+                continue
+            ng = g_cost[cur] + cost
+            nxt = (nr, nc)
+            if ng < g_cost.get(nxt, np.inf):
+                g_cost[nxt] = ng
+                came[nxt] = cur
+                heapq.heappush(heap, (ng + h(nxt), nxt))
+    raise NoPathError(f"no path from {start} to {goal}")
+
+
 def box_room(size=32):
     """Empty room: walls on the boundary, floor inside."""
     grid = np.full((size, size), FLOOR, dtype=np.uint8)
@@ -93,6 +162,37 @@ def test_floorplan_invariants_100_seeds():
         assert np.all(grid[:, 0] == WALL) and np.all(grid[:, -1] == WALL)
         assert flood_fill_connected(grid)
         assert 3 <= len(plan.rooms) <= 6
+
+
+def test_floor_connected_matches_scalar_dfs_on_generator_grids(monkeypatch):
+    """Every grid that generate_floorplan checks for seeds 1000-1029 gets the
+    reference's answer; some of those grids are disconnected."""
+    answers = []
+
+    def checked(grid):
+        got = floor_connected(grid)
+        answers.append(got)
+        assert got == scalar_floor_connected(grid)
+        return got
+
+    monkeypatch.setattr(floorplan_module, "floor_connected", checked)
+    for seed in range(1000, 1030):
+        generate_floorplan(seed)
+    assert len(answers) > 200 and True in answers and False in answers
+
+
+def test_floor_connected_at_grid_border():
+    grid = np.full((5, 5), WALL, dtype=np.uint8)
+    grid[0, 1] = grid[4, 1] = FLOOR      # linked only by wrapping past row 0
+    assert not floor_connected(grid)
+    grid = np.full((5, 5), WALL, dtype=np.uint8)
+    grid[4, 1] = grid[4, 3] = FLOOR      # floor in the last row
+    assert not floor_connected(grid)
+    grid[4, 2] = FLOOR
+    assert floor_connected(grid)
+    grid = np.full((5, 5), FLOOR, dtype=np.uint8)
+    assert floor_connected(grid)
+    assert not floor_connected(np.full((5, 5), WALL, dtype=np.uint8))
 
 
 @pytest.mark.slow
@@ -384,6 +484,41 @@ def test_astar_rejects_blocked_endpoint():
     mask[2, 2] = False
     with pytest.raises(NoPathError):
         astar_cells(mask, (0, 0), (2, 2))
+
+
+@pytest.mark.parametrize("start,goal", [((-1, 2), (3, 3)), ((3, 3), (-1, 2)),
+                                        ((6, 2), (3, 3)), ((3, 3), (2, 6)),
+                                        ((2, -1), (3, 3))])
+def test_astar_rejects_off_grid_endpoint(start, goal):
+    with pytest.raises(NoPathError):
+        astar_cells(np.ones((6, 6), dtype=bool), start, goal)
+
+
+def test_astar_cells_paths_equal_scalar_reference():
+    """Same cells in the same order as the reference, or the same error, on
+    seeded floorplans and on random masks of several shapes."""
+    rng = np.random.default_rng(21)
+    masks = [generate_floorplan(s).traversable_mask() for s in (5, 77, 201)]
+    masks += [rng.random(shape) > p for shape, p in
+              [((15, 15), 0.3), ((9, 23), 0.2), ((23, 9), 0.35), ((1, 12), 0.1)]
+              for _ in range(8)]
+    compared = found = 0
+    for mask in masks:
+        floor = np.argwhere(mask)
+        for _ in range(12 if mask.shape == (64, 64) else 4):
+            ca = tuple(floor[rng.integers(len(floor))])
+            cb = tuple(floor[rng.integers(len(floor))])
+            try:
+                want = scalar_astar_cells(mask, ca, cb)
+            except NoPathError:
+                with pytest.raises(NoPathError):
+                    astar_cells(mask, ca, cb)
+                continue
+            got = astar_cells(mask, ca, cb)
+            assert got == want
+            compared += 1
+            found += len(got) > 10
+    assert compared > 80 and found > 20
 
 
 def test_resample_polyline_spacing_and_endpoints():
