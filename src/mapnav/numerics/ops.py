@@ -310,12 +310,49 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # convolution and resampling
 
 
+def _row_stacks(src: np.ndarray, kw: int, span: int):
+    """Per image of ``src`` (B, C, L), the (kw*C, span) stack whose rows
+    ``j*C .. (j+1)*C`` hold ``src[b, :, j : j + span]``. One buffer is reused:
+    a stack is valid until the next one is yielded."""
+    c = src.shape[1]
+    stack = np.empty((kw * c, span))
+    for img in src:
+        for j in range(kw):
+            stack[j * c : (j + 1) * c] = img[:, j : j + span]
+        yield stack
+
+
+def _correlate_rows(src: np.ndarray, w_rows: np.ndarray, wp: int, n: int) -> np.ndarray:
+    """(B, co, n) correlation of the flat images ``src`` (B, C, L), on a grid
+    of row width ``wp``, with ``w_rows`` (kh, co, kw*C): ``w_rows[i, o, j*C +
+    c]`` weighs ``src[b, c, p + i*wp + j]`` into column ``p``. Per image,
+    kernel row ``i`` is one GEMM with the row stack's columns from ``i*wp``.
+    Needs ``L >= n + (kh-1)*wp + kw-1``."""
+    kh, co, _ = w_rows.shape
+    out = np.empty((src.shape[0], co, n))
+    tmp = np.empty((co, n))
+    for stack, o in zip(_row_stacks(src, w_rows.shape[2] // src.shape[1], n + (kh - 1) * wp),
+                        out):
+        np.matmul(w_rows[0], stack[:, :n], out=o)
+        for i in range(1, kh):
+            o += np.matmul(w_rows[i], stack[:, i * wp : i * wp + n], out=tmp)
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W): one GEMM per kernel
-    tap (i, j) with the view at ``i*wp + j`` of the zero-padded, row-flattened
-    input ``xp`` (B, ci, hp*wp + kw-1). Output column ``r*wp + c`` is pixel
-    (r, c) for ``c < wo``; the wrap-around columns ``c >= wo`` are dropped.
-    Backward reuses ``xp``: the tape holds about one padded input."""
+    """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time.
+
+    Per image, the kw column shifts of the zero-padded, row-flattened input
+    ``xp`` (B, ci, hp*wp + kw-1) are stacked into one (kw*ci, hp*wp) buffer;
+    each kernel row is then one GEMM of inner dimension kw*ci with that
+    stack. Output column ``r*wp + c`` is pixel (r, c) for ``c < wo``; the
+    wrap-around columns ``c >= wo`` are dropped.
+
+    Backward: the input gradient is the same correlation, of the output
+    gradient zero-padded by (kh-1-padding, kw-1-padding) on a grid of row
+    width ``wp``, with the flipped kernel transposed to (ci, co). The kernel
+    gradient is one GEMM per image and kernel row with the row stack of
+    ``xp``. The tape holds ``xp`` and the output."""
     x4 = x.data.reshape((1,) + x.shape) if x.ndim == 3 else x.data
     if x4.ndim != 4:
         raise ShapeError(f"conv2d: expected (C,H,W) or (B,C,H,W), got {x.shape}")
@@ -336,19 +373,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         raise ConfigError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{ww} "
                           f"padded by {padding}")
 
-    def grid(flat):  # (B, C, hp*wp + kw-1) buffer -> (B, C, hp, wp) padded-image view
-        return flat[:, :, : hp * wp].reshape(bsz, -1, hp, wp)
-
-    inner = np.s_[:, :, padding : padding + h, padding : padding + ww]
     n = ho * wp
-    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # one (co, ci) matrix per tap
     xp = np.zeros((bsz, ci, hp * wp + kw - 1))
-    grid(xp)[inner] = x4
-    acc = np.matmul(wt[0, 0], xp[:, :, :n])
-    tmp = np.empty_like(acc)
-    for i, j, s in taps[1:]:
-        acc += np.matmul(wt[i, j], xp[:, :, s : s + n], out=tmp)
+    xp[:, :, : hp * wp].reshape(bsz, ci, hp, wp)[
+        :, :, padding : padding + h, padding : padding + ww] = x4
+    w_rows = w.data.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)  # [i, o, j*ci + c]
+    acc = _correlate_rows(xp, w_rows, wp, n)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
     out_data = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
     if x.ndim == 3:
@@ -358,20 +388,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
 
     def factory(out):
         def bw():
-            gf = np.zeros((bsz, co, n))  # wrap-around columns get zero grad: they add nothing
-            gf.reshape(bsz, co, ho, wp)[:, :, :, :wo] = out.grad.reshape(bsz, co, ho, wo)
+            g4 = out.grad.reshape(bsz, co, ho, wo)
             if b is not None:
-                accumulate(b, gf.sum(axis=(0, 2)))
+                accumulate(b, g4.sum(axis=(0, 2, 3)))
+            # gpad from offset ``top`` is also the flat (B, co, n) output
+            # gradient, zero in the wrap-around columns, that gw needs
+            ph, pw = kh - 1 - padding, kw - 1 - padding
+            gpad = np.zeros((bsz, co, (h + kh - 1) * wp + kw - 1))
+            gpad[:, :, : (h + kh - 1) * wp].reshape(bsz, co, h + kh - 1, wp)[
+                :, :, ph : ph + ho, pw : pw + wo] = g4
             if w.requires_grad:
-                gw = np.empty(wt.shape)
-                for i, j, s in taps:
-                    gw[i, j] = np.matmul(gf, xp[:, :, s : s + n].transpose(0, 2, 1)).sum(axis=0)
-                accumulate(w, gw.transpose(2, 3, 0, 1))
+                top = ph * wp + pw
+                gw = np.zeros((kh, co, kw * ci))
+                tmp = np.empty((co, kw * ci))
+                for stack, gf in zip(_row_stacks(xp, kw, hp * wp), gpad[:, :, top : top + n]):
+                    for i in range(kh):
+                        gw[i] += np.matmul(gf, stack[:, i * wp : i * wp + n].T, out=tmp)
+                accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
             if x.requires_grad:
-                gxp, tmpx = np.zeros(xp.shape), np.empty((bsz, ci, n))
-                for i, j, s in taps:
-                    gxp[:, :, s : s + n] += np.matmul(wt[i, j].T, gf, out=tmpx)
-                accumulate(x, grid(gxp)[inner].reshape(x.shape))
+                w_flip = w.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(kh, ci, kw * co)
+                gx = _correlate_rows(gpad, w_flip, wp, h * wp)
+                accumulate(x, gx.reshape(bsz, ci, h, wp)[:, :, :, :ww].reshape(x.shape))
 
         return bw
 

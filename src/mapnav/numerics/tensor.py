@@ -108,12 +108,17 @@ def make_op(data: np.ndarray, parents, backward_factory) -> Tensor:
 
 
 def accumulate(t: Tensor, g: np.ndarray):
-    """Add ``g`` into ``t.grad`` if the tensor participates in the graph."""
+    """Add ``g`` into ``t.grad`` if the tensor participates in the graph.
+
+    The first gradient is stored as a private copy: ops may pass views of
+    their output gradient, or one array to several parents (``add``), and a
+    later ``+=`` must not write through into another tensor's grad."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -220,6 +220,40 @@ def test_conv2d_matches_direct_convolution(rng):
         assert np.allclose(out[k], _direct_conv(xb[k], wb, 1), atol=1e-12)
 
 
+def _direct_conv_grads(x, w, pad, g):
+    """Per-pixel loop oracle for the input, kernel and bias gradients of one
+    (C,H,W) image, given the output gradient ``g``."""
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for o in range(g.shape[0]):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                gw[o] += g[o, i, j] * xp[:, i:i + kh, j:j + kw]
+                gxp[:, i:i + kh, j:j + kw] += g[o, i, j] * w[o]
+    return gxp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]], gw, g.sum(axis=(1, 2))
+
+
+def test_conv2d_grads_match_direct_reference(rng):
+    cases = [((3, 5, 6, 6), (3, 5, 3, 3), 1),   # B=3, fewer output than input channels
+             ((2, 5, 6, 6), (3, 5, 3, 3), 0),   # padding 0
+             ((2, 3, 5, 7), (4, 3, 3, 5), 1),   # ci = 3, a 3x5 kernel
+             ((2, 2, 6, 5), (3, 2, 5, 3), 2),   # a 5x3 kernel padded by 2
+             ((2, 3, 6, 4), (2, 3, 1, 1), 0),   # a 1x1 kernel
+             ((3, 5, 7), (2, 3, 3, 3), 1)]      # a (C,H,W) input
+    for xs, ws, pad in cases:
+        x, w, b = P(rng, *xs), P(rng, *ws), P(rng, ws[0])
+        out = nm.conv2d(x, w, b, padding=pad)
+        g = rng.normal(size=out.shape)
+        nm.tsum(nm.mul(out, nm.Tensor(g))).backward()
+        images = zip(x.data, g) if x.ndim == 4 else [(x.data, g)]
+        refs = [_direct_conv_grads(xi, w.data, pad, gi) for xi, gi in images]
+        gx = np.stack([r[0] for r in refs]).reshape(x.shape)
+        assert np.allclose(x.grad, gx, atol=1e-12, rtol=0), (xs, ws, pad)
+        assert np.allclose(w.grad, sum(r[1] for r in refs), atol=1e-12, rtol=0), (xs, ws, pad)
+        assert np.allclose(b.grad, sum(r[2] for r in refs), atol=1e-12, rtol=0), (xs, ws, pad)
+
+
 def test_conv2d_tape_holds_no_patch_matrix(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
@@ -310,6 +344,16 @@ def test_gradient_accumulation_across_reuse(rng):
     loss = nm.tsum(nm.add(a, a))
     loss.backward()
     assert np.allclose(a.grad, 2.0)
+
+
+def test_accumulate_gives_each_tensor_its_own_grad(rng):
+    # add hands one array to both parents; storing it uncopied would let the
+    # later += into a.grad write through into b.grad
+    a, b = P(rng, 3), P(rng, 3)
+    nm.tsum(nm.add(nm.add(a, b), a)).backward()
+    assert np.array_equal(a.grad, np.full(3, 2.0))
+    assert np.array_equal(b.grad, np.ones(3))
+    assert a.grad is not b.grad
 
 
 def test_backward_releases_the_tape(rng):
