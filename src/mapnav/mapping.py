@@ -38,12 +38,26 @@ def world_to_ego(pose: Pose, xy: np.ndarray) -> np.ndarray:
     return np.stack([f, r], axis=1)
 
 
+def _pose_terms(poses) -> tuple[np.ndarray, ...]:
+    """(x, y, cos theta, sin theta) of each pose as (n,) arrays; the cosine
+    and sine are taken per pose, as for one pose."""
+    return (np.array([p.x for p in poses], dtype=float),
+            np.array([p.y for p in poses], dtype=float),
+            np.array([np.cos(p.theta) for p in poses]),
+            np.array([np.sin(p.theta) for p in poses]))
+
+
+def _to_world(x, y, ct, st, f, r) -> tuple[np.ndarray, np.ndarray]:
+    """World (x, y) of ego (forward, right) offsets from poses given by
+    ``_pose_terms``; every argument broadcasts."""
+    return x + f * ct + r * st, y + f * st - r * ct
+
+
 def ego_to_world(pose: Pose, fr: np.ndarray) -> np.ndarray:
     """Ego (forward, right) meters (n,2) -> world points (n,2)."""
     fr = np.atleast_2d(fr)
-    ct, st = np.cos(pose.theta), np.sin(pose.theta)
-    x = pose.x + fr[:, 0] * ct + fr[:, 1] * st
-    y = pose.y + fr[:, 0] * st - fr[:, 1] * ct
+    x, y = _to_world(pose.x, pose.y, np.cos(pose.theta), np.sin(pose.theta),
+                     fr[:, 0], fr[:, 1])
     return np.stack([x, y], axis=1)
 
 
@@ -57,50 +71,63 @@ def cell_to_ego(row: int, col: int, size: int) -> tuple[float, float]:
     return (half - row) * CELL_SIZE, (col - half) * CELL_SIZE
 
 
-def ground_project(scan: DepthScan, size: int = DEFAULT_EGO_SIZE,
-                   num_classes: int = NUM_CLASSES) -> tuple[np.ndarray, np.ndarray]:
-    """Project one scan into single-frame ego grids.
+def _one_hot(labels: np.ndarray, num: int) -> np.ndarray:
+    """(n,num,s,s) float one-hot grids of (n,s,s) uint8 label maps."""
+    return (labels[:, None] == np.arange(num, dtype=np.uint8)[:, None, None]).astype(float)
 
-    Returns (occupancy (3,size,size) one-hot, semantics (c,size,size)).
-    Cells swept by a ray before its hit are free; the hit cell is occupied
-    with the ray's class; everything else is void/unknown.
+
+def ground_project(scans, size: int = DEFAULT_EGO_SIZE,
+                   num_classes: int = NUM_CLASSES) -> tuple[np.ndarray, np.ndarray]:
+    """Project scans into single-frame ego grids.
+
+    ``scans`` is one DepthScan, or a sequence of n scans projected together.
+    Returns (occupancy (3,size,size) one-hot, semantics (c,size,size)), with
+    a leading n axis for a sequence. Cells swept by a ray before its hit are
+    free; the hit cell is occupied with the ray's class; everything else is
+    void/unknown.
     """
-    occ = np.zeros((size, size), dtype=np.int8)       # 0 unknown, 1 free, 2 occupied
-    sem = np.zeros((size, size), dtype=np.int64)      # class label, 0 = void
+    one = isinstance(scans, DepthScan)
+    scans = [scans] if one else scans
+    n = len(scans)
     step = CELL_SIZE / 4.0
     half = size // 2
-    angles = np.asarray(scan.angles)
-    ranges = np.asarray(scan.ranges)
-    classes = np.asarray(scan.classes)
+    # the rays of all scans, each tagged with its scan's index
+    frame = np.repeat(np.arange(n), [len(s.ranges) for s in scans])
+    angles = np.concatenate([s.angles for s in scans])
+    ranges = np.concatenate([s.ranges for s in scans])
+    classes = np.concatenate([s.classes for s in scans])
     cf, sf = np.cos(angles), np.sin(angles)
-    # free sweep: sample every ray at sub-cell steps up to (not including) its
-    # range, all rays on one grid of steps; occupied hits are written
-    # afterwards and take precedence
-    n_steps = np.ceil(ranges / step).astype(int)
-    t = np.arange(n_steps.max(initial=0)) * step
-    rows = half - np.round(t * cf[:, None] / CELL_SIZE).astype(int)
-    cols = half + np.round(-t * sf[:, None] / CELL_SIZE).astype(int)
-    ok = ((np.arange(len(t)) < n_steps[:, None])
-          & (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size))
-    occ[rows[ok], cols[ok]] = 1
-    hit = classes >= 0
-    rows = half - np.round(ranges[hit] * cf[hit] / CELL_SIZE).astype(int)
-    cols = half + np.round(-ranges[hit] * sf[hit] / CELL_SIZE).astype(int)
-    ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
-    occ[rows[ok], cols[ok]] = 2
-    sem[rows[ok], cols[ok]] = classes[hit][ok]
 
-    occ_onehot = np.zeros((3, size, size))
-    occ_onehot[OCC] = occ == 2
-    occ_onehot[FREE] = occ == 1
-    occ_onehot[UNK] = occ == 0
-    sem_onehot = np.zeros((num_classes, size, size))
-    hit = occ == 2
-    hr, hc = np.nonzero(hit)
-    sem_onehot[sem[hit], hr, hc] = 1.0
-    # observed free floor is semantically floor; unknown stays void
-    sem_onehot[FLOOR][occ == 1] = 1.0
-    sem_onehot[VOID][occ == 0] = 1.0
+    def cells(fi, t, c, s):
+        """Flat index of the cell at distance ``t`` along direction (c, s) in
+        frame ``fi``, or the spare index past all frames if off the grid."""
+        rows = half - np.round(t * c / CELL_SIZE).astype(int)
+        cols = half + np.round(-t * s / CELL_SIZE).astype(int)
+        ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
+        return np.where(ok, (fi * size + rows) * size + cols, n * size * size)
+
+    # per cell of all frames (flat, plus the spare): its occupancy channel
+    # and its class label, unknown and void until a ray reaches it
+    occ = np.full(n * size * size + 1, UNK, dtype=np.uint8)
+    sem = np.full(n * size * size + 1, VOID, dtype=np.uint8)
+    # free sweep: sample every ray at sub-cell steps k * step up to (not
+    # including) its range, one run of samples per ray; observed free floor
+    # is semantically floor. Occupied hits are written afterwards and take
+    # precedence.
+    n_steps = np.ceil(ranges / step).astype(int)
+    ray = np.repeat(np.arange(len(ranges)), n_steps)
+    k = np.arange(len(ray)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    free = cells(frame[ray], k * step, cf[ray], sf[ray])
+    occ[free] = FREE
+    sem[free] = FLOOR
+    hit = classes >= 0
+    hits = cells(frame[hit], ranges[hit], cf[hit], sf[hit])
+    occ[hits] = OCC
+    sem[hits] = classes[hit]
+    occ_onehot = _one_hot(occ[:-1].reshape(n, size, size), 3)
+    sem_onehot = _one_hot(sem[:-1].reshape(n, size, size), num_classes)
+    if one:
+        return occ_onehot[0], sem_onehot[0]
     return occ_onehot, sem_onehot
 
 
@@ -108,31 +135,42 @@ def new_global_occupancy(size: int) -> np.ndarray:
     return np.zeros((size, size))
 
 
-def update_global(gmap: np.ndarray, occ_frame: np.ndarray, pose: Pose) -> np.ndarray:
-    """Register a single-frame ego occupancy grid into the world-frame
-    log-odds map (in place; also returned)."""
-    size = occ_frame.shape[-1]
+def update_global(gmap: np.ndarray, occ_frames: np.ndarray, poses) -> np.ndarray:
+    """Register single-frame ego occupancy grids into the world-frame
+    log-odds map, in place and in order.
+
+    ``occ_frames`` is one (3,s,s) frame with its Pose, or (n,3,s,s) frames
+    with a sequence of n poses. The world cells of every frame's evidence
+    are found in one pass; then each frame adds its evidence, occupied cells
+    first, with one ``np.add.at`` and clamps the map. Returns ``gmap``."""
+    one = occ_frames.ndim == 3
+    frames = occ_frames[None] if one else occ_frames
+    n, _, size, _ = frames.shape
     g = gmap.shape[0]
-    for channel, delta in ((OCC, LOGODDS_OCC), (FREE, LOGODDS_FREE)):
-        rows, cols = np.nonzero(occ_frame[channel])
-        if len(rows) == 0:
-            continue
-        half = size // 2
-        f = np.stack([(half - rows) * CELL_SIZE, (cols - half) * CELL_SIZE], axis=1)
-        if channel == OCC:
-            # hit ranges are measured at cell entry, so the ego cell center
-            # sits at or just before the obstacle surface; push the evidence
-            # half a cell away from the agent so it lands inside the
-            # obstacle's world cell instead of the free cell in front of it
-            norm = np.linalg.norm(f, axis=1, keepdims=True)
-            norm[norm == 0] = 1.0
-            f = f + (CELL_SIZE / 2.0) * f / norm
-        world = ego_to_world(pose, f)
-        wr = np.floor(world[:, 1] / CELL_SIZE).astype(int)
-        wc = np.floor(world[:, 0] / CELL_SIZE).astype(int)
-        ok = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-        np.add.at(gmap, (wr[ok], wc[ok]), delta)
-    np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
+    half = size // 2
+    # row-major order: by frame, then each frame's occupied cells before its
+    # free cells
+    fi, ch, rows, cols = np.nonzero(frames[:, [OCC, FREE]] != 0)
+    f = np.stack([(half - rows) * CELL_SIZE, (cols - half) * CELL_SIZE], axis=1)
+    # hit ranges are measured at cell entry, so the ego cell center of an
+    # occupied cell sits at or just before the obstacle surface; push its
+    # evidence half a cell away from the agent so it lands inside the
+    # obstacle's world cell instead of the free cell in front of it
+    norm = np.linalg.norm(f, axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    occupied = ch == 0    # ch indexes (OCC, FREE)
+    f = np.where(occupied[:, None], f + (CELL_SIZE / 2.0) * f / norm, f)
+    x, y, ct, st = _pose_terms([poses] if one else poses)
+    wx, wy = _to_world(x[fi], y[fi], ct[fi], st[fi], f[:, 0], f[:, 1])
+    wr = np.floor(wy / CELL_SIZE).astype(int)
+    wc = np.floor(wx / CELL_SIZE).astype(int)
+    ok = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
+    fi, wr, wc = fi[ok], wr[ok], wc[ok]
+    deltas = np.where(occupied[ok], LOGODDS_OCC, LOGODDS_FREE)
+    bounds = np.searchsorted(fi, np.arange(n + 1))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        np.add.at(gmap, (wr[a:b], wc[a:b]), deltas[a:b])
+        np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
     return gmap
 
 
@@ -150,45 +188,54 @@ def sense(plan: Floorplan, pose: Pose, gmap: np.ndarray | None, ego_size: int,
     return occ_frame, sem_frame
 
 
-def _ego_world_cells(pose: Pose, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """World-grid (row, col) sampled at every ego cell center."""
+def _ego_world_cells(poses, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """World-grid (row, col), each (n,size,size), sampled at every ego cell
+    center of each of n poses."""
     rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     half = size // 2
     f = (half - rows).ravel() * CELL_SIZE
     r = (cols - half).ravel() * CELL_SIZE
-    world = ego_to_world(pose, np.stack([f, r], axis=1))
-    wr = np.floor(world[:, 1] / CELL_SIZE).astype(int)
-    wc = np.floor(world[:, 0] / CELL_SIZE).astype(int)
-    return wr.reshape(size, size), wc.reshape(size, size)
+    x, y, ct, st = (a[:, None] for a in _pose_terms(poses))
+    wx, wy = _to_world(x, y, ct, st, f, r)
+    wr = np.floor(wy / CELL_SIZE).astype(int)
+    wc = np.floor(wx / CELL_SIZE).astype(int)
+    return wr.reshape(-1, size, size), wc.reshape(-1, size, size)
 
 
-def crop_ego_occupancy(gmap: np.ndarray, pose: Pose,
+def crop_ego_occupancy(gmap: np.ndarray, poses,
                        size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
     """Agent-centered, heading-up crop of the global log-odds map as a
-    (3,size,size) one-hot occupied/free/void grid."""
-    g = gmap.shape[0]
-    wr, wc = _ego_world_cells(pose, size)
+    (3,size,size) one-hot occupied/free/void grid.
+
+    For a sequence of n poses the crops come back as (n,3,size,size), and
+    ``gmap`` is either one (g,g) map or (n,g,g), one map per pose."""
+    one = isinstance(poses, Pose)
+    poses = [poses] if one else poses
+    g = gmap.shape[-1]
+    wr, wc = _ego_world_cells(poses, size)
     inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-    vals = np.zeros((size, size))
-    vals[inside] = gmap[wr[inside], wc[inside]]
-    out = np.zeros((3, size, size))
-    out[OCC] = inside & (vals > OCC_THRESHOLD)
-    out[FREE] = inside & (vals < -OCC_THRESHOLD)
-    out[UNK] = 1.0 - out[OCC] - out[FREE]
-    return out
+    maps = np.broadcast_to(gmap, (len(poses), g, g))
+    fi = np.broadcast_to(np.arange(len(poses))[:, None, None], inside.shape)
+    vals = np.zeros(inside.shape)
+    vals[inside] = maps[fi[inside], wr[inside], wc[inside]]
+    labels = np.full(inside.shape, UNK, dtype=np.uint8)
+    labels[inside & (vals > OCC_THRESHOLD)] = OCC
+    labels[inside & (vals < -OCC_THRESHOLD)] = FREE
+    out = _one_hot(labels, 3)
+    return out[0] if one else out
 
 
-def crop_ego_semantic(plan: Floorplan, pose: Pose,
+def crop_ego_semantic(plan: Floorplan, poses,
                       size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
-    """Ground-truth semantic crop of the floorplan, (c,size,size) one-hot.
-    Out-of-world cells are void."""
+    """Ground-truth semantic crop of the floorplan, (c,size,size) one-hot,
+    or (n,c,size,size) for a sequence of n poses. Out-of-world cells are
+    void."""
+    one = isinstance(poses, Pose)
+    poses = [poses] if one else poses
     g = plan.grid.shape[0]
-    wr, wc = _ego_world_cells(pose, size)
+    wr, wc = _ego_world_cells(poses, size)
     inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-    labels = np.zeros((size, size), dtype=np.int64)
+    labels = np.full(inside.shape, VOID, dtype=np.uint8)
     labels[inside] = plan.grid[wr[inside], wc[inside]]
-    out = np.zeros((NUM_CLASSES, size, size))
-    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    out[labels, rows, cols] = 1.0
-    return out
-
+    out = _one_hot(labels, NUM_CLASSES)
+    return out[0] if one else out

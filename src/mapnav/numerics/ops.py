@@ -313,7 +313,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 def _row_stacks(src: np.ndarray, kw: int, span: int):
     """Per image of ``src`` (B, C, L), the (kw*C, span) stack whose rows
     ``j*C .. (j+1)*C`` hold ``src[b, :, j : j + span]``. One buffer is reused:
-    a stack is valid until the next one is yielded."""
+    a stack is valid until the next one is yielded. For ``kw == 1`` the stack
+    is a view of the image itself."""
+    if kw == 1:
+        yield from (img[:, :span] for img in src)
+        return
     c = src.shape[1]
     stack = np.empty((kw * c, span))
     for img in src:

@@ -5,6 +5,19 @@ the accumulated-occupancy ego crop, the single-frame semantic observation,
 the ground-truth semantic crop, and the waypoint supervision targets.
 Grids are stored as label maps (uint8) and expanded to one-hot / Gaussian
 form at batch-assembly time.
+
+An episode's records are built in one walk along its path. Each sample
+closes a stretch: the history poses spaced along the path since the last
+sample, then the sample pose with its jittered heading. Every pose of the
+stretch is raycast in path order before the next heading is drawn, so each
+draw of sensor noise and heading jitter comes from the episode rng in the
+order a per-pose loop would draw it. The stretch's scans are then projected
+in one ``ground_project`` call and registered in one ``update_global``
+call, and the map after the sample frame is kept. After the walk, every
+sample pose is cropped from its map in one ``crop_ego_occupancy`` call and
+from the floorplan in one ``crop_ego_semantic`` call. Projecting a whole
+episode at once would hold its float one-hot frames, ≈0.3 MB each at ego
+48, all at the same time; a stretch holds two or three.
 """
 from __future__ import annotations
 
@@ -16,9 +29,9 @@ import numpy as np
 from ..errors import GenerationError, UsageError
 from ..language.vocab import MAX_TOKENS
 from ..mapping import (FREE, OCC, UNK, crop_ego_occupancy, crop_ego_semantic,
-                       new_global_occupancy, sense, world_to_ego)
+                       ground_project, new_global_occupancy, update_global, world_to_ego)
 from ..model.supervision import make_gt_heatmaps, sample_waypoints
-from ..worldsim.agent import Pose, wrap_angle
+from ..worldsim.agent import Pose, raycast, wrap_angle
 from ..worldsim.episodes import generate_episode
 from ..worldsim.floorplan import NUM_CLASSES, generate_floorplan
 
@@ -79,7 +92,8 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
                           num_rays: int = 64, max_range: float = 4.8,
                           p_noise: float = 0.0) -> list[TrainingRecord]:
     """Sample poses along the ground-truth path and snapshot the accumulated
-    sensor map at each, walking the path once in order."""
+    sensor map at each, walking the path once in order (see the module
+    docstring)."""
     path = np.asarray(episode.gt_path)
     seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
     arcs = np.concatenate([[0.0], np.cumsum(seg)])
@@ -87,36 +101,60 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
     sample_arcs = np.linspace(0.0, total, samples_per_episode)
     wps, wp_arcs = sample_waypoints(path, k)
 
+    def scan(pose):
+        return raycast(plan, pose, num_rays=num_rays, max_range=max_range,
+                       p_noise=p_noise, rng=rng)
+
     gmap = new_global_occupancy(plan.grid.shape[0])
-    records = []
+    sample_poses, maps, chi_labels = [], [], []
     history_s = 0.0
-    for t, sa in enumerate(sample_arcs):
-        # advance the sensor history along the path up to this sample
+    for sa in sample_arcs:
+        # the stretch: the sensor history along the path up to this sample,
+        # then the sample pose with its jittered heading
+        poses = []
         while history_s <= sa + 1e-9:
             hp = _path_point(path, arcs, history_s)
-            hpose = Pose(hp[0], hp[1], _path_heading(path, arcs, history_s))
-            sense(plan, hpose, gmap, ego_size, num_rays, max_range, p_noise, rng)
+            poses.append(Pose(hp[0], hp[1], _path_heading(path, arcs, history_s)))
             if history_s >= total:
                 break
             history_s = min(history_s + HISTORY_SPACING, total)
+        scans = [scan(pose) for pose in poses]
         p = _path_point(path, arcs, sa)
         theta = wrap_angle(_path_heading(path, arcs, sa)
                            + rng.uniform(-HEADING_JITTER, HEADING_JITTER))
-        pose = Pose(float(p[0]), float(p[1]), theta)
-        _, chi_frame = sense(plan, pose, gmap, ego_size, num_rays, max_range, p_noise, rng)
-        occ_crop = crop_ego_occupancy(gmap, pose, ego_size)
-        sem_crop = crop_ego_semantic(plan, pose, ego_size)
-        traversed = (wp_arcs <= sa + 1e-9).astype(np.uint8)
-        records.append(TrainingRecord(
-            episode_id=episode.episode_id, t=t, pose=pose,
-            tokens=np.asarray(episode.tokens, dtype=np.int64),
-            occ_labels=occ_crop.argmax(axis=0).astype(np.uint8),
-            chi_labels=chi_frame.argmax(axis=0).astype(np.uint8),
-            sem_labels=sem_crop.argmax(axis=0).astype(np.uint8),
-            waypoints_ego=world_to_ego(pose, wps),
-            traversed=traversed,
-        ))
-    return records
+        poses.append(Pose(float(p[0]), float(p[1]), theta))
+        scans.append(scan(poses[-1]))
+        gmap_after, chi = _register_stretch(gmap, poses, scans, ego_size)
+        maps.append(gmap_after)
+        chi_labels.append(chi)
+        sample_poses.append(poses[-1])
+    if not sample_poses:
+        return []
+    occ_labels = _labels(crop_ego_occupancy(np.stack(maps), sample_poses, ego_size))
+    sem_labels = _labels(crop_ego_semantic(plan, sample_poses, ego_size))
+    return [TrainingRecord(
+        episode_id=episode.episode_id, t=t, pose=pose,
+        tokens=np.asarray(episode.tokens, dtype=np.int64),
+        occ_labels=occ_labels[t], chi_labels=chi_labels[t], sem_labels=sem_labels[t],
+        waypoints_ego=world_to_ego(pose, wps),
+        traversed=(wp_arcs <= sa + 1e-9).astype(np.uint8),
+    ) for t, (sa, pose) in enumerate(zip(sample_arcs, sample_poses))]
+
+
+def _register_stretch(gmap, poses, scans, ego_size: int):
+    """Project a stretch's scans in one call and register them into ``gmap``
+    in one call. Returns a copy of the map after the stretch's last (sample)
+    frame, and that frame's semantic labels."""
+    occ_frames, sem_frames = ground_project(scans, ego_size)
+    return update_global(gmap, occ_frames, poses).copy(), _labels(sem_frames[-1])
+
+
+def _labels(onehot: np.ndarray) -> np.ndarray:
+    """uint8 label maps of one-hot grids (channels on axis -3): the sum of
+    channel index times value, which is the argmax wherever one channel
+    holds 1 and the rest 0, as in every grid ``mapping`` returns."""
+    index = np.arange(onehot.shape[-3], dtype=float)
+    return np.einsum("...chw,c->...hw", onehot, index).astype(np.uint8)
 
 
 def episode_rng(seed: int, episode) -> np.random.Generator:
@@ -182,17 +220,24 @@ def generate_splits(config) -> dict[str, list]:
 
 
 def save_records(path, records: list[TrainingRecord]):
+    """Write records that share the first record's ego size and ``k``."""
+    s = records[0].occ_labels.shape[0] if records else 0
+    k = len(records[0].waypoints_ego) if records else 0
     for r in records:
         if not (0 <= r.episode_id < 2**32 and 0 <= r.t < 2**16):
             raise UsageError(f"{path}: record (episode {r.episode_id}, t {r.t}) does not fit "
                              "the record format (uint32 episode id, uint16 t)")
+        shapes = tuple(np.shape(a) for a in (r.tokens, r.occ_labels, r.chi_labels,
+                                             r.sem_labels, r.waypoints_ego, r.traversed))
+        if shapes != ((MAX_TOKENS,), (s, s), (s, s), (s, s), (k, 2), (k,)):
+            raise UsageError(f"{path}: record (episode {r.episode_id}, t {r.t}) has field "
+                             f"shapes {shapes}; the file holds {MAX_TOKENS} tokens, "
+                             f"{s}x{s} label maps and k={k} waypoints, as its first record")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         if not records:
             fh.write(struct.pack("<IHHH", 0, 0, 0, 0))
             return
-        s = records[0].occ_labels.shape[0]
-        k = len(records[0].waypoints_ego)
         fh.write(struct.pack("<IHHH", len(records), s, k, MAX_TOKENS))
         for r in records:
             fh.write(struct.pack("<IH", r.episode_id, r.t))

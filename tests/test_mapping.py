@@ -145,7 +145,109 @@ def test_ground_project_matches_per_ray_oracle():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_ground_project_stack_equals_per_scan_oracle():
+    """A stack of scans, with mixed ray counts and ranges, projects frame by
+    frame to what the per-ray oracle gives for each scan alone."""
+    rng = np.random.default_rng(9)
+    angles = np.linspace(-np.pi / 4, np.pi / 4, 5)
+    scans = [DepthScan(angles, np.array([0.0, 1.3, 0.0, 4.8, 0.05]),
+                       np.array([WALL, 4, -1, -1, WALL]), 4.8)]
+    for seed in (0, 1):
+        plan = generate_floorplan(seed)
+        floor = np.argwhere(plan.traversable_mask())
+        for i in range(12):
+            pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
+                        float(rng.uniform(-np.pi, np.pi)))
+            scans.append(raycast(plan, pose, num_rays=(64, 17, 3)[i % 3],
+                                 max_range=(4.8, 4.0)[i % 2], p_noise=0.3,
+                                 rng=np.random.default_rng(i)))
+    scans.append(DepthScan(angles, np.full(5, 4.0), np.full(5, -1), 4.0))
+    for size in (24, 48):
+        occ, sem = ground_project(scans, size)
+        assert occ.shape == (len(scans), 3, size, size)
+        assert sem.shape == (len(scans), NUM_CLASSES, size, size)
+        for i, scan in enumerate(scans):
+            want_occ, want_sem = ground_project_reference(scan, size)
+            assert occ[i].tobytes() == want_occ.tobytes()
+            assert sem[i].tobytes() == want_sem.tobytes()
+
+
 # -------------------------------------------------------------- global map
+def update_global_reference(gmap, occ_frame, pose):
+    """Registration of one frame, one channel at a time: occupied evidence
+    pushed half a cell away from the agent, then free evidence, then the
+    clamp."""
+    size = occ_frame.shape[-1]
+    half = size // 2
+    g = gmap.shape[0]
+    for channel, delta in ((OCC, LOGODDS_OCC), (FREE, LOGODDS_FREE)):
+        rows, cols = np.nonzero(occ_frame[channel])
+        f = np.stack([(half - rows) * CELL_SIZE, (cols - half) * CELL_SIZE], axis=1)
+        if channel == OCC:
+            norm = np.linalg.norm(f, axis=1, keepdims=True)
+            norm[norm == 0] = 1.0
+            f = f + (CELL_SIZE / 2.0) * f / norm
+        world = ego_to_world(pose, f)
+        wr = np.floor(world[:, 1] / CELL_SIZE).astype(int)
+        wc = np.floor(world[:, 0] / CELL_SIZE).astype(int)
+        ok = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
+        np.add.at(gmap, (wr[ok], wc[ok]), delta)
+    np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
+    return gmap
+
+
+def test_update_global_stack_equals_per_frame_loop(plan):
+    """Registering a stack of frames in one call equals registering them one
+    at a time, byte for byte: with cells saturated at both clamps, a frame
+    without evidence, and evidence that falls off the world grid."""
+    rng = np.random.default_rng(3)
+    floor = np.argwhere(plan.traversable_mask())
+    poses, frames = [], []
+    for _ in range(10):
+        pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
+                    float(rng.uniform(-np.pi, np.pi)))
+        poses.append(pose)
+        frames.append(ground_project(raycast(plan, pose), 48)[0])
+    # the same frame again and again drives its cells to the clamps, and its
+    # occupied and free cells swapped pull them back
+    flipped = frames[0][[FREE, OCC, UNK]]
+    poses += [poses[0]] * 9
+    frames += [frames[0]] * 8 + [flipped]
+    empty = np.zeros((3, 48, 48))
+    empty[UNK] = 1.0
+    poses.insert(4, poses[3])
+    frames.insert(4, empty)
+    # free evidence everywhere and a band of occupied cells, facing out of
+    # the world's corner: much of it lands off the grid
+    wide = np.zeros((3, 48, 48))
+    wide[FREE] = 1.0
+    wide[FREE, 10:14, 5:40] = 0.0
+    wide[OCC, 10:14, 5:40] = 1.0
+    corner = Pose(0.3, 0.5, -2.4)
+    poses.append(corner)
+    frames.append(wide)
+    rows, cols = np.nonzero(wide[FREE])
+    world = ego_to_world(corner, np.stack([(24 - rows) * CELL_SIZE, (cols - 24) * CELL_SIZE],
+                                          axis=1))
+    assert (world < 0).any() and (world >= 0).all(axis=1).any()
+
+    want = new_global_occupancy(plan.size)
+    for frame, pose in zip(frames, poses):
+        update_global_reference(want, frame, pose)
+    assert want.max() == LOGODDS_CLAMP and want.min() == -LOGODDS_CLAMP
+    got = new_global_occupancy(plan.size)
+    assert update_global(got, np.stack(frames), poses) is got
+    assert got.tobytes() == want.tobytes()
+    loop = new_global_occupancy(plan.size)
+    for frame, pose in zip(frames, poses):
+        update_global(loop, frame, pose)
+    assert loop.tobytes() == want.tobytes()
+    # a stack of one frame is the one-frame case
+    one = update_global(new_global_occupancy(plan.size), frames[1][None], poses[1:2])
+    assert one.tobytes() == update_global_reference(
+        new_global_occupancy(plan.size), frames[1], poses[1]).tobytes()
+
+
 def frame_with(channel, row, col, size=48):
     occ = np.zeros((3, size, size))
     occ[channel, row, col] = 1.0
@@ -232,6 +334,66 @@ def test_crop_deterministic(plan):
     update_global(gmap, occ, pose)
     assert np.array_equal(crop_ego_occupancy(gmap, pose),
                           crop_ego_occupancy(gmap, pose))
+
+
+def crop_occupancy_reference(gmap, pose, size):
+    """One crop of the log-odds map, sampled at the ego cell centers."""
+    g = gmap.shape[0]
+    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    half = size // 2
+    fr = np.stack([(half - rows).ravel() * CELL_SIZE, (cols - half).ravel() * CELL_SIZE], axis=1)
+    world = ego_to_world(pose, fr)
+    wr = np.floor(world[:, 1] / CELL_SIZE).astype(int).reshape(size, size)
+    wc = np.floor(world[:, 0] / CELL_SIZE).astype(int).reshape(size, size)
+    inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
+    vals = np.zeros((size, size))
+    vals[inside] = gmap[wr[inside], wc[inside]]
+    out = np.zeros((3, size, size))
+    out[OCC] = inside & (vals > OCC_THRESHOLD)
+    out[FREE] = inside & (vals < -OCC_THRESHOLD)
+    out[UNK] = 1.0 - out[OCC] - out[FREE]
+    return out, (wr, wc, inside)
+
+
+def crop_semantic_reference(plan, pose, size):
+    _, (wr, wc, inside) = crop_occupancy_reference(np.zeros(plan.grid.shape), pose, size)
+    labels = np.zeros((size, size), dtype=np.int64)
+    labels[inside] = plan.grid[wr[inside], wc[inside]]
+    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    out = np.zeros((NUM_CLASSES, size, size))
+    out[labels, rows, cols] = 1.0
+    return out
+
+
+def test_crops_of_many_poses_equal_per_pose_crops(plan):
+    """Crops of a sequence of poses, from one shared map or from one map per
+    pose, equal the per-pose crops byte for byte, also at the world border."""
+    rng = np.random.default_rng(4)
+    floor = np.argwhere(plan.traversable_mask())
+    w = plan.size * CELL_SIZE
+    poses = [Pose(*cell_center(*floor[rng.integers(len(floor))]),
+                  float(rng.uniform(-np.pi, np.pi))) for _ in range(8)]
+    poses += [Pose(0.0, 0.0, 0.0), Pose(w - 1e-9, 0.5 * w, np.pi / 2),
+              Pose(0.5 * w, w, -np.pi), Pose(0.1, w - 0.1, 2.3), Pose(w, w, -0.7)]
+    maps, gmap = [], new_global_occupancy(plan.size)
+    for pose in poses[:8] * 2:
+        update_global(gmap, ground_project(raycast(plan, pose), 48)[0], pose)
+        maps.append(gmap.copy())
+    maps = np.stack(maps[-len(poses):])
+    for size in (24, 48):
+        shared = crop_ego_occupancy(gmap, poses, size)
+        each = crop_ego_occupancy(maps, poses, size)
+        sem = crop_ego_semantic(plan, poses, size)
+        assert shared.shape == each.shape == (len(poses), 3, size, size)
+        assert sem.shape == (len(poses), NUM_CLASSES, size, size)
+        for i, pose in enumerate(poses):
+            assert shared[i].tobytes() == crop_occupancy_reference(gmap, pose, size)[0].tobytes()
+            assert each[i].tobytes() == crop_occupancy_reference(maps[i], pose, size)[0].tobytes()
+            assert sem[i].tobytes() == crop_semantic_reference(plan, pose, size).tobytes()
+            assert crop_ego_occupancy(maps[i], pose, size).tobytes() == each[i].tobytes()
+            assert crop_ego_semantic(plan, pose, size).tobytes() == sem[i].tobytes()
+    # border poses see void beyond the world
+    assert (sem[8:, VOID] == 1).any(axis=(1, 2)).all()
 
 
 def test_crop_out_of_world_is_void():

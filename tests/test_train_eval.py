@@ -9,7 +9,9 @@ import pytest
 from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import NumericError, UsageError
-from mapnav.model.supervision import ego_to_heatmap_cell
+from mapnav.mapping import (crop_ego_occupancy, crop_ego_semantic, new_global_occupancy, sense,
+                            world_to_ego)
+from mapnav.model.supervision import ego_to_heatmap_cell, sample_waypoints
 from mapnav.train_eval import (
     METRIC_COLUMNS, TAU_SWEEP, VARIANTS, NavMetrics, aggregate_nav,
     assemble_batch, batch_loss, build_dataset, build_episode_records,
@@ -17,8 +19,11 @@ from mapnav.train_eval import (
     format_table, generate_split, generate_splits, load_records, run_suite, save_records,
     summarize, train, variant_config, write_report,
 )
+from mapnav.train_eval.dataset import (
+    HEADING_JITTER, HISTORY_SPACING, TrainingRecord, _path_heading, _path_point, episode_rng,
+)
 from mapnav.worldsim import (
-    FLOOR, WALL, Floorplan, generate_episode, generate_floorplan,
+    FLOOR, WALL, Floorplan, Pose, generate_episode, generate_floorplan, wrap_angle,
 )
 
 
@@ -128,6 +133,75 @@ def test_save_rejects_fields_the_format_cannot_hold(records, tmp_path):
         with pytest.raises(UsageError, match=f"episode {rec.episode_id}, t {rec.t}"):
             save_records(path, [records[1], rec])
         assert not path.exists()
+
+
+def test_save_rejects_records_of_another_shape(plan, episode, records, tmp_path):
+    """A record file holds the ego size and k of its first record; a record
+    of another shape is refused before anything is written."""
+    ego_48 = build_episode_records(plan, episode, 1, 5, 48, np.random.default_rng(0))[0]
+    k_3 = replace(records[1], waypoints_ego=records[1].waypoints_ego[:3],
+                  traversed=records[1].traversed[:3])
+    for i, rec in enumerate((ego_48, k_3)):
+        path = tmp_path / f"r{i}.bin"
+        with pytest.raises(UsageError, match="24x24 label maps and k=5"):
+            save_records(path, [records[0], rec])
+        assert not path.exists()
+
+
+def build_episode_records_reference(plan, episode, samples_per_episode, k, ego_size, rng,
+                                    num_rays=64, max_range=4.8, p_noise=0.0):
+    """The per-pose record builder: one ``sense`` per sensor pose, one pair
+    of crops per sample, labels by argmax."""
+    path = np.asarray(episode.gt_path)
+    arcs = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))])
+    total = arcs[-1]
+    wps, wp_arcs = sample_waypoints(path, k)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    records = []
+    history_s = 0.0
+    for t, sa in enumerate(np.linspace(0.0, total, samples_per_episode)):
+        while history_s <= sa + 1e-9:
+            hp = _path_point(path, arcs, history_s)
+            hpose = Pose(hp[0], hp[1], _path_heading(path, arcs, history_s))
+            sense(plan, hpose, gmap, ego_size, num_rays, max_range, p_noise, rng)
+            if history_s >= total:
+                break
+            history_s = min(history_s + HISTORY_SPACING, total)
+        p = _path_point(path, arcs, sa)
+        theta = wrap_angle(_path_heading(path, arcs, sa)
+                           + rng.uniform(-HEADING_JITTER, HEADING_JITTER))
+        pose = Pose(float(p[0]), float(p[1]), theta)
+        _, chi_frame = sense(plan, pose, gmap, ego_size, num_rays, max_range, p_noise, rng)
+        records.append(TrainingRecord(
+            episode_id=episode.episode_id, t=t, pose=pose,
+            tokens=np.asarray(episode.tokens, dtype=np.int64),
+            occ_labels=crop_ego_occupancy(gmap, pose, ego_size).argmax(axis=0).astype(np.uint8),
+            chi_labels=chi_frame.argmax(axis=0).astype(np.uint8),
+            sem_labels=crop_ego_semantic(plan, pose, ego_size).argmax(axis=0).astype(np.uint8),
+            waypoints_ego=world_to_ego(pose, wps),
+            traversed=(wp_arcs <= sa + 1e-9).astype(np.uint8)))
+    return records
+
+
+def test_records_equal_per_pose_reference(tmp_path):
+    """Records built by stretches save to the same bytes as records built
+    one pose at a time, on 10 floorplans at p_noise 0, 0.3 and 1.0, ego 24
+    and 48, and 1 or 10 samples per episode."""
+    pairs = generate_split(RunConfig(), range(20, 30), 0, 1)
+    assert len(pairs) == 10
+    got_path, want_path = tmp_path / "got.bin", tmp_path / "want.bin"
+    for p_noise in (0.0, 0.3, 1.0):
+        for ego in (24, 48):
+            for samples in (1, 10):
+                got, want = [], []
+                for plan, ep in pairs:
+                    got += build_episode_records(plan, ep, samples, 5, ego, episode_rng(7, ep),
+                                                 p_noise=p_noise)
+                    want += build_episode_records_reference(plan, ep, samples, 5, ego,
+                                                            episode_rng(7, ep), p_noise=p_noise)
+                save_records(got_path, got)
+                save_records(want_path, want)
+                assert got_path.read_bytes() == want_path.read_bytes(), (p_noise, ego, samples)
 
 
 def test_generate_split_layout():
