@@ -84,6 +84,9 @@ class RunConfig:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
+        if self.episodes_per_floorplan < 1 or self.samples_per_episode < 1:
+            raise ConfigError("episodes_per_floorplan and samples_per_episode must be at least 1, "
+                              f"got {self.episodes_per_floorplan} and {self.samples_per_episode}")
         self.controller_config().validate()
         self.model_config().validate()
         return self

@@ -95,10 +95,9 @@ def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
     bottleneck = h
     for i in reversed(range(spec.depth)):
         if spec.down_flags[i]:
-            # nearest 2x upsample, then a 3x3 conv
-            h = nm.leaky_relu(nm.conv2d(nm.upsample_nearest2(h),
-                                        params[f"{prefix}dec{i}.up.w"],
-                                        params[f"{prefix}dec{i}.up.b"], padding=1))
+            # nearest 2x upsample and a 3x3 conv, as one op on the low-res grid
+            h = nm.leaky_relu(nm.upconv2d(h, params[f"{prefix}dec{i}.up.w"],
+                                          params[f"{prefix}dec{i}.up.b"]))
         else:
             h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}dec{i}.up.w"],
                                         params[f"{prefix}dec{i}.up.b"], padding=1))

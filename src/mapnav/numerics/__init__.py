@@ -5,7 +5,7 @@ from .ops import (
     matmul, linear,
     relu, leaky_relu, sigmoid, softmax, layer_norm,
     embedding_lookup,
-    conv2d, upsample_nearest2, avg_pool2d, bilinear_resize,
+    conv2d, upconv2d, avg_pool2d, bilinear_resize,
     binary_cross_entropy, pixelwise_cross_entropy,
     glorot_uniform, zeros_param, ones_param,
 )

@@ -343,6 +343,20 @@ def _correlate_rows(src: np.ndarray, w_rows: np.ndarray, wp: int, n: int) -> np.
     return out
 
 
+def _kernel_grad_rows(src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int) -> np.ndarray:
+    """(kh, co, kw*C) gradient of the ``w_rows`` of ``_correlate_rows(src,
+    w_rows, wp, n)``, given its (B, co, n) output gradient ``g``: per image,
+    one GEMM per kernel row with the row stack of ``src``. ``g`` must be zero
+    in the wrap-around columns."""
+    n = g.shape[2]
+    gw = np.zeros((kh, g.shape[1], kw * src.shape[1]))
+    tmp = np.empty(gw.shape[1:])
+    for stack, gf in zip(_row_stacks(src, kw, n + (kh - 1) * wp), g):
+        for i in range(kh):
+            gw[i] += np.matmul(gf, stack[:, i * wp : i * wp + n].T, out=tmp)
+    return gw
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
     """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time.
 
@@ -403,11 +417,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
                 :, :, ph : ph + ho, pw : pw + wo] = g4
             if w.requires_grad:
                 top = ph * wp + pw
-                gw = np.zeros((kh, co, kw * ci))
-                tmp = np.empty((co, kw * ci))
-                for stack, gf in zip(_row_stacks(xp, kw, hp * wp), gpad[:, :, top : top + n]):
-                    for i in range(kh):
-                        gw[i] += np.matmul(gf, stack[:, i * wp : i * wp + n].T, out=tmp)
+                gw = _kernel_grad_rows(xp, gpad[:, :, top : top + n], kh, kw, wp)
                 accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
             if x.requires_grad:
                 w_flip = w.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(kh, ci, kw * co)
@@ -419,20 +429,88 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
     return make_op(out_data, parents, factory)
 
 
-def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x spatial upsample of (...,H,W)."""
-    data = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
+def _tap_map() -> np.ndarray:
+    """(9, 16) 0/1 map from a 3x3 tap (u, v) of :func:`upconv2d`'s kernel to
+    its folded 2x2 taps (a, i, e, j). Upsampled row ``2r + a + u - 1`` is
+    low-res row ``r + (a + u - 1) // 2``, i.e. padded row ``r + a + i`` with
+    ``i = (a + u + 1) // 2 - a`` in {0, 1}; columns (e, v, j) likewise."""
+    t = np.zeros((3, 3, 2, 2, 2, 2))
+    for u, v, a, e in np.ndindex(3, 3, 2, 2):
+        t[u, v, a, (a + u + 1) // 2 - a, e, (e + v + 1) // 2 - e] = 1.0
+    return t.reshape(9, 16)
+
+
+_TAPS = _tap_map()
+
+
+def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``conv2d`` of the nearest-neighbour 2x upsample of (B,C,H,W) ``x``
+    with a 3x3 kernel and padding 1, computed on the low-res grid as a
+    sub-pixel convolution; the upsampled tensor is never built.
+
+    Output pixel (2r+a, 2s+e) is the 2x2 correlation, at (r+a, s+e), of the
+    zero-padded low-res input ``xp`` with the folded kernel of phase (a, e),
+    whose taps are sums of ``w``'s taps (``w @ _TAPS``). All four phases are
+    one :func:`_correlate_rows` call with 4*co output channels over the
+    (H+1, W+1) grid; phase (a, e) reads it from row a, column e.
+
+    Backward: the output gradient of phase (a, e) is placed on that grid at
+    row a, column e. The input gradient is its correlation with the flipped
+    folded kernel; the kernel gradient is :func:`_kernel_grad_rows` of it
+    with ``xp``, folded back through ``_TAPS.T``. The tape holds ``xp``, the
+    folded kernel and the output."""
+    if x.ndim != 4:
+        raise ShapeError(f"upconv2d: expected (B,C,H,W), got {x.shape}")
+    if w.ndim != 4:
+        raise ShapeError(f"upconv2d: kernels must be 4D, got {w.shape}")
+    co, ci, kh, kw = w.shape
+    bsz, cin, h, ww = x.shape
+    if ci != cin:
+        raise ShapeError(f"upconv2d: input channels {cin} != kernel channels {ci}")
+    if (kh, kw) != (3, 3):
+        raise ConfigError(f"upconv2d: kernel must be 3x3, got {kh}x{kw}")
+
+    wp = ww + 2
+    n = (h + 1) * wp
+    xp = np.zeros((bsz, ci, (h + 2) * wp + 1))
+    xp[:, :, : (h + 2) * wp].reshape(bsz, ci, h + 2, wp)[:, :, 1 : h + 1, 1 : ww + 1] = x.data
+    folded = (w.data.reshape(co * ci, 9) @ _TAPS).reshape(co, ci, 2, 2, 2, 2)  # [o, c, a, i, e, j]
+    w_rows = folded.transpose(3, 2, 4, 0, 5, 1).reshape(2, 4 * co, 2 * ci)  # [i, (a,e,o), j*ci + c]
+    grid = _correlate_rows(xp, w_rows, wp, n).reshape(bsz, 2, 2, co, h + 1, wp)
+    bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
+    out6 = np.empty((bsz, co, h, 2, ww, 2))
+    for a in range(2):
+        for e in range(2):
+            np.add(grid[:, a, e, :, a : a + h, e : e + ww], bias, out=out6[:, :, :, a, :, e])
+    out_data = out6.reshape(bsz, co, 2 * h, 2 * ww)
+
+    parents = (x, w) if b is None else (x, w, b)
 
     def factory(out):
         def bw():
-            g = out.grad
-            h2, w2 = g.shape[-2], g.shape[-1]
-            g = g.reshape(g.shape[:-2] + (h2 // 2, 2, w2 // 2, 2)).sum(axis=(-3, -1))
-            accumulate(x, g)
+            g6 = out.grad.reshape(bsz, co, h, 2, ww, 2)
+            if b is not None:
+                accumulate(b, out.grad.sum(axis=(0, 2, 3)))
+            gflat = np.zeros((bsz, 2, 2, co, n + 1))
+            ggrid = gflat[..., :n].reshape(bsz, 2, 2, co, h + 1, wp)
+            for a in range(2):
+                for e in range(2):
+                    ggrid[:, a, e, :, a : a + h, e : e + ww] = g6[:, :, :, a, :, e]
+            gflat = gflat.reshape(bsz, 4 * co, n + 1)
+            if w.requires_grad:
+                gw = _kernel_grad_rows(xp, gflat[:, :, :n], 2, 2, wp)  # [i, (a,e,o), j*ci + c]
+                gfold = gw.reshape(2, 2, 2, co, 2, ci).transpose(3, 5, 1, 0, 2, 4)
+                accumulate(w, (gfold.reshape(co * ci, 16) @ _TAPS.T).reshape(co, ci, 3, 3))
+            if x.requires_grad:
+                # w_flip[i', c, j'*4co + (a,e,o)] = folded[o, c, a, 1-i', e, 1-j']
+                w_flip = folded[:, :, :, ::-1, :, ::-1].transpose(3, 1, 5, 2, 4, 0).reshape(
+                    2, ci, 8 * co)
+                gx = _correlate_rows(gflat, w_flip, wp, h * wp)
+                accumulate(x, gx.reshape(bsz, ci, h, wp)[..., :ww])
 
         return bw
 
-    return make_op(data, (x,), factory)
+    return make_op(out_data, parents, factory)
 
 
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:

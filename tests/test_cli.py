@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -231,6 +232,22 @@ def test_config_rejects_invalid():
         tiny_config(ego_size=25)
     with pytest.raises(ConfigError):
         tiny_config(eval_episodes=0)  # an evaluation split holds eval_episodes episodes
+    for field in ("episodes_per_floorplan", "samples_per_episode"):
+        for value in (0, -1):  # no training records, or a raw numpy error
+            with pytest.raises(ConfigError):
+                tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("episodes_per_floorplan", 0),
+                                          ("samples_per_episode", 0),
+                                          ("samples_per_episode", -1)])
+def test_gen_data_rejects_empty_dataset_config(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    dataclasses.replace(tiny_config(), **{field: value}).save(bad)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert field in capsys.readouterr().err
 
 
 def test_exit_code_constants():

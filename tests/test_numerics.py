@@ -133,14 +133,11 @@ def test_grad_conv_ops(rng):
           {"x": x, "w": w, "b": b})
     c2 = nm.Tensor(rng.normal(size=(2, 4, 12, 12)))
     # the UNet's upsampling decoder step
-    check(lambda: nm.tsum(nm.mul(nm.conv2d(nm.upsample_nearest2(x), w, b, padding=1),
-                                 c2)), {"x": x, "w": w})
+    check(lambda: nm.tsum(nm.mul(nm.upconv2d(x, w, b), c2)), {"x": x, "w": w, "b": b})
     c3 = nm.Tensor(rng.normal(size=(2, 3, 3, 3)))
     check(lambda: nm.tsum(nm.mul(nm.avg_pool2d(x, 2), c3)), {"x": x})
     c4 = nm.Tensor(rng.normal(size=(2, 3, 9, 9)))
     check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(x, 9, 9), c4)), {"x": x})
-    c5 = nm.Tensor(rng.normal(size=(2, 3, 12, 12)))
-    check(lambda: nm.tsum(nm.mul(nm.upsample_nearest2(x), c5)), {"x": x})
     c6 = nm.Tensor(rng.normal(size=(2, 3, 4, 5)))
     check(lambda: nm.tsum(nm.mul(nm.bilinear_resize(x, 4, 5), c6)), {"x": x})
     # fewer output than input channels
@@ -174,6 +171,13 @@ def test_conv_contract_errors(rng):
     for padding in (-1, 3):
         with pytest.raises(ConfigError):
             nm.conv2d(x, w3, padding=padding)  # outside [0, kernel size)
+    with pytest.raises(ShapeError):
+        nm.upconv2d(x, w3)  # a (C,H,W) input
+    x4 = P(rng, 2, 3, 6, 6)
+    with pytest.raises(ConfigError):
+        nm.upconv2d(x4, P(rng, 4, 3, 1, 1))  # not 3x3
+    with pytest.raises(ShapeError):
+        nm.upconv2d(x4, P(rng, 4, 2, 3, 3))  # kernel channels differ from the input's
 
 
 def test_grad_losses(rng):
@@ -267,6 +271,47 @@ def test_conv2d_tape_holds_no_patch_matrix(rng):
     # the output plus one zero-padded copy of the input, about 2.1x; an
     # im2col patch matrix alone would be 9x
     assert held <= 3 * x.data.nbytes, held / x.data.nbytes
+
+
+def test_upconv2d_matches_direct_convolution_of_the_upsample(rng):
+    """Forward and x, w, b grads against the per-pixel oracles, run on the
+    nearest-neighbour 2x upsample built with ``np.repeat``."""
+    cases = [((1, 3, 4, 4), 2),
+             ((3, 2, 5, 7), 4),   # B=3, a non-square input
+             ((2, 1, 3, 3), 1),   # ci = co = 1
+             ((2, 3, 1, 1), 2),
+             ((1, 2, 2, 3), 3)]
+    for xs, co in cases:
+        x, w, b = P(rng, *xs), P(rng, co, xs[1], 3, 3), P(rng, co)
+        out = nm.upconv2d(x, w, b)
+        g = rng.normal(size=out.shape)
+        nm.tsum(nm.mul(out, nm.Tensor(g))).backward()
+        up = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+        ref = np.stack([_direct_conv(u, w.data, 1) for u in up]) + b.data[:, None, None]
+        assert out.shape == (xs[0], co, 2 * xs[2], 2 * xs[3])
+        assert np.allclose(out.data, ref, atol=1e-12, rtol=0), (xs, co)
+        refs = [_direct_conv_grads(u, w.data, 1, gi) for u, gi in zip(up, g)]
+        gx = np.stack([r[0] for r in refs])
+        gx = gx.reshape(xs[:3] + (2, xs[3], 2)).sum(axis=(3, 5))  # each pixel feeds a 2x2 block
+        assert np.allclose(x.grad, gx, atol=1e-12, rtol=0), (xs, co)
+        assert np.allclose(w.grad, sum(r[1] for r in refs), atol=1e-12, rtol=0), (xs, co)
+        assert np.allclose(b.grad, sum(r[2] for r in refs), atol=1e-12, rtol=0), (xs, co)
+
+
+def test_upconv2d_tape_holds_no_upsampled_input(rng):
+    x = P(rng, 4, 16, 32, 32)
+    w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
+    tracemalloc.start()
+    try:
+        out = nm.upconv2d(x, w, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the output (4x) plus one zero-padded low-res copy of the input (34*34
+    # of 32*32 cells, about 1.13x) and the folded kernel; the upsampled
+    # input alone would add 4x
+    assert held <= out.data.nbytes + 1.5 * x.data.nbytes, held / x.data.nbytes
 
 
 def test_avg_pool2d_matches_block_means(rng):
