@@ -192,9 +192,12 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     """Closed-loop episode rollout.
 
     ``predict(pose, gmap, occ_frame, sem_frame)`` supplies the (k, u, v)
-    waypoint heatmap stack for the current state; the controller decodes
-    modes, selects the short-term goal, plans one action, and checks the
-    stop rule every step. ``use_gt_map`` plans on the fully-observed
+    waypoint heatmap stack for the current state. ``occ_frame`` is always
+    None: each scan is registered straight into ``gmap``, so there is no
+    single-frame ego occupancy grid; the slot stays because predictor
+    wrappers pass four arguments through. The controller decodes modes,
+    selects the short-term goal, plans one action, and checks the stop rule
+    every step. ``use_gt_map`` plans on the fully-observed
     floorplan map instead of accumulated sensing (isolates controller
     behavior from mapping noise). ``p_noise`` and ``rng`` drive the sensor's
     label noise.
@@ -210,9 +213,9 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     best_zeta = 0           # waypoint progress is monotone along the sequence
     committed = None        # latched world-frame short-term goal
     for t in range(config.budget):
-        occ_frame, sem_frame = sense(plan, pose, None if use_gt_map else gmap, ego_size,
-                                     num_rays, max_range, p_noise, rng)
-        heatmaps = predict(pose, gmap, occ_frame, sem_frame)
+        sem_frame = sense(plan, pose, None if use_gt_map else gmap, ego_size,
+                          num_rays, max_range, p_noise, rng)
+        heatmaps = predict(pose, gmap, None, sem_frame)
         points = decode_waypoints(heatmaps)
         conf = float(np.max(heatmaps[-1]))
         if stop_decision(points[-1], conf, config):

@@ -1,4 +1,10 @@
-"""Egocentric grids: ground projection, Bayesian occupancy, cropping.
+"""Sensing into grids: ego semantic projection, world-frame Bayesian
+occupancy, egocentric crops.
+
+Each depth scan is registered straight into the world-frame log-odds map:
+every ray updates the world cells its samples and its hit fall in, one
+quantisation per point. Only the semantic observation is projected into
+the ego frame.
 
 Ego frame convention: the agent sits at the center cell (h/2, w/2) facing
 "up" (decreasing row). Forward distance f and rightward lateral distance r of
@@ -9,7 +15,7 @@ a world point map to
 with f = dx*cos(t) + dy*sin(t) and r = dx*sin(t) - dy*cos(t) for an agent at
 pose (x, y, t).
 
-Occupancy channels are ordered (occupied, free, void).
+Occupancy crop channels are ordered (occupied, free, void).
 """
 from __future__ import annotations
 
@@ -66,36 +72,42 @@ def ego_to_cell(f: float, r: float, size: int) -> tuple[int, int]:
     return half - int(np.round(f / CELL_SIZE)), half + int(np.round(r / CELL_SIZE))
 
 
-def cell_to_ego(row: int, col: int, size: int) -> tuple[float, float]:
-    half = size // 2
-    return (half - row) * CELL_SIZE, (col - half) * CELL_SIZE
-
-
 def _one_hot(labels: np.ndarray, num: int) -> np.ndarray:
     """(n,num,s,s) float one-hot grids of (n,s,s) uint8 label maps."""
     return (labels[:, None] == np.arange(num, dtype=np.uint8)[:, None, None]).astype(float)
 
 
-def ground_project(scans, size: int = DEFAULT_EGO_SIZE,
-                   num_classes: int = NUM_CLASSES) -> tuple[np.ndarray, np.ndarray]:
-    """Project scans into single-frame ego grids.
+def _ray_samples(scans) -> tuple[np.ndarray, ...]:
+    """The rays of a sequence of scans and where each one is sampled.
+
+    Returns per ray its scan index, angle, range and class, and per free
+    sample its ray index and its distance along the ray. A ray's free
+    samples lie at j * CELL_SIZE/4 for j < ceil(range / step): up to, not
+    including, its range."""
+    step = CELL_SIZE / 4.0
+    frame = np.repeat(np.arange(len(scans)), [len(s.ranges) for s in scans])
+    angles = np.concatenate([s.angles for s in scans])
+    ranges = np.concatenate([s.ranges for s in scans])
+    classes = np.concatenate([s.classes for s in scans])
+    n_steps = np.ceil(ranges / step).astype(int)
+    ray = np.repeat(np.arange(len(ranges)), n_steps)
+    j = np.arange(len(ray)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    return frame, angles, ranges, classes, ray, j * step
+
+
+def ground_project(scans, size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
+    """Project scans into single-frame ego semantic grids.
 
     ``scans`` is one DepthScan, or a sequence of n scans projected together.
-    Returns (occupancy (3,size,size) one-hot, semantics (c,size,size)), with
-    a leading n axis for a sequence. Cells swept by a ray before its hit are
-    free; the hit cell is occupied with the ray's class; everything else is
-    void/unknown.
+    Returns the (c,size,size) one-hot semantics, with a leading n axis for
+    a sequence. Cells a ray's free samples reach are floor; the hit cell
+    takes the ray's class; everything else is void.
     """
     one = isinstance(scans, DepthScan)
     scans = [scans] if one else scans
     n = len(scans)
-    step = CELL_SIZE / 4.0
     half = size // 2
-    # the rays of all scans, each tagged with its scan's index
-    frame = np.repeat(np.arange(n), [len(s.ranges) for s in scans])
-    angles = np.concatenate([s.angles for s in scans])
-    ranges = np.concatenate([s.ranges for s in scans])
-    classes = np.concatenate([s.classes for s in scans])
+    frame, angles, ranges, classes, ray, t = _ray_samples(scans)
     cf, sf = np.cos(angles), np.sin(angles)
 
     def cells(fi, t, c, s):
@@ -106,91 +118,79 @@ def ground_project(scans, size: int = DEFAULT_EGO_SIZE,
         ok = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
         return np.where(ok, (fi * size + rows) * size + cols, n * size * size)
 
-    # per cell of all frames (flat, plus the spare): its occupancy channel
-    # and its class label, unknown and void until a ray reaches it
-    occ = np.full(n * size * size + 1, UNK, dtype=np.uint8)
+    # the class label per cell of all frames (flat, plus the spare), void
+    # until a ray reaches it; hits are written after the free samples and
+    # take precedence
     sem = np.full(n * size * size + 1, VOID, dtype=np.uint8)
-    # free sweep: sample every ray at sub-cell steps k * step up to (not
-    # including) its range, one run of samples per ray; observed free floor
-    # is semantically floor. Occupied hits are written afterwards and take
-    # precedence.
-    n_steps = np.ceil(ranges / step).astype(int)
-    ray = np.repeat(np.arange(len(ranges)), n_steps)
-    k = np.arange(len(ray)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
-    free = cells(frame[ray], k * step, cf[ray], sf[ray])
-    occ[free] = FREE
-    sem[free] = FLOOR
+    sem[cells(frame[ray], t, cf[ray], sf[ray])] = FLOOR
     hit = classes >= 0
-    hits = cells(frame[hit], ranges[hit], cf[hit], sf[hit])
-    occ[hits] = OCC
-    sem[hits] = classes[hit]
-    occ_onehot = _one_hot(occ[:-1].reshape(n, size, size), 3)
-    sem_onehot = _one_hot(sem[:-1].reshape(n, size, size), num_classes)
-    if one:
-        return occ_onehot[0], sem_onehot[0]
-    return occ_onehot, sem_onehot
+    sem[cells(frame[hit], ranges[hit], cf[hit], sf[hit])] = classes[hit]
+    onehot = _one_hot(sem[:-1].reshape(n, size, size), NUM_CLASSES)
+    return onehot[0] if one else onehot
 
 
 def new_global_occupancy(size: int) -> np.ndarray:
     return np.zeros((size, size))
 
 
-def update_global(gmap: np.ndarray, occ_frames: np.ndarray, poses) -> np.ndarray:
-    """Register single-frame ego occupancy grids into the world-frame
-    log-odds map, in place and in order.
+# log-odds delta per registration mark: no evidence, free, occupied
+_MARK_DELTAS = np.array([0.0, LOGODDS_FREE, LOGODDS_OCC])
 
-    ``occ_frames`` is one (3,s,s) frame with its Pose, or (n,3,s,s) frames
-    with a sequence of n poses. The world cells of every frame's evidence
-    are found in one pass; then each frame adds its evidence, occupied cells
-    first, with one ``np.add.at`` and clamps the map. Returns ``gmap``."""
-    one = occ_frames.ndim == 3
-    frames = occ_frames[None] if one else occ_frames
-    n, _, size, _ = frames.shape
-    g = gmap.shape[0]
-    half = size // 2
-    # row-major order: by frame, then each frame's occupied cells before its
-    # free cells
-    fi, ch, rows, cols = np.nonzero(frames[:, [OCC, FREE]] != 0)
-    f = np.stack([(half - rows) * CELL_SIZE, (cols - half) * CELL_SIZE], axis=1)
-    # hit ranges are measured at cell entry, so the ego cell center of an
-    # occupied cell sits at or just before the obstacle surface; push its
-    # evidence half a cell away from the agent so it lands inside the
-    # obstacle's world cell instead of the free cell in front of it
-    norm = np.linalg.norm(f, axis=1, keepdims=True)
-    norm[norm == 0] = 1.0
-    occupied = ch == 0    # ch indexes (OCC, FREE)
-    f = np.where(occupied[:, None], f + (CELL_SIZE / 2.0) * f / norm, f)
-    x, y, ct, st = _pose_terms([poses] if one else poses)
-    wx, wy = _to_world(x[fi], y[fi], ct[fi], st[fi], f[:, 0], f[:, 1])
-    wr = np.floor(wy / CELL_SIZE).astype(int)
-    wc = np.floor(wx / CELL_SIZE).astype(int)
-    ok = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-    fi, wr, wc = fi[ok], wr[ok], wc[ok]
-    deltas = np.where(occupied[ok], LOGODDS_OCC, LOGODDS_FREE)
-    bounds = np.searchsorted(fi, np.arange(n + 1))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        np.add.at(gmap, (wr[a:b], wc[a:b]), deltas[a:b])
+
+def update_global(gmap: np.ndarray, scans, poses) -> np.ndarray:
+    """Register depth scans into the world-frame log-odds map, in place and
+    in order.
+
+    ``scans`` is one DepthScan with its Pose, or a sequence of n scans with
+    n poses. A ray at pose (x, y, t) points at t + angle. Its free samples
+    and its hit, at range + 1e-6 so that it lies inside the cell the ray
+    entered, are floored to world cells; off the grid they are dropped.
+    Each scan adds one ``LOGODDS_OCC`` or ``LOGODDS_FREE`` per cell,
+    occupied over free, and then clamps the map. Returns ``gmap``."""
+    one = isinstance(scans, DepthScan)
+    scans, poses = ([scans], [poses]) if one else (scans, poses)
+    n, g = len(scans), gmap.shape[0]
+    frame, angles, ranges, classes, ray, t = _ray_samples(scans)
+    x, y, _, _ = _pose_terms(poses)
+    heading = np.array([p.theta for p in poses], dtype=float)[frame] + angles
+    cw, sw = np.cos(heading), np.sin(heading)
+
+    def cells(fi, t, c, s):
+        """Flat index of the world cell at distance ``t`` along direction
+        (c, s) from frame ``fi``'s pose, or the spare index if off the grid."""
+        rows = np.floor((y[fi] + t * s) / CELL_SIZE).astype(int)
+        cols = np.floor((x[fi] + t * c) / CELL_SIZE).astype(int)
+        ok = (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
+        return np.where(ok, (fi * g + rows) * g + cols, n * g * g)
+
+    # one mark per cell of each frame: free marks first, then occupied ones
+    marks = np.zeros(n * g * g + 1, dtype=np.uint8)
+    marks[cells(frame[ray], t, cw[ray], sw[ray])] = 1
+    hit = classes >= 0
+    marks[cells(frame[hit], ranges[hit] + 1e-6, cw[hit], sw[hit])] = 2
+    for frame_marks in marks[:-1].reshape(n, g, g):
+        gmap += _MARK_DELTAS[frame_marks]
         np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
     return gmap
 
 
 def sense(plan: Floorplan, pose: Pose, gmap: np.ndarray | None, ego_size: int,
           num_rays: int, max_range: float, p_noise: float,
-          rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """One observation: raycast at ``pose``, project it into single-frame ego
-    grids and register the occupancy into ``gmap`` (skipped when ``gmap`` is
-    None). Returns (occupancy frame, semantic frame)."""
+          rng: np.random.Generator | None) -> np.ndarray:
+    """One observation: raycast at ``pose``, register the scan into ``gmap``
+    (skipped when ``gmap`` is None) and project it into a single-frame ego
+    semantic grid, which is returned."""
     scan = raycast(plan, pose, num_rays=num_rays, max_range=max_range,
                    p_noise=p_noise, rng=rng)
-    occ_frame, sem_frame = ground_project(scan, ego_size)
     if gmap is not None:
-        update_global(gmap, occ_frame, pose)
-    return occ_frame, sem_frame
+        update_global(gmap, scan, pose)
+    return ground_project(scan, ego_size)
 
 
-def _ego_world_cells(poses, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """World-grid (row, col), each (n,size,size), sampled at every ego cell
-    center of each of n poses."""
+def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
+    """(n,size,size) values of ``grids`` (one (g,g) grid, or (n,g,g), one
+    per pose) at every ego cell center of each of n poses; ``fill`` where
+    a center lies off the grid."""
     rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     half = size // 2
     f = (half - rows).ravel() * CELL_SIZE
@@ -199,7 +199,12 @@ def _ego_world_cells(poses, size: int) -> tuple[np.ndarray, np.ndarray]:
     wx, wy = _to_world(x, y, ct, st, f, r)
     wr = np.floor(wy / CELL_SIZE).astype(int)
     wc = np.floor(wx / CELL_SIZE).astype(int)
-    return wr.reshape(-1, size, size), wc.reshape(-1, size, size)
+    n, g = len(poses), grids.shape[-1]
+    inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
+    fi = np.broadcast_to(np.arange(n)[:, None], inside.shape)
+    vals = np.full(inside.shape, fill, dtype=grids.dtype)
+    vals[inside] = np.broadcast_to(grids, (n, g, g))[fi[inside], wr[inside], wc[inside]]
+    return vals.reshape(n, size, size)
 
 
 def crop_ego_occupancy(gmap: np.ndarray, poses,
@@ -210,17 +215,10 @@ def crop_ego_occupancy(gmap: np.ndarray, poses,
     For a sequence of n poses the crops come back as (n,3,size,size), and
     ``gmap`` is either one (g,g) map or (n,g,g), one map per pose."""
     one = isinstance(poses, Pose)
-    poses = [poses] if one else poses
-    g = gmap.shape[-1]
-    wr, wc = _ego_world_cells(poses, size)
-    inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-    maps = np.broadcast_to(gmap, (len(poses), g, g))
-    fi = np.broadcast_to(np.arange(len(poses))[:, None, None], inside.shape)
-    vals = np.zeros(inside.shape)
-    vals[inside] = maps[fi[inside], wr[inside], wc[inside]]
-    labels = np.full(inside.shape, UNK, dtype=np.uint8)
-    labels[inside & (vals > OCC_THRESHOLD)] = OCC
-    labels[inside & (vals < -OCC_THRESHOLD)] = FREE
+    vals = _crop_values(gmap, [poses] if one else poses, size, 0.0)
+    labels = np.full(vals.shape, UNK, dtype=np.uint8)
+    labels[vals > OCC_THRESHOLD] = OCC
+    labels[vals < -OCC_THRESHOLD] = FREE
     out = _one_hot(labels, 3)
     return out[0] if one else out
 
@@ -231,11 +229,6 @@ def crop_ego_semantic(plan: Floorplan, poses,
     or (n,c,size,size) for a sequence of n poses. Out-of-world cells are
     void."""
     one = isinstance(poses, Pose)
-    poses = [poses] if one else poses
-    g = plan.grid.shape[0]
-    wr, wc = _ego_world_cells(poses, size)
-    inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-    labels = np.full(inside.shape, VOID, dtype=np.uint8)
-    labels[inside] = plan.grid[wr[inside], wc[inside]]
-    out = _one_hot(labels, NUM_CLASSES)
+    out = _one_hot(_crop_values(plan.grid, [poses] if one else poses, size, VOID),
+                   NUM_CLASSES)
     return out[0] if one else out

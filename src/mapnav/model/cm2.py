@@ -253,9 +253,14 @@ class CM2Model:
         config = ModelConfig(**cfg)
         params = {k: nm.Tensor(v, requires_grad=True) for k, v in raw.items()}
         model = cls(config, params=params)
-        # verify stored parameter shapes against a fresh init
+        # verify stored parameter names and shapes against a fresh init
         ref = cls(config, rng=np.random.default_rng(0))
+        names, want = set(params), set(ref.params)
+        if names != want:
+            raise ConfigError("checkpoint incompatible with config: " + ", ".join(
+                [f"missing '{n}'" for n in sorted(want - names)]
+                + [f"unexpected '{n}'" for n in sorted(names - want)]))
         for name, p in ref.params.items():
-            if name not in params or params[name].shape != p.shape:
+            if params[name].shape != p.shape:
                 raise ConfigError(f"checkpoint incompatible with config at '{name}'")
         return model

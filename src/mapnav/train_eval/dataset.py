@@ -11,13 +11,12 @@ closes a stretch: the history poses spaced along the path since the last
 sample, then the sample pose with its jittered heading. Every pose of the
 stretch is raycast in path order before the next heading is drawn, so each
 draw of sensor noise and heading jitter comes from the episode rng in the
-order a per-pose loop would draw it. The stretch's scans are then projected
-in one ``ground_project`` call and registered in one ``update_global``
-call, and the map after the sample frame is kept. After the walk, every
-sample pose is cropped from its map in one ``crop_ego_occupancy`` call and
-from the floorplan in one ``crop_ego_semantic`` call. Projecting a whole
-episode at once would hold its float one-hot frames, ≈0.3 MB each at ego
-48, all at the same time; a stretch holds two or three.
+order a per-pose loop would draw it. The stretch's scans are registered in
+one ``update_global`` call, and the map after the sample frame is kept.
+After the walk, the sample scans are projected in one ``ground_project``
+call, and every sample pose is cropped from its map in one
+``crop_ego_occupancy`` call and from the floorplan in one
+``crop_ego_semantic`` call.
 """
 from __future__ import annotations
 
@@ -106,7 +105,7 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
                        p_noise=p_noise, rng=rng)
 
     gmap = new_global_occupancy(plan.grid.shape[0])
-    sample_poses, maps, chi_labels = [], [], []
+    sample_poses, sample_scans, maps = [], [], []
     history_s = 0.0
     for sa in sample_arcs:
         # the stretch: the sensor history along the path up to this sample,
@@ -124,13 +123,13 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
                            + rng.uniform(-HEADING_JITTER, HEADING_JITTER))
         poses.append(Pose(float(p[0]), float(p[1]), theta))
         scans.append(scan(poses[-1]))
-        gmap_after, chi = _register_stretch(gmap, poses, scans, ego_size)
-        maps.append(gmap_after)
-        chi_labels.append(chi)
+        maps.append(update_global(gmap, scans, poses).copy())
         sample_poses.append(poses[-1])
+        sample_scans.append(scans[-1])
     if not sample_poses:
         return []
     occ_labels = _labels(crop_ego_occupancy(np.stack(maps), sample_poses, ego_size))
+    chi_labels = _labels(ground_project(sample_scans, ego_size))
     sem_labels = _labels(crop_ego_semantic(plan, sample_poses, ego_size))
     return [TrainingRecord(
         episode_id=episode.episode_id, t=t, pose=pose,
@@ -139,14 +138,6 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         waypoints_ego=world_to_ego(pose, wps),
         traversed=(wp_arcs <= sa + 1e-9).astype(np.uint8),
     ) for t, (sa, pose) in enumerate(zip(sample_arcs, sample_poses))]
-
-
-def _register_stretch(gmap, poses, scans, ego_size: int):
-    """Project a stretch's scans in one call and register them into ``gmap``
-    in one call. Returns a copy of the map after the stretch's last (sample)
-    frame, and that frame's semantic labels."""
-    occ_frames, sem_frames = ground_project(scans, ego_size)
-    return update_global(gmap, occ_frames, poses).copy(), _labels(sem_frames[-1])
 
 
 def _labels(onehot: np.ndarray) -> np.ndarray:

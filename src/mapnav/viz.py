@@ -119,8 +119,8 @@ def export_rollout(trace_path, model, config, plan, episode, out_dir):
     for row in steps:
         t = row["t"]
         pose = Pose(*row["pose"])
-        _, sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays,
-                             config.max_range, config.p_noise, rng)
+        sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays,
+                          config.max_range, config.p_noise, rng)
         out = forward(pose, gmap, sem_frame)
         sem_labels = np.asarray(out.sem.data[0]).argmax(axis=0)
         decoded = decode_waypoints(np.asarray(out.heatmaps.data[0]))

@@ -304,6 +304,31 @@ def test_closed_loop_with_gt_maps_and_heatmaps():
     assert elapsed < 600.0, f"closed-loop suite took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
+def test_closed_loop_with_sensed_maps_and_perfect_heatmaps():
+    """The episodes and success rule of the ground-truth-map test above, with
+    the planner on the map sensed along the way: the registration must not
+    wall off doorways the floorplan leaves open."""
+    config = ControllerConfig()
+    successes = runs = 0
+    for fp_seed in range(10):
+        plan = generate_floorplan(fp_seed)
+        for s in range(10):
+            ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
+
+            def predict(pose, gmap, occ_frame, sem_frame, _ep=ep):
+                return make_path_supervision(_ep.gt_path, pose, 10, 24, 24).heatmaps
+
+            result = run_rollout(plan, ep, predict, config, use_gt_map=False)
+            runs += 1
+            if result.stopped:
+                x, y, _ = result.trajectory[-1]
+                if math.hypot(x - ep.goal[0], y - ep.goal[1]) <= config.success_radius:
+                    successes += 1
+    assert runs == 100
+    assert successes / runs >= 0.95, f"{successes}/{runs}"
+
+
 # ======================================================================
 # 5. Metric oracle
 # ======================================================================

@@ -115,6 +115,18 @@ def test_eval_truncated_checkpoint(workdir, tmp_path, capsys):
     assert "truncated or corrupt checkpoint" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_extra_tensor(workdir, tmp_path, capsys):
+    import numpy as np
+    from mapnav.numerics import load_checkpoint, save_checkpoint
+    params, cfg = load_checkpoint(workdir["run"] / "model.ckpt")
+    bad = tmp_path / "extra.ckpt"
+    save_checkpoint(bad, dict(params, **{"bogus.w": np.zeros((2, 3))}), config=cfg)
+    assert main(["eval", "--config", str(workdir["config"]), "--ckpt", str(bad),
+                 "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")]) == EXIT_USAGE
+    assert "unexpected 'bogus.w'" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_config_disagreeing_with_checkpoint_is_rejected(workdir, tmp_path, capsys):
     other = tmp_path / "k7.json"
     tiny_config(k=7, d=32).save(other)

@@ -5,7 +5,7 @@ import pytest
 
 from mapnav.mapping import (
     FREE, OCC, UNK, LOGODDS_CLAMP, LOGODDS_FREE, LOGODDS_OCC, OCC_THRESHOLD,
-    cell_to_ego, crop_ego_occupancy, crop_ego_semantic, ego_to_cell,
+    crop_ego_occupancy, crop_ego_semantic, ego_to_cell,
     ego_to_world, ground_project, new_global_occupancy, sense,
     update_global, world_to_ego,
 )
@@ -41,8 +41,6 @@ def test_ego_cell_conventions():
     assert ego_to_cell(1.0, 0.0, 48) == (19, 24)
     # 1 m to the right -> 5 columns right of center
     assert ego_to_cell(0.0, 1.0, 48) == (24, 29)
-    assert cell_to_ego(19, 24, 48) == pytest.approx((1.0, 0.0))
-    assert cell_to_ego(24, 29, 48) == pytest.approx((0.0, 1.0))
 
 
 def test_left_of_heading_is_smaller_column():
@@ -56,35 +54,32 @@ def test_left_of_heading_is_smaller_column():
 
 # --------------------------------------------------------- ground projection
 def test_ground_project_perpendicular_ray():
-    occ, sem = ground_project(one_ray_scan(1.0, WALL), size=48)
+    sem = ground_project(one_ray_scan(1.0, WALL), size=48)
     col = 24
-    # 5 free cells walking up from the agent, then the occupied hit
-    assert occ[FREE, 24, col] == 1 and occ[FREE, 20, col] == 1
-    assert np.all(occ[FREE, 20:25, col] == 1)
-    assert occ[OCC, 19, col] == 1
+    # 5 floor cells walking up from the agent, then the wall hit
+    assert sem[FLOOR, 24, col] == 1 and sem[FLOOR, 20, col] == 1
+    assert np.all(sem[FLOOR, 20:25, col] == 1)
     assert sem[WALL, 19, col] == 1
-    assert occ[OCC].sum() == 1
+    assert sem[WALL].sum() == 1
 
 
 def test_ground_project_behind_is_void():
     plan = generate_floorplan(0)
     pose = Pose(6.4, 6.4, 1.1)
-    occ, _ = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
-    assert np.all(occ[UNK, 26:, :] == 1)  # rows behind the agent untouched
+    sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
+    assert np.all(sem[VOID, 26:, :] == 1)  # rows behind the agent untouched
 
 
 def test_ground_project_no_hit_free_only():
-    occ, sem = ground_project(one_ray_scan(4.8, -1), size=48)
-    assert occ[OCC].sum() == 0
-    assert occ[FREE].sum() > 0
-    assert np.all(sem[FLOOR] == occ[FREE])
+    sem = ground_project(one_ray_scan(4.8, -1), size=48)
+    assert sem[FLOOR].sum() > 0
+    assert np.all(sem[FLOOR] + sem[VOID] == 1)
 
 
 def test_ground_project_one_hot():
     plan = generate_floorplan(1)
     pose = Pose(6.4, 6.4, -0.4)
-    occ, sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
-    assert np.array_equal(occ.sum(axis=0), np.ones((48, 48)))
+    sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
     assert np.array_equal(sem.sum(axis=0), np.ones((48, 48)))
 
 
@@ -108,13 +103,12 @@ def ground_project_reference(scan, size):
         if 0 <= r < size and 0 <= c < size:
             occ[r, c] = 2
             sem[r, c] = scan.classes[i]
-    occ_onehot = np.stack([occ == 2, occ == 1, occ == 0]).astype(np.float64)
     sem_onehot = np.zeros((NUM_CLASSES, size, size))
     for r, c in np.argwhere(occ == 2):
         sem_onehot[sem[r, c], r, c] = 1.0
     sem_onehot[FLOOR][occ == 1] = 1.0
     sem_onehot[VOID][occ == 0] = 1.0
-    return occ_onehot, sem_onehot
+    return sem_onehot
 
 
 def test_ground_project_matches_per_ray_oracle():
@@ -141,8 +135,7 @@ def test_ground_project_matches_per_ray_oracle():
         for scan in scans:
             got = ground_project(scan, size)
             want = ground_project_reference(scan, size)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ground_project_stack_equals_per_scan_oracle():
@@ -163,132 +156,151 @@ def test_ground_project_stack_equals_per_scan_oracle():
                                  rng=np.random.default_rng(i)))
     scans.append(DepthScan(angles, np.full(5, 4.0), np.full(5, -1), 4.0))
     for size in (24, 48):
-        occ, sem = ground_project(scans, size)
-        assert occ.shape == (len(scans), 3, size, size)
+        sem = ground_project(scans, size)
         assert sem.shape == (len(scans), NUM_CLASSES, size, size)
         for i, scan in enumerate(scans):
-            want_occ, want_sem = ground_project_reference(scan, size)
-            assert occ[i].tobytes() == want_occ.tobytes()
-            assert sem[i].tobytes() == want_sem.tobytes()
+            assert sem[i].tobytes() == ground_project_reference(scan, size).tobytes()
 
 
 # -------------------------------------------------------------- global map
-def update_global_reference(gmap, occ_frame, pose):
-    """Registration of one frame, one channel at a time: occupied evidence
-    pushed half a cell away from the agent, then free evidence, then the
-    clamp."""
-    size = occ_frame.shape[-1]
-    half = size // 2
+def update_global_reference(gmap, scan, pose):
+    """Registration of one scan, one ray and one sample at a time, in world
+    coordinates: each ray points at the heading plus its angle; its free
+    samples at j * CELL_SIZE/4 below its range and its hit just past its
+    range are floored to world cells; each cell takes one occupied or free
+    update, occupied over free; then the map is clamped."""
     g = gmap.shape[0]
-    for channel, delta in ((OCC, LOGODDS_OCC), (FREE, LOGODDS_FREE)):
-        rows, cols = np.nonzero(occ_frame[channel])
-        f = np.stack([(half - rows) * CELL_SIZE, (cols - half) * CELL_SIZE], axis=1)
-        if channel == OCC:
-            norm = np.linalg.norm(f, axis=1, keepdims=True)
-            norm[norm == 0] = 1.0
-            f = f + (CELL_SIZE / 2.0) * f / norm
-        world = ego_to_world(pose, f)
-        wr = np.floor(world[:, 1] / CELL_SIZE).astype(int)
-        wc = np.floor(world[:, 0] / CELL_SIZE).astype(int)
-        ok = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
-        np.add.at(gmap, (wr[ok], wc[ok]), delta)
+    step = CELL_SIZE / 4.0
+    heading = pose.theta + scan.angles
+    cos, sin = np.cos(heading), np.sin(heading)
+    marks = {}
+
+    def mark(i, t, delta):
+        row = math.floor((pose.y + t * sin[i]) / CELL_SIZE)
+        col = math.floor((pose.x + t * cos[i]) / CELL_SIZE)
+        if 0 <= row < g and 0 <= col < g:
+            marks[row, col] = delta
+
+    for i, r in enumerate(scan.ranges):
+        for j in range(math.ceil(r / step)):
+            mark(i, j * step, LOGODDS_FREE)
+    for i, r in enumerate(scan.ranges):
+        if scan.classes[i] >= 0:
+            mark(i, r + 1e-6, LOGODDS_OCC)
+    for cell, delta in marks.items():
+        gmap[cell] += delta
     np.clip(gmap, -LOGODDS_CLAMP, LOGODDS_CLAMP, out=gmap)
     return gmap
 
 
 def test_update_global_stack_equals_per_frame_loop(plan):
-    """Registering a stack of frames in one call equals registering them one
-    at a time, byte for byte: with cells saturated at both clamps, a frame
-    without evidence, and evidence that falls off the world grid."""
+    """Registering scans one at a time or as a stack equals the per-ray
+    oracle byte for byte: with cells saturated at both clamps and then
+    pulled back, a scan without evidence, evidence that falls off the grid
+    at a world corner, a ray along a cell boundary, hits on the world
+    border and no-hit rays."""
     rng = np.random.default_rng(3)
     floor = np.argwhere(plan.traversable_mask())
-    poses, frames = [], []
-    for _ in range(10):
+    poses, scans = [], []
+    for i in range(10):
         pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
                     float(rng.uniform(-np.pi, np.pi)))
         poses.append(pose)
-        frames.append(ground_project(raycast(plan, pose), 48)[0])
-    # the same frame again and again drives its cells to the clamps, and its
-    # occupied and free cells swapped pull them back
-    flipped = frames[0][[FREE, OCC, UNK]]
-    poses += [poses[0]] * 9
-    frames += [frames[0]] * 8 + [flipped]
-    empty = np.zeros((3, 48, 48))
-    empty[UNK] = 1.0
+        scans.append(raycast(plan, pose, num_rays=(64, 17)[i % 2], p_noise=0.3,
+                             rng=np.random.default_rng(i)))
+    # the same scan again and again drives its cells to the clamps; the
+    # same rays cut short by hits, and then without hits, pull them back
+    again = scans[0]
+    short = DepthScan(again.angles, 0.5 * again.ranges, np.full(len(again.ranges), WALL),
+                      again.max_range)
+    no_hit = DepthScan(again.angles, np.full(len(again.ranges), again.max_range),
+                       np.full(len(again.ranges), -1), again.max_range)
+    poses += [poses[0]] * 10
+    scans += [again] * 8 + [short, no_hit]
+    # no evidence: zero ranges and no hits
     poses.insert(4, poses[3])
-    frames.insert(4, empty)
-    # free evidence everywhere and a band of occupied cells, facing out of
-    # the world's corner: much of it lands off the grid
-    wide = np.zeros((3, 48, 48))
-    wide[FREE] = 1.0
-    wide[FREE, 10:14, 5:40] = 0.0
-    wide[OCC, 10:14, 5:40] = 1.0
+    scans.insert(4, DepthScan(np.linspace(-0.7, 0.7, 5), np.zeros(5), np.full(5, -1), 4.8))
+    # facing out of the world's corner: every ray leaves the grid
     corner = Pose(0.3, 0.5, -2.4)
+    fan = np.linspace(-np.pi / 4, np.pi / 4, 33)
     poses.append(corner)
-    frames.append(wide)
-    rows, cols = np.nonzero(wide[FREE])
-    world = ego_to_world(corner, np.stack([(24 - rows) * CELL_SIZE, (cols - 24) * CELL_SIZE],
-                                          axis=1))
-    assert (world < 0).any() and (world >= 0).all(axis=1).any()
+    scans.append(DepthScan(fan, np.full(33, 2.0), np.where(np.arange(33) % 2, WALL, -1), 4.8))
+    ends = corner.x + 2.0 * np.cos(corner.theta + fan), corner.y + 2.0 * np.sin(corner.theta + fan)
+    assert (np.minimum(*ends) < 0).all()
+    # a ray along the boundary between rows 5 and 6 (y = 1.0 exactly)
+    poses.append(Pose(2.1, 1.0, 0.0))
+    scans.append(one_ray_scan(2.0, WALL))
+    # hits on the world border: one just past the world's edge, one at the
+    # start of the last column, and the border wall ring raycast
+    w = plan.size * CELL_SIZE
+    edge = Pose(w - 0.9, 6.1, 0.0)
+    poses += [edge, edge]
+    scans += [one_ray_scan(0.9, WALL), one_ray_scan(0.7, WALL)]
+    assert math.floor((edge.x + 0.9 + 1e-6) / CELL_SIZE) == plan.size
+    border = Pose(*cell_center(*floor[np.argmax(floor[:, 1])]), 0.0)
+    poses.append(border)
+    scans.append(raycast(plan, border, num_rays=9))
+    assert (scans[-1].classes >= 0).all()
+    # no-hit rays, one of them leaving the grid
+    poses += [poses[2], Pose(w - 0.3, 0.5 * w, 0.3)]
+    scans += [one_ray_scan(4.8, -1, angle=0.4), one_ray_scan(4.8, -1)]
 
     want = new_global_occupancy(plan.size)
-    for frame, pose in zip(frames, poses):
-        update_global_reference(want, frame, pose)
+    for scan, pose in zip(scans, poses):
+        update_global_reference(want, scan, pose)
     assert want.max() == LOGODDS_CLAMP and want.min() == -LOGODDS_CLAMP
+    assert (np.abs(want) == LOGODDS_CLAMP - LOGODDS_OCC - LOGODDS_FREE).any()
     got = new_global_occupancy(plan.size)
-    assert update_global(got, np.stack(frames), poses) is got
+    assert update_global(got, scans, poses) is got
     assert got.tobytes() == want.tobytes()
     loop = new_global_occupancy(plan.size)
-    for frame, pose in zip(frames, poses):
-        update_global(loop, frame, pose)
+    for scan, pose in zip(scans, poses):
+        assert update_global(loop, scan, pose) is loop
     assert loop.tobytes() == want.tobytes()
-    # a stack of one frame is the one-frame case
-    one = update_global(new_global_occupancy(plan.size), frames[1][None], poses[1:2])
-    assert one.tobytes() == update_global_reference(
-        new_global_occupancy(plan.size), frames[1], poses[1]).tobytes()
+    # a stack of one scan is the one-scan case
+    for i in (1, 4, len(scans) - 3):
+        one = update_global(new_global_occupancy(plan.size), scans[i:i + 1], poses[i:i + 1])
+        assert one.tobytes() == update_global_reference(
+            new_global_occupancy(plan.size), scans[i], poses[i]).tobytes()
 
 
-def frame_with(channel, row, col, size=48):
-    occ = np.zeros((3, size, size))
-    occ[channel, row, col] = 1.0
-    return occ
+# a ray straight up the +y axis from the center of cell (15, 15): its free
+# samples sweep rows 15-19 of column 15 and a hit at 1 m lands in row 20
+UP = Pose(3.05, 3.05, math.pi / 2)
 
 
 def test_update_global_single_occupied():
-    pose = Pose(3.05, 3.05, math.pi / 2)
     gmap = new_global_occupancy(64)
-    update_global(gmap, frame_with(OCC, 19, 24), pose)  # hit 1 m ahead
-    r, c = 20, 15  # evidence lands in the cell just past the 1 m surface
-    assert gmap[r, c] == pytest.approx(math.log(4.0))
-    gmap[r, c] = 0.0
+    update_global(gmap, one_ray_scan(1.0, WALL), UP)
+    assert gmap[20, 15] == pytest.approx(math.log(4.0))
+    assert np.all(gmap[15:20, 15] == LOGODDS_FREE)
+    gmap[15:21, 15] = 0.0
     assert np.all(gmap == 0.0)  # unobserved cells stay exactly 0
 
 
 def test_update_global_clamps():
-    pose = Pose(3.05, 3.05, math.pi / 2)
     gmap = new_global_occupancy(64)
     for _ in range(10):
-        update_global(gmap, frame_with(OCC, 19, 24), pose)
+        update_global(gmap, one_ray_scan(1.0, WALL), UP)
     assert gmap[20, 15] == LOGODDS_CLAMP
+    assert np.all(gmap[15:20, 15] == -LOGODDS_CLAMP)
 
 
 def test_update_global_conflicting_evidence():
-    pose = Pose(3.05, 3.05, math.pi / 2)
     gmap = new_global_occupancy(64)
-    update_global(gmap, frame_with(OCC, 19, 24), pose)
-    # free evidence whose un-pushed center lands in the same world cell
-    update_global(gmap, frame_with(FREE, 19, 24), pose)
+    update_global(gmap, one_ray_scan(1.0, WALL), UP)
+    # a longer ray with no hit sweeps the same cell as free
+    update_global(gmap, one_ray_scan(2.0, -1), UP)
     expect = math.log(4.0) + math.log(3.0 / 7.0)
     assert gmap[20, 15] == pytest.approx(expect)
     assert expect > 0  # 0.539: still leaning occupied
 
 
 def test_update_global_monotone_occupied():
-    pose = Pose(3.05, 3.05, math.pi / 2)
     gmap = new_global_occupancy(64)
     prev = -np.inf
     for _ in range(6):
-        update_global(gmap, frame_with(OCC, 19, 24), pose)
+        update_global(gmap, one_ray_scan(1.0, WALL), UP)
         assert gmap[20, 15] >= prev
         prev = gmap[20, 15]
 
@@ -330,8 +342,7 @@ def test_crop_deterministic(plan):
     b = crop_ego_semantic(plan, pose, 48)
     assert np.array_equal(a, b)
     gmap = new_global_occupancy(64)
-    occ, _ = ground_project(raycast(plan, pose, p_noise=0.0))
-    update_global(gmap, occ, pose)
+    update_global(gmap, raycast(plan, pose, p_noise=0.0), pose)
     assert np.array_equal(crop_ego_occupancy(gmap, pose),
                           crop_ego_occupancy(gmap, pose))
 
@@ -377,7 +388,7 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
               Pose(0.5 * w, w, -np.pi), Pose(0.1, w - 0.1, 2.3), Pose(w, w, -0.7)]
     maps, gmap = [], new_global_occupancy(plan.size)
     for pose in poses[:8] * 2:
-        update_global(gmap, ground_project(raycast(plan, pose), 48)[0], pose)
+        update_global(gmap, raycast(plan, pose), pose)
         maps.append(gmap.copy())
     maps = np.stack(maps[-len(poses):])
     for size in (24, 48):
@@ -407,58 +418,60 @@ def neighborhood(grid, r, c):
 
 
 def test_round_trip_occupied_within_one_cell():
-    """ground_project -> update_global -> crop_ego recovers occupied cells
-    within one cell, except hits on the world's outermost wall ring (where
-    the half-cell outward registration shift can land evidence in the border
-    ring that the rotated resampling does not revisit)."""
+    """raycast -> update_global -> crop_ego: every hit's world cell reads
+    occupied, and the crop shows it within one cell of where ground_project
+    puts the hit, wherever that cell's 3x3 neighbourhood samples the hit's
+    world cell. (Along a one-cell wall hit by sparse grazing rays, the
+    rotated nearest-cell crop can skip a hit cell.)"""
     total, hits = 0, 0
     for seed in range(5):
         plan = generate_floorplan(seed)
         floor = np.argwhere(plan.traversable_mask())
         for k in (7, len(floor) // 2, -9):
             pose = Pose(*cell_center(*floor[k]), 0.9 * seed - 1.0)
-            occ, _ = ground_project(raycast(plan, pose, p_noise=0.0))
-            gmap = update_global(new_global_occupancy(64), occ, pose)
+            scan = raycast(plan, pose, p_noise=0.0)
+            gmap = update_global(new_global_occupancy(64), scan, pose)
             crop = crop_ego_occupancy(gmap, pose)
-            for r, c in np.argwhere(occ[OCC] == 1):
+            for i in np.flatnonzero(scan.classes >= 0):
+                t, a = scan.ranges[i], scan.angles[i]
+                world = [math.floor((pose.y + (t + 1e-6) * math.sin(pose.theta + a)) / CELL_SIZE),
+                         math.floor((pose.x + (t + 1e-6) * math.cos(pose.theta + a)) / CELL_SIZE)]
+                assert gmap[tuple(world)] > OCC_THRESHOLD, (seed, k, i)
+                r, c = ego_to_cell(t * math.cos(a), -t * math.sin(a), 48)
                 total += 1
                 if neighborhood(crop[OCC], r, c).any():
                     hits += 1
                     continue
-                f, rr = cell_to_ego(int(r), int(c), 48)
-                w = ego_to_world(pose, np.array([[f, rr]]))[0]
-                wr = int(np.floor(w[1] / CELL_SIZE))
-                wc = int(np.floor(w[0] / CELL_SIZE))
-                g = plan.size
-                assert min(wr, wc) <= 1 or max(wr, wc) >= g - 2, (seed, k, r, c)
+                near = [[(24 - r - dr) * CELL_SIZE, (c + dc - 24) * CELL_SIZE]
+                        for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+                sampled = np.floor(ego_to_world(pose, np.array(near))[:, ::-1] / CELL_SIZE)
+                assert world not in sampled.tolist(), (seed, k, i)
     assert total > 100
-    assert hits / total >= 0.98
+    assert hits / total >= 0.99
 
 
 def test_ground_project_agrees_with_gt_crop(plan):
     """Observed labels match the floorplan crop within one cell at zero noise."""
     floor = np.argwhere(plan.traversable_mask())
     pose = Pose(*cell_center(*floor[len(floor) // 3]), 0.4)
-    occ, _ = ground_project(raycast(plan, pose, p_noise=0.0))
+    sem = ground_project(raycast(plan, pose, p_noise=0.0))
     gt = crop_ego_semantic(plan, pose, 48).argmax(axis=0)
-    for r, c in np.argwhere(occ[OCC] == 1):
+    for r, c in np.argwhere((sem[VOID] == 0) & (sem[FLOOR] == 0)):
         assert np.any(neighborhood(gt, r, c) >= WALL)
-    misses = sum(1 for r, c in np.argwhere(occ[FREE] == 1)
+    misses = sum(1 for r, c in np.argwhere(sem[FLOOR] == 1)
                  if FLOOR not in neighborhood(gt, r, c))
-    assert misses <= 0.01 * occ[FREE].sum()
-
+    assert misses <= 0.01 * sem[FLOOR].sum()
 
 
 def test_sense_is_raycast_project_update(plan):
     pose = Pose(*cell_center(*np.argwhere(plan.traversable_mask())[30]), 1.1)
-    ref = new_global_occupancy(plan.grid.shape[0])
-    occ_ref, sem_ref = ground_project(
-        raycast(plan, pose, 32, 4.0, p_noise=0.3, rng=np.random.default_rng(2)), 24)
-    update_global(ref, occ_ref, pose)
+    scan = raycast(plan, pose, 32, 4.0, p_noise=0.3, rng=np.random.default_rng(2))
+    ref = update_global(new_global_occupancy(plan.grid.shape[0]), scan, pose)
+    sem_ref = ground_project(scan, 24)
     gmap = new_global_occupancy(plan.grid.shape[0])
-    occ, sem = sense(plan, pose, gmap, 24, 32, 4.0, 0.3, np.random.default_rng(2))
-    assert np.array_equal(occ, occ_ref) and np.array_equal(sem, sem_ref)
+    sem = sense(plan, pose, gmap, 24, 32, 4.0, 0.3, np.random.default_rng(2))
+    assert np.array_equal(sem, sem_ref)
     assert np.array_equal(gmap, ref)
-    # without a map (rollouts on the ground-truth map) only the frames come back
-    occ2, sem2 = sense(plan, pose, None, 24, 32, 4.0, 0.3, np.random.default_rng(2))
-    assert np.array_equal(occ2, occ_ref) and np.array_equal(sem2, sem_ref)
+    # without a map (rollouts on the ground-truth map) only the frame comes back
+    assert np.array_equal(sense(plan, pose, None, 24, 32, 4.0, 0.3, np.random.default_rng(2)),
+                          sem_ref)

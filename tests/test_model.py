@@ -434,6 +434,21 @@ def test_save_load_round_trip(mini, mini_inputs, tmp_path):
     assert np.array_equal(np.asarray(a[1].data), np.asarray(b[1].data))
 
 
+def test_load_rejects_checkpoint_names_that_differ(mini, tmp_path):
+    """A checkpoint with a tensor the config does not have, or without one
+    it has, is refused."""
+    from dataclasses import asdict
+    extra = dict(mini.params, **{"bogus.w": nm.Tensor(np.zeros(3))})
+    missing = dict(mini.params)
+    gone = sorted(missing)[0]
+    del missing[gone]
+    for params, msg in ((extra, "unexpected 'bogus.w'"), (missing, f"missing '{gone}'")):
+        path = tmp_path / "bad.ckpt"
+        nm.save_checkpoint(path, params, config=asdict(mini.config))
+        with pytest.raises(ConfigError, match=msg):
+            CM2Model.load(path)
+
+
 def test_load_rejects_mismatched_config(mini, tmp_path):
     from dataclasses import asdict
     path = tmp_path / "bad.ckpt"

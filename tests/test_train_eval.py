@@ -9,8 +9,8 @@ import pytest
 from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import NumericError, UsageError
-from mapnav.mapping import (crop_ego_occupancy, crop_ego_semantic, new_global_occupancy, sense,
-                            world_to_ego)
+from mapnav.mapping import (OCC_THRESHOLD, crop_ego_occupancy, crop_ego_semantic,
+                            new_global_occupancy, sense, update_global, world_to_ego)
 from mapnav.model.supervision import ego_to_heatmap_cell, sample_waypoints
 from mapnav.train_eval import (
     METRIC_COLUMNS, TAU_SWEEP, VARIANTS, NavMetrics, aggregate_nav,
@@ -171,7 +171,7 @@ def build_episode_records_reference(plan, episode, samples_per_episode, k, ego_s
         theta = wrap_angle(_path_heading(path, arcs, sa)
                            + rng.uniform(-HEADING_JITTER, HEADING_JITTER))
         pose = Pose(float(p[0]), float(p[1]), theta)
-        _, chi_frame = sense(plan, pose, gmap, ego_size, num_rays, max_range, p_noise, rng)
+        chi_frame = sense(plan, pose, gmap, ego_size, num_rays, max_range, p_noise, rng)
         records.append(TrainingRecord(
             episode_id=episode.episode_id, t=t, pose=pose,
             tokens=np.asarray(episode.tokens, dtype=np.int64),
@@ -202,6 +202,29 @@ def test_records_equal_per_pose_reference(tmp_path):
                 save_records(got_path, got)
                 save_records(want_path, want)
                 assert got_path.read_bytes() == want_path.read_bytes(), (p_noise, ego, samples)
+
+
+def test_record_maps_hold_no_false_walls(monkeypatch):
+    """At p_noise 0, the sensed map at the end of each episode's records
+    reads no floorplan-traversable cell as occupied and no obstacle cell as
+    free."""
+    maps = []
+
+    def keep_map(gmap, scans, poses):
+        maps.append(gmap)
+        return update_global(gmap, scans, poses)
+
+    monkeypatch.setattr("mapnav.train_eval.dataset.update_global", keep_map)
+    pairs = generate_split(RunConfig(), range(1000, 1003), 0, 3)
+    assert len(pairs) == 9
+    occupied = 0
+    for plan, ep in pairs:
+        build_episode_records(plan, ep, 10, 5, 48, episode_rng(0, ep))
+        gmap, traversable = maps[-1], plan.traversable_mask()
+        assert not (gmap[traversable] > OCC_THRESHOLD).any(), ep.episode_id
+        assert not (gmap[~traversable] < -OCC_THRESHOLD).any(), ep.episode_id
+        occupied += int((gmap > OCC_THRESHOLD).sum())
+    assert occupied > 500
 
 
 def test_generate_split_layout():
