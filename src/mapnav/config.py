@@ -76,6 +76,12 @@ class RunConfig:
             raise ConfigError(f"ego_size must be a positive multiple of 8, got {self.ego_size}")
         if self.world_size <= 0:
             raise ConfigError(f"world_size must be positive, got {self.world_size}")
+        if not self.max_range > 0:
+            raise ConfigError(f"max_range must be positive, got {self.max_range}")
+        if self.num_rays < 1:
+            raise ConfigError(f"num_rays must be at least 1, got {self.num_rays}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.lr <= 0 or self.batch_size <= 0 or self.train_steps < 0:
             raise ConfigError("lr, batch_size must be positive; train_steps non-negative")
         if not 0.0 <= self.p_noise <= 1.0:

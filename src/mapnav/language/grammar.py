@@ -68,7 +68,7 @@ def _landmark(plan: Floorplan, point: np.ndarray) -> tuple[str, str]:
     return "in", (rm.kind if rm is not None else "room")
 
 
-def generate_instruction(episode, plan: Floorplan, seed: int = 0) -> str:
+def generate_instruction(episode, plan: Floorplan) -> str:
     """Clause-per-turn instruction for an episode's ground-truth path."""
     path = np.asarray(episode.gt_path, dtype=np.float64)
     clauses = ["walk straight"]

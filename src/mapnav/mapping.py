@@ -1,6 +1,10 @@
 """Sensing into grids: ego semantic projection, world-frame Bayesian
 occupancy, egocentric crops.
 
+Every ego grid here is a uint8 label map, (s,s) or (n,s,s): semantic maps
+hold class labels, occupancy crops ``OCC``/``FREE``/``UNK``. Only the model
+one-hot encodes them.
+
 Each depth scan is registered straight into the world-frame log-odds map:
 every ray updates the world cells its samples and its hit fall in, one
 quantisation per point. Only the semantic observation is projected into
@@ -14,15 +18,13 @@ a world point map to
 
 with f = dx*cos(t) + dy*sin(t) and r = dx*sin(t) - dy*cos(t) for an agent at
 pose (x, y, t).
-
-Occupancy crop channels are ordered (occupied, free, void).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .worldsim.agent import DepthScan, Pose, raycast
-from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, NUM_CLASSES, VOID
+from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, VOID
 
 OCC, FREE, UNK = 0, 1, 2
 DEFAULT_EGO_SIZE = 48
@@ -72,11 +74,6 @@ def ego_to_cell(f: float, r: float, size: int) -> tuple[int, int]:
     return half - int(np.round(f / CELL_SIZE)), half + int(np.round(r / CELL_SIZE))
 
 
-def _one_hot(labels: np.ndarray, num: int) -> np.ndarray:
-    """(n,num,s,s) float one-hot grids of (n,s,s) uint8 label maps."""
-    return (labels[:, None] == np.arange(num, dtype=np.uint8)[:, None, None]).astype(float)
-
-
 def _ray_samples(scans) -> tuple[np.ndarray, ...]:
     """The rays of a sequence of scans and where each one is sampled.
 
@@ -96,11 +93,11 @@ def _ray_samples(scans) -> tuple[np.ndarray, ...]:
 
 
 def ground_project(scans, size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
-    """Project scans into single-frame ego semantic grids.
+    """Project scans into single-frame ego semantic label maps.
 
     ``scans`` is one DepthScan, or a sequence of n scans projected together.
-    Returns the (c,size,size) one-hot semantics, with a leading n axis for
-    a sequence. Cells a ray's free samples reach are floor; the hit cell
+    Returns the (size,size) uint8 class labels, with a leading n axis for a
+    sequence. Cells a ray's free samples reach are floor; the hit cell
     takes the ray's class; everything else is void.
     """
     one = isinstance(scans, DepthScan)
@@ -125,8 +122,8 @@ def ground_project(scans, size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
     sem[cells(frame[ray], t, cf[ray], sf[ray])] = FLOOR
     hit = classes >= 0
     sem[cells(frame[hit], ranges[hit], cf[hit], sf[hit])] = classes[hit]
-    onehot = _one_hot(sem[:-1].reshape(n, size, size), NUM_CLASSES)
-    return onehot[0] if one else onehot
+    sem = sem[:-1].reshape(n, size, size)
+    return sem[0] if one else sem
 
 
 def new_global_occupancy(size: int) -> np.ndarray:
@@ -179,7 +176,7 @@ def sense(plan: Floorplan, pose: Pose, gmap: np.ndarray | None, ego_size: int,
           rng: np.random.Generator | None) -> np.ndarray:
     """One observation: raycast at ``pose``, register the scan into ``gmap``
     (skipped when ``gmap`` is None) and project it into a single-frame ego
-    semantic grid, which is returned."""
+    semantic label map, which is returned."""
     scan = raycast(plan, pose, num_rays=num_rays, max_range=max_range,
                    p_noise=p_noise, rng=rng)
     if gmap is not None:
@@ -210,25 +207,23 @@ def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
 def crop_ego_occupancy(gmap: np.ndarray, poses,
                        size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
     """Agent-centered, heading-up crop of the global log-odds map as a
-    (3,size,size) one-hot occupied/free/void grid.
+    (size,size) uint8 ``OCC``/``FREE``/``UNK`` label map.
 
-    For a sequence of n poses the crops come back as (n,3,size,size), and
+    For a sequence of n poses the crops come back as (n,size,size), and
     ``gmap`` is either one (g,g) map or (n,g,g), one map per pose."""
     one = isinstance(poses, Pose)
     vals = _crop_values(gmap, [poses] if one else poses, size, 0.0)
     labels = np.full(vals.shape, UNK, dtype=np.uint8)
     labels[vals > OCC_THRESHOLD] = OCC
     labels[vals < -OCC_THRESHOLD] = FREE
-    out = _one_hot(labels, 3)
-    return out[0] if one else out
+    return labels[0] if one else labels
 
 
 def crop_ego_semantic(plan: Floorplan, poses,
                       size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
-    """Ground-truth semantic crop of the floorplan, (c,size,size) one-hot,
-    or (n,c,size,size) for a sequence of n poses. Out-of-world cells are
-    void."""
+    """Ground-truth semantic crop of the floorplan, a (size,size) uint8
+    label map, or (n,size,size) for a sequence of n poses. Out-of-world
+    cells are void."""
     one = isinstance(poses, Pose)
-    out = _one_hot(_crop_values(plan.grid, [poses] if one else poses, size, VOID),
-                   NUM_CLASSES)
-    return out[0] if one else out
+    labels = _crop_values(plan.grid, [poses] if one else poses, size, VOID)
+    return labels[0] if one else labels

@@ -1,6 +1,9 @@
 """The full network: map encoders, two cross-modal attention blocks, the
 stacked occupancy/semantic prediction UNets, and the waypoint-path UNet.
 
+Map inputs and map targets arrive as label maps; ``one_hot`` expands them
+to the channel grids the network reads, here and nowhere else.
+
 All forward methods are stateless: outputs depend only on the inputs passed
 in, so repeated calls with identical inputs are bit-identical.
 """
@@ -11,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import numerics as nm
-from ..errors import ConfigError
+from ..errors import ConfigError, UsageError
 from ..language.encoder import encode_instruction, init_instruction_params, pad_mask
 from ..language.vocab import VOCAB_SIZE
 from ..worldsim.floorplan import NUM_CLASSES
@@ -19,6 +22,17 @@ from .attention import cross_modal_attend, init_cross_modal
 from .unet import UNetSpec, apply_unet, init_unet
 
 ENCODER_DOWNSAMPLE = 8
+OCC_CLASSES = 3   # occupied, free, unknown: the labels of an occupancy map
+
+
+def one_hot(labels, num: int) -> np.ndarray:
+    """(...,num,h,w) float one-hot grids of (...,h,w) label maps with
+    labels in [0, num)."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num):
+        raise UsageError(f"label map holds labels outside [0, {num}): "
+                         f"{labels.min()}..{labels.max()}")
+    return (labels[..., None, :, :] == np.arange(num)[:, None, None]).astype(float)
 
 
 @dataclass
@@ -96,10 +110,10 @@ class CM2Model:
         config.validate()
         self.config = config
         c = config
-        self.unet_o_spec = UNetSpec(in_ch=3, out_ch=3, base=c.unet_base,
+        self.unet_o_spec = UNetSpec(in_ch=OCC_CLASSES, out_ch=OCC_CLASSES, base=c.unet_base,
                                     depth=c.unet_depth, spatial=c.ego_size,
                                     bneck_extra=c.d)
-        self.unet_s_spec = UNetSpec(in_ch=3 + c.num_classes, out_ch=c.num_classes,
+        self.unet_s_spec = UNetSpec(in_ch=OCC_CLASSES + c.num_classes, out_ch=c.num_classes,
                                     base=c.unet_base, depth=c.unet_depth,
                                     spatial=c.ego_size, bneck_extra=c.d)
         self.unet_f_spec = UNetSpec(in_ch=c.d + 1, out_ch=c.k, base=c.unet_base,
@@ -115,7 +129,7 @@ class CM2Model:
         c = self.config
         p = {}
         p.update(init_instruction_params(rng, c.d, c.vocab_size, c.n_instr_layers))
-        p.update(init_map_encoder(rng, 3, c.d, "enc_o."))
+        p.update(init_map_encoder(rng, OCC_CLASSES, c.d, "enc_o."))
         p.update(init_map_encoder(rng, c.num_classes, c.d, "enc_s."))
         p.update(init_cross_modal(rng, c.d, "attn_o."))
         p.update(init_cross_modal(rng, c.d, "attn_s."))
@@ -173,19 +187,20 @@ class CM2Model:
     def predict_maps(self, occ_in, sem_obs_in, instr):
         """Occupancy completion and semantic hallucination.
 
-        occ_in: (B,3,h,w) ego occupancy crop; sem_obs_in: (B,c,h,w)
-        ground-projected semantic observation; instr: list of B
-        (X, pad_mask) pairs. Returns (occ_probs, sem_probs, h_grid,
+        occ_in: (B,h,w) ego occupancy label map (occupied, free, unknown);
+        sem_obs_in: (B,h,w) ground-projected semantic label map; instr: list
+        of B (X, pad_mask) pairs. Returns (occ_probs, sem_probs, h_grid,
         attention (B,N,M)).
         """
         c = self.config
-        occ_in = occ_in if isinstance(occ_in, nm.Tensor) else nm.Tensor(occ_in)
-        sem_obs_in = sem_obs_in if isinstance(sem_obs_in, nm.Tensor) else nm.Tensor(sem_obs_in)
-        if occ_in.shape[-1] != c.ego_size or sem_obs_in.shape[-3] != c.num_classes:
+        occ_in, sem_obs_in = np.asarray(occ_in), np.asarray(sem_obs_in)
+        if occ_in.shape[1:] != (c.ego_size, c.ego_size) or sem_obs_in.shape != occ_in.shape:
             raise ConfigError(
                 f"predict_maps: got occupancy {occ_in.shape}, semantics "
-                f"{sem_obs_in.shape} for ego_size {c.ego_size}, c {c.num_classes}"
+                f"{sem_obs_in.shape}; want (B,{c.ego_size},{c.ego_size}) label maps"
             )
+        occ_in = nm.Tensor(one_hot(occ_in, OCC_CLASSES))
+        sem_obs_in = nm.Tensor(one_hot(sem_obs_in, c.num_classes))
         enc = (apply_map_encoder(occ_in, self.params, c.d, "enc_o.")
                if c.use_map_attention else None)
         h_grid, attns = self._attend_tokens(enc, instr, "attn_o.")
@@ -208,7 +223,7 @@ class CM2Model:
         """
         c = self.config
         sem_in = sem_in if isinstance(sem_in, nm.Tensor) else nm.Tensor(sem_in)
-        if sem_in.shape[-3] != c.num_classes or sem_in.shape[-1] != c.ego_size:
+        if sem_in.shape[1:] != (c.num_classes, c.ego_size, c.ego_size):
             raise ConfigError(f"predict_path: bad semantic input {sem_in.shape}")
         u = c.heatmap_size
         enc = apply_map_encoder(sem_in, self.params, c.d, "enc_s.")
@@ -229,11 +244,12 @@ class CM2Model:
         """Map prediction, then path prediction on the predicted semantics.
 
         Mode "cm2-gt" (the paper's "given a map" setting) skips map
-        prediction and feeds the ground-truth semantic map ``sem_gt`` to the
-        path head; "cm2" needs ``occ`` and ``sem_obs`` instead.
+        prediction and feeds the ground-truth semantic label map ``sem_gt``
+        (B,h,w), one-hot encoded, to the path head; "cm2" needs the label
+        maps ``occ`` and ``sem_obs`` instead.
         """
         if mode == "cm2-gt":
-            occ_hat, sem = None, nm.Tensor(sem_gt)
+            occ_hat, sem = None, nm.Tensor(one_hot(sem_gt, self.config.num_classes))
         else:
             occ_hat, sem, _, _ = self.predict_maps(occ, sem_obs, instr)
         heatmaps, traversed, h_grid, attn = self.predict_path(sem, instr, start_heatmap)

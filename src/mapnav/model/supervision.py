@@ -88,11 +88,10 @@ def make_path_supervision(gt_path: np.ndarray, pose: Pose, k: int,
     heatmaps, vis = make_gt_heatmaps(ego, u, v, sigma)
     agent_arc = nearest_arc_length(gt_path, pose)
     traversed = (arcs <= agent_arc + 1e-9).astype(np.float64)
-    start_hm, _ = make_gt_heatmaps(ego[:1], u, v, sigma)
     return PathSupervision(
         waypoints_ego=ego,
         visibility=vis,
         traversed=traversed,
         heatmaps=heatmaps,
-        start_heatmap=start_hm,
+        start_heatmap=heatmaps[:1],
     )

@@ -566,27 +566,17 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # losses
 
 
-def binary_cross_entropy(pred: Tensor, target, positive_only: bool = False) -> Tensor:
-    """Mean BCE of probabilities against {0,1} targets (targets constant).
-
-    ``positive_only`` drops the negative-class term, i.e. mean(-t*log(p)).
-    """
+def binary_cross_entropy(pred: Tensor, target) -> Tensor:
+    """Mean BCE of probabilities against {0,1} targets (targets constant)."""
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.shape != t.shape:
         raise ShapeError(f"binary_cross_entropy: shapes {pred.shape} vs {t.shape}")
     p = np.clip(pred.data, _EPS, 1.0 - _EPS)
-    if positive_only:
-        data = np.array((-t * np.log(p)).mean())
-    else:
-        data = np.array((-(t * np.log(p) + (1 - t) * np.log(1 - p))).mean())
+    data = np.array((-(t * np.log(p) + (1 - t) * np.log(1 - p))).mean())
 
     def factory(out):
         def bw():
-            if positive_only:
-                g = -t / p
-            else:
-                g = (p - t) / (p * (1 - p))
-            accumulate(pred, out.grad * g / p.size)
+            accumulate(pred, out.grad * ((p - t) / (p * (1 - p))) / p.size)
 
         return bw
 

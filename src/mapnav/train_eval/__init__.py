@@ -1,6 +1,5 @@
 from .dataset import (TrainingRecord, build_dataset, build_episode_records,
-                      generate_split, generate_splits, load_records,
-                      record_arrays, save_records)
+                      generate_split, generate_splits, load_records, save_records)
 from .training import assemble_batch, batch_loss, train
 from .metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                       compute_pcw, episode_metrics, PCW_RADIUS)

@@ -3,8 +3,8 @@
 Each record captures one pose sampled along an episode's ground-truth path:
 the accumulated-occupancy ego crop, the single-frame semantic observation,
 the ground-truth semantic crop, and the waypoint supervision targets.
-Grids are stored as label maps (uint8) and expanded to one-hot / Gaussian
-form at batch-assembly time.
+Grids are uint8 label maps from sensing to the model, which one-hot encodes
+them; batch assembly only stacks them and builds the Gaussian heatmaps.
 
 An episode's records are built in one walk along its path. Each sample
 closes a stretch: the history poses spaced along the path since the last
@@ -27,12 +27,12 @@ import numpy as np
 
 from ..errors import GenerationError, UsageError
 from ..language.vocab import MAX_TOKENS
-from ..mapping import (FREE, OCC, UNK, crop_ego_occupancy, crop_ego_semantic,
-                       ground_project, new_global_occupancy, update_global, world_to_ego)
-from ..model.supervision import make_gt_heatmaps, sample_waypoints
+from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ground_project,
+                       new_global_occupancy, update_global, world_to_ego)
+from ..model.supervision import sample_waypoints
 from ..worldsim.agent import Pose, raycast, wrap_angle
 from ..worldsim.episodes import generate_episode
-from ..worldsim.floorplan import NUM_CLASSES, generate_floorplan
+from ..worldsim.floorplan import generate_floorplan
 
 MAGIC = b"CM2DATA1"
 HEADING_JITTER = np.deg2rad(30.0)
@@ -50,27 +50,6 @@ class TrainingRecord:
     sem_labels: np.ndarray      # (s,s) uint8 ground-truth class
     waypoints_ego: np.ndarray   # (k,2) float64 ego (forward, right) meters
     traversed: np.ndarray       # (k,) uint8 0/1
-
-
-def record_arrays(rec: TrainingRecord, num_classes: int = NUM_CLASSES,
-                  sigma: float = 1.0):
-    """Expand a record into model inputs and supervision targets.
-
-    Returns (occ (3,s,s), chi (c,s,s), sem_gt (c,s,s), heatmaps (k,u,u),
-    visibility (k,), start_heatmap (1,u,u), traversed (k,))."""
-    s = rec.occ_labels.shape[0]
-    u = s // 2
-    occ = np.zeros((3, s, s))
-    for ch in (OCC, FREE, UNK):
-        occ[ch] = rec.occ_labels == ch
-    rows, cols = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-    chi = np.zeros((num_classes, s, s))
-    chi[rec.chi_labels.astype(int), rows, cols] = 1.0
-    sem = np.zeros((num_classes, s, s))
-    sem[rec.sem_labels.astype(int), rows, cols] = 1.0
-    heatmaps, vis = make_gt_heatmaps(rec.waypoints_ego, u, u, sigma)
-    start_hm, _ = make_gt_heatmaps(rec.waypoints_ego[:1], u, u, sigma)
-    return occ, chi, sem, heatmaps, vis, start_hm, rec.traversed.astype(np.float64)
 
 
 def _path_point(path: np.ndarray, arcs: np.ndarray, s: float) -> np.ndarray:
@@ -128,9 +107,9 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         sample_scans.append(scans[-1])
     if not sample_poses:
         return []
-    occ_labels = _labels(crop_ego_occupancy(np.stack(maps), sample_poses, ego_size))
-    chi_labels = _labels(ground_project(sample_scans, ego_size))
-    sem_labels = _labels(crop_ego_semantic(plan, sample_poses, ego_size))
+    occ_labels = crop_ego_occupancy(np.stack(maps), sample_poses, ego_size)
+    chi_labels = ground_project(sample_scans, ego_size)
+    sem_labels = crop_ego_semantic(plan, sample_poses, ego_size)
     return [TrainingRecord(
         episode_id=episode.episode_id, t=t, pose=pose,
         tokens=np.asarray(episode.tokens, dtype=np.int64),
@@ -138,14 +117,6 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         waypoints_ego=world_to_ego(pose, wps),
         traversed=(wp_arcs <= sa + 1e-9).astype(np.uint8),
     ) for t, (sa, pose) in enumerate(zip(sample_arcs, sample_poses))]
-
-
-def _labels(onehot: np.ndarray) -> np.ndarray:
-    """uint8 label maps of one-hot grids (channels on axis -3): the sum of
-    channel index times value, which is the argmax wherever one channel
-    holds 1 and the rest 0, as in every grid ``mapping`` returns."""
-    index = np.arange(onehot.shape[-3], dtype=float)
-    return np.einsum("...chw,c->...hw", onehot, index).astype(np.uint8)
 
 
 def episode_rng(seed: int, episode) -> np.random.Generator:

@@ -11,9 +11,10 @@ from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
-from ..train_eval.dataset import TrainingRecord, episode_rng, record_arrays
+from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
+from ..train_eval.training import assemble_batch
 from ..worldsim.episodes import episode_from_json, episode_to_json
 from ..worldsim.floorplan import generate_floorplan
 
@@ -98,17 +99,16 @@ def evaluate_map_quality(model: CM2Model, config: RunConfig,
     ious, f1s, pcws = [], [], []
     with nm.no_grad():
         for rec in records:
-            occ, chi, sem, _, vis, p0, _ = record_arrays(rec, sigma=config.sigma)
+            occ, chi, sem, _, vis, p0, _, _ = assemble_batch([rec], config.sigma)
             instr = [model.encode_instruction(rec.tokens)]
-            fwd = model.forward(config.mode, instr, p0[None], occ[None], chi[None],
-                                sem[None])
+            fwd = model.forward(config.mode, instr, p0, occ, chi, sem)
             if fwd.occ_hat is not None:
                 pred_labels = np.asarray(fwd.sem.data[0]).argmax(axis=0)
                 mm = compute_map_metrics(pred_labels, rec.sem_labels)
                 ious.append(mm["IoU"])
                 f1s.append(mm["F1"])
             decoded = decode_waypoints(np.asarray(fwd.heatmaps.data[0]))
-            pcws.append(compute_pcw(decoded, rec.waypoints_ego, vis))
+            pcws.append(compute_pcw(decoded, rec.waypoints_ego, vis[0]))
     out = {"PCW": float(np.mean(pcws)) if pcws else 0.0}
     out["IoU"] = float(np.mean(ious)) if ious else float("nan")
     out["F1"] = float(np.mean(f1s)) if f1s else float("nan")

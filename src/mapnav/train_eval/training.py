@@ -10,17 +10,25 @@ import numpy as np
 from .. import numerics as nm
 from ..config import RunConfig
 from ..errors import NumericError, UsageError
-from ..model import CM2Model, loss_map, loss_total, loss_waypoint
-from .dataset import TrainingRecord, record_arrays
+from ..model import CM2Model, loss_map, loss_total, loss_waypoint, make_gt_heatmaps
+from .dataset import TrainingRecord
 
 
 def assemble_batch(records: list[TrainingRecord], sigma: float):
-    """Stack record arrays into batched model inputs and targets."""
-    occ, chi, sem, hm, vis, p0, xi = zip(*(record_arrays(r, sigma=sigma)
-                                           for r in records))
-    tokens = [r.tokens for r in records]
-    return (np.stack(occ), np.stack(chi), np.stack(sem), np.stack(hm),
-            np.stack(vis).astype(np.float64), np.stack(p0), np.stack(xi), tokens)
+    """Batched model inputs and targets of records.
+
+    Returns (occ, chi, sem_gt) (B,s,s) label maps, heatmaps (B,k,u,u),
+    visibility (B,k), start heatmaps (B,1,u,u), traversed (B,k) and the B
+    token arrays. A start heatmap is its record's first waypoint heatmap."""
+    u = records[0].occ_labels.shape[0] // 2
+    hm, vis = zip(*(make_gt_heatmaps(r.waypoints_ego, u, u, sigma) for r in records))
+    hm = np.stack(hm)
+    return (np.stack([r.occ_labels for r in records]),
+            np.stack([r.chi_labels for r in records]),
+            np.stack([r.sem_labels for r in records]), hm,
+            np.stack(vis).astype(np.float64), hm[:, :1],
+            np.stack([r.traversed for r in records]).astype(np.float64),
+            [r.tokens for r in records])
 
 
 def batch_loss(model: CM2Model, batch, config: RunConfig):

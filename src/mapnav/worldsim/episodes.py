@@ -186,7 +186,7 @@ def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0,
         if with_instruction:
             from ..language import grammar, tokenizer
 
-            ep.instruction_text = grammar.generate_instruction(ep, plan, seed)
+            ep.instruction_text = grammar.generate_instruction(ep, plan)
             ep.tokens = tokenizer.tokenize(ep.instruction_text).tokens
         return ep
     raise GenerationError(f"episode sampling failed (plan seed {plan.seed}, seed {seed})")

@@ -23,7 +23,7 @@ from mapnav.model import (CM2Model, ModelConfig, make_gt_heatmaps,
                           make_path_supervision)
 from mapnav.model.attention import cross_modal_attend, init_cross_modal
 from mapnav.train_eval import (aggregate_nav, build_dataset, compute_map_metrics,
-                               episode_metrics, generate_split, record_arrays)
+                               episode_metrics, generate_split)
 from mapnav.train_eval.training import assemble_batch, batch_loss
 from mapnav.worldsim import Pose, generate_episode, generate_floorplan
 

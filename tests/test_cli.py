@@ -248,11 +248,19 @@ def test_config_rejects_invalid():
         for value in (0, -1):  # no training records, or a raw numpy error
             with pytest.raises(ConfigError):
                 tiny_config(**{field: value})
+    # a raw numpy error in sensing, or a NaN loss from flat heatmaps
+    for field, value in (("max_range", 0.0), ("max_range", -1.0), ("max_range", float("nan")),
+                         ("num_rays", 0), ("sigma", 0.0), ("sigma", -1.0)):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [("episodes_per_floorplan", 0),
                                           ("samples_per_episode", 0),
-                                          ("samples_per_episode", -1)])
+                                          ("samples_per_episode", -1),
+                                          ("max_range", -1.0),
+                                          ("num_rays", 0),
+                                          ("sigma", 0.0)])
 def test_gen_data_rejects_empty_dataset_config(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     dataclasses.replace(tiny_config(), **{field: value}).save(bad)

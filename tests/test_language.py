@@ -100,8 +100,8 @@ def test_grammar_room_fallback_without_objects():
 
 
 def test_grammar_deterministic(plan, episode):
-    a = generate_instruction(episode, plan, 0)
-    b = generate_instruction(episode, plan, 0)
+    a = generate_instruction(episode, plan)
+    b = generate_instruction(episode, plan)
     assert a == b
 
 

@@ -9,6 +9,7 @@ from mapnav.mapping import (
     ego_to_world, ground_project, new_global_occupancy, sense,
     update_global, world_to_ego,
 )
+from mapnav.model.cm2 import one_hot
 from mapnav.worldsim import (
     CELL_SIZE, FLOOR, NUM_CLASSES, VOID, WALL, DepthScan, Floorplan, Pose,
     cell_center, generate_floorplan, raycast,
@@ -55,32 +56,35 @@ def test_left_of_heading_is_smaller_column():
 # --------------------------------------------------------- ground projection
 def test_ground_project_perpendicular_ray():
     sem = ground_project(one_ray_scan(1.0, WALL), size=48)
+    assert sem.shape == (48, 48) and sem.dtype == np.uint8
     col = 24
     # 5 floor cells walking up from the agent, then the wall hit
-    assert sem[FLOOR, 24, col] == 1 and sem[FLOOR, 20, col] == 1
-    assert np.all(sem[FLOOR, 20:25, col] == 1)
-    assert sem[WALL, 19, col] == 1
-    assert sem[WALL].sum() == 1
+    assert sem[24, col] == FLOOR and sem[20, col] == FLOOR
+    assert np.all(sem[20:25, col] == FLOOR)
+    assert sem[19, col] == WALL
+    assert (sem == WALL).sum() == 1
 
 
 def test_ground_project_behind_is_void():
     plan = generate_floorplan(0)
     pose = Pose(6.4, 6.4, 1.1)
     sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
-    assert np.all(sem[VOID, 26:, :] == 1)  # rows behind the agent untouched
+    assert np.all(sem[26:, :] == VOID)  # rows behind the agent untouched
 
 
 def test_ground_project_no_hit_free_only():
     sem = ground_project(one_ray_scan(4.8, -1), size=48)
-    assert sem[FLOOR].sum() > 0
-    assert np.all(sem[FLOOR] + sem[VOID] == 1)
+    assert (sem == FLOOR).sum() > 0
+    assert np.all((sem == FLOOR) | (sem == VOID))
 
 
 def test_ground_project_one_hot():
     plan = generate_floorplan(1)
     pose = Pose(6.4, 6.4, -0.4)
     sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
-    assert np.array_equal(sem.sum(axis=0), np.ones((48, 48)))
+    assert sem.dtype == np.uint8 and sem.max() < NUM_CLASSES
+    # the model's one-hot of the label map is one class per cell
+    assert np.array_equal(one_hot(sem, NUM_CLASSES).sum(axis=0), np.ones((48, 48)))
 
 
 def ground_project_reference(scan, size):
@@ -103,12 +107,11 @@ def ground_project_reference(scan, size):
         if 0 <= r < size and 0 <= c < size:
             occ[r, c] = 2
             sem[r, c] = scan.classes[i]
-    sem_onehot = np.zeros((NUM_CLASSES, size, size))
+    labels = np.full((size, size), VOID, dtype=np.uint8)
     for r, c in np.argwhere(occ == 2):
-        sem_onehot[sem[r, c], r, c] = 1.0
-    sem_onehot[FLOOR][occ == 1] = 1.0
-    sem_onehot[VOID][occ == 0] = 1.0
-    return sem_onehot
+        labels[r, c] = sem[r, c]
+    labels[occ == 1] = FLOOR
+    return labels
 
 
 def test_ground_project_matches_per_ray_oracle():
@@ -157,7 +160,7 @@ def test_ground_project_stack_equals_per_scan_oracle():
     scans.append(DepthScan(angles, np.full(5, 4.0), np.full(5, -1), 4.0))
     for size in (24, 48):
         sem = ground_project(scans, size)
-        assert sem.shape == (len(scans), NUM_CLASSES, size, size)
+        assert sem.shape == (len(scans), size, size)
         for i, scan in enumerate(scans):
             assert sem[i].tobytes() == ground_project_reference(scan, size).tobytes()
 
@@ -316,8 +319,7 @@ def test_crop_semantic_wall_ahead_any_heading():
         (Pose(6.5, 1.3, -math.pi / 2)),  # -y toward south wall
     ]
     for pose in cases:
-        sem = crop_ego_semantic(plan, pose, 48)
-        labels = sem.argmax(axis=0)
+        labels = crop_ego_semantic(plan, pose, 48)
         # wall 1 m ahead -> about 5 cells above center
         assert WALL in labels[18:21, 24], pose
         assert np.all(labels[24, 24] == FLOOR)
@@ -331,8 +333,7 @@ def test_crop_semantic_rotated_45deg():
     ty = pose.y + math.sin(pose.theta)
     r, c = int(ty / CELL_SIZE), int(tx / CELL_SIZE)
     plan.grid[r, c] = 3  # table
-    sem = crop_ego_semantic(plan, pose, 48)
-    labels = sem.argmax(axis=0)
+    labels = crop_ego_semantic(plan, pose, 48)
     assert 3 in labels[18:21, 23:26]
 
 
@@ -359,21 +360,17 @@ def crop_occupancy_reference(gmap, pose, size):
     inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
     vals = np.zeros((size, size))
     vals[inside] = gmap[wr[inside], wc[inside]]
-    out = np.zeros((3, size, size))
-    out[OCC] = inside & (vals > OCC_THRESHOLD)
-    out[FREE] = inside & (vals < -OCC_THRESHOLD)
-    out[UNK] = 1.0 - out[OCC] - out[FREE]
+    out = np.full((size, size), UNK, dtype=np.uint8)
+    out[inside & (vals > OCC_THRESHOLD)] = OCC
+    out[inside & (vals < -OCC_THRESHOLD)] = FREE
     return out, (wr, wc, inside)
 
 
 def crop_semantic_reference(plan, pose, size):
     _, (wr, wc, inside) = crop_occupancy_reference(np.zeros(plan.grid.shape), pose, size)
-    labels = np.zeros((size, size), dtype=np.int64)
+    labels = np.full((size, size), VOID, dtype=np.uint8)
     labels[inside] = plan.grid[wr[inside], wc[inside]]
-    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    out = np.zeros((NUM_CLASSES, size, size))
-    out[labels, rows, cols] = 1.0
-    return out
+    return labels
 
 
 def test_crops_of_many_poses_equal_per_pose_crops(plan):
@@ -395,8 +392,7 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
         shared = crop_ego_occupancy(gmap, poses, size)
         each = crop_ego_occupancy(maps, poses, size)
         sem = crop_ego_semantic(plan, poses, size)
-        assert shared.shape == each.shape == (len(poses), 3, size, size)
-        assert sem.shape == (len(poses), NUM_CLASSES, size, size)
+        assert shared.shape == each.shape == sem.shape == (len(poses), size, size)
         for i, pose in enumerate(poses):
             assert shared[i].tobytes() == crop_occupancy_reference(gmap, pose, size)[0].tobytes()
             assert each[i].tobytes() == crop_occupancy_reference(maps[i], pose, size)[0].tobytes()
@@ -404,13 +400,13 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
             assert crop_ego_occupancy(maps[i], pose, size).tobytes() == each[i].tobytes()
             assert crop_ego_semantic(plan, pose, size).tobytes() == sem[i].tobytes()
     # border poses see void beyond the world
-    assert (sem[8:, VOID] == 1).any(axis=(1, 2)).all()
+    assert (sem[8:] == VOID).any(axis=(1, 2)).all()
 
 
 def test_crop_out_of_world_is_void():
     gmap = new_global_occupancy(64)
     occ = crop_ego_occupancy(gmap, Pose(0.3, 0.3, 0.0), 48)
-    assert np.all(occ[UNK] == 1)
+    assert np.all(occ == UNK)
 
 
 def neighborhood(grid, r, c):
@@ -439,7 +435,7 @@ def test_round_trip_occupied_within_one_cell():
                 assert gmap[tuple(world)] > OCC_THRESHOLD, (seed, k, i)
                 r, c = ego_to_cell(t * math.cos(a), -t * math.sin(a), 48)
                 total += 1
-                if neighborhood(crop[OCC], r, c).any():
+                if (neighborhood(crop, r, c) == OCC).any():
                     hits += 1
                     continue
                 near = [[(24 - r - dr) * CELL_SIZE, (c + dc - 24) * CELL_SIZE]
@@ -455,12 +451,12 @@ def test_ground_project_agrees_with_gt_crop(plan):
     floor = np.argwhere(plan.traversable_mask())
     pose = Pose(*cell_center(*floor[len(floor) // 3]), 0.4)
     sem = ground_project(raycast(plan, pose, p_noise=0.0))
-    gt = crop_ego_semantic(plan, pose, 48).argmax(axis=0)
-    for r, c in np.argwhere((sem[VOID] == 0) & (sem[FLOOR] == 0)):
+    gt = crop_ego_semantic(plan, pose, 48)
+    for r, c in np.argwhere((sem != VOID) & (sem != FLOOR)):
         assert np.any(neighborhood(gt, r, c) >= WALL)
-    misses = sum(1 for r, c in np.argwhere(sem[FLOOR] == 1)
+    misses = sum(1 for r, c in np.argwhere(sem == FLOOR)
                  if FLOOR not in neighborhood(gt, r, c))
-    assert misses <= 0.01 * sem[FLOOR].sum()
+    assert misses <= 0.01 * (sem == FLOOR).sum()
 
 
 def test_sense_is_raycast_project_update(plan):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mapnav.numerics as nm
-from mapnav.errors import ConfigError
+from mapnav.errors import ConfigError, UsageError
 from mapnav.language import MAX_TOKENS, tokenize
 from mapnav.model import (
     CM2Model, HEATMAP_CELL, ModelConfig, cross_modal_attend,
@@ -12,6 +12,7 @@ from mapnav.model import (
     loss_map, loss_total, loss_waypoint, make_gt_heatmaps,
     make_path_supervision, nearest_arc_length, sample_waypoints,
 )
+from mapnav.model.cm2 import one_hot
 from mapnav.worldsim import NUM_CLASSES, Pose
 
 D = 16
@@ -186,6 +187,9 @@ def test_traversed_prefix_monotone(episode):
         sup = make_path_supervision(path, Pose(pt[0], pt[1], 0.0), 10, 24, 24)
         assert sup.traversed[0] == 1.0
         assert np.all(np.diff(sup.traversed) <= 0.0)
+        # the start heatmap is the first waypoint's, built on its own
+        start_hm, _ = make_gt_heatmaps(sup.waypoints_ego[:1], 24, 24)
+        assert sup.start_heatmap.tobytes() == start_hm.tobytes()
     # at the start only the first waypoint is traversed; at the goal all are
     start = make_path_supervision(path, Pose(*path[0], 0.0), 10, 24, 24)
     end = make_path_supervision(path, Pose(*path[-1], 0.0), 10, 24, 24)
@@ -212,9 +216,8 @@ def mini():
 def mini_inputs(mini):
     rng = np.random.default_rng(1)
     s = mini.config.ego_size
-    occ = np.eye(3)[rng.integers(0, 3, size=(2, s, s))].transpose(0, 3, 1, 2)
-    sem = np.eye(NUM_CLASSES)[rng.integers(0, NUM_CLASSES, size=(2, s, s))]
-    sem = sem.transpose(0, 3, 1, 2)
+    occ = rng.integers(0, 3, size=(2, s, s)).astype(np.uint8)
+    sem = rng.integers(0, NUM_CLASSES, size=(2, s, s)).astype(np.uint8)
     instr = [mini.encode_instruction(np.asarray(tokenize(t).tokens))
              for t in ("walk straight then stop near the bed",
                        "turn left near the table then stop")]
@@ -238,7 +241,7 @@ def test_predict_maps_simplex(mini, mini_inputs):
 
 def test_predict_path_ranges(mini, mini_inputs):
     _, sem, instr, p0 = mini_inputs
-    heat, trav, _, _ = mini.predict_path(sem, instr, p0)
+    heat, trav, _, _ = mini.predict_path(one_hot(sem, NUM_CLASSES), instr, p0)
     u = mini.config.heatmap_size
     assert heat.shape == (2, 3, u, u)
     assert trav.shape == (2, 3)
@@ -250,6 +253,7 @@ def test_predict_path_ranges(mini, mini_inputs):
 
 def test_predict_path_batch_matches_single_samples(mini, mini_inputs):
     _, sem, instr, p0 = mini_inputs
+    sem = one_hot(sem, NUM_CLASSES)
     sem3 = np.concatenate([sem, sem[::-1][:1]])
     instr3 = instr + [mini.encode_instruction(np.asarray(tokenize("go to the tv").tokens))]
     p03 = np.concatenate([p0, np.roll(p0[:1], 2, axis=-1)])
@@ -271,17 +275,25 @@ def test_model_stateless(mini, mini_inputs):
     a1 = mini.predict_maps(occ, sem, instr)
     a2 = mini.predict_maps(occ, sem, instr)
     assert np.array_equal(np.asarray(a1[1].data), np.asarray(a2[1].data))
-    b1 = mini.predict_path(sem, instr, p0)
-    b2 = mini.predict_path(sem, instr, p0)
+    b1 = mini.predict_path(one_hot(sem, NUM_CLASSES), instr, p0)
+    b2 = mini.predict_path(one_hot(sem, NUM_CLASSES), instr, p0)
     assert np.array_equal(np.asarray(b1[0].data), np.asarray(b2[0].data))
 
 
 def test_model_rejects_bad_shapes(mini, mini_inputs):
     occ, sem, instr, p0 = mini_inputs
     with pytest.raises(ConfigError):
-        mini.predict_maps(occ[:, :, :12, :12], sem[:, :, :12, :12], instr)
+        mini.predict_maps(occ[:, :12, :12], sem[:, :12, :12], instr)
+    with pytest.raises(ConfigError):  # one-hot grids where label maps are expected
+        mini.predict_maps(one_hot(occ, 3), one_hot(sem, NUM_CLASSES), instr)
+    with pytest.raises(UsageError):  # a label past the last class
+        mini.predict_maps(occ, np.full_like(sem, NUM_CLASSES), instr)
+    with pytest.raises(UsageError):
+        mini.predict_maps(np.full_like(occ, 3), sem, instr)
     with pytest.raises(ConfigError):
-        mini.predict_path(occ, instr, p0)  # 3 channels where c expected
+        mini.predict_path(one_hot(occ, 3), instr, p0)  # 3 channels where c expected
+    with pytest.raises(ConfigError):  # a label map where a distribution is expected
+        mini.predict_path(sem, instr, p0)
 
 
 def test_no_map_attention_ignores_instruction(mini_inputs, monkeypatch):
@@ -323,9 +335,9 @@ def test_forward_chains_map_and_path_heads(mini, mini_inputs):
     assert np.array_equal(out.attn, attn)
     # given a map: the path head reads the ground-truth semantics, no map heads run
     gt = mini.forward("cm2-gt", instr, p0, sem_gt=sem)
-    heat_gt, _, _, _ = mini.predict_path(sem, instr, p0)
+    heat_gt, _, _, _ = mini.predict_path(one_hot(sem, NUM_CLASSES), instr, p0)
     assert gt.occ_hat is None
-    assert np.array_equal(gt.sem.data, sem)
+    assert np.array_equal(gt.sem.data, one_hot(sem, NUM_CLASSES))
     assert np.array_equal(gt.heatmaps.data, heat_gt.data)
 
 
@@ -359,19 +371,28 @@ def test_loss_waypoint_hand_arithmetic():
 
 
 def test_loss_map_closed_forms():
-    occ_gt = np.zeros((1, 3, 4, 4))
-    occ_gt[0, 0] = 1.0
-    sem_gt = np.zeros((1, 13, 4, 4))
-    sem_gt[0, 2] = 1.0
+    occ_gt = np.zeros((1, 4, 4), dtype=np.uint8)      # label 0 everywhere
+    sem_gt = np.full((1, 4, 4), 2, dtype=np.uint8)
     uniform_occ = nm.Tensor(np.full((1, 3, 4, 4), 1.0 / 3.0))
     uniform_sem = nm.Tensor(np.full((1, 13, 4, 4), 1.0 / 13.0))
     loss = loss_map(uniform_occ, uniform_sem, occ_gt, sem_gt)
     assert float(loss.data) == pytest.approx(math.log(3.0) + math.log(13.0))
 
-    near_perfect = nm.Tensor(np.clip(occ_gt, 1e-7, 1.0 - 1e-7))
-    sem_perfect = nm.Tensor(np.clip(sem_gt, 1e-7, 1.0 - 1e-7))
+    near_perfect = nm.Tensor(np.clip(one_hot(occ_gt, 3), 1e-7, 1.0 - 1e-7))
+    sem_perfect = nm.Tensor(np.clip(one_hot(sem_gt, 13), 1e-7, 1.0 - 1e-7))
     tiny = loss_map(near_perfect, sem_perfect, occ_gt, sem_gt)
     assert float(tiny.data) <= 2e-6
+
+
+def test_one_hot_of_label_maps():
+    labels = np.array([[[0, 2], [1, 2]]], dtype=np.uint8)
+    got = one_hot(labels, 3)
+    assert got.shape == (1, 3, 2, 2) and got.dtype == np.float64
+    assert np.array_equal(got, np.eye(3)[labels].transpose(0, 3, 1, 2))
+    assert np.array_equal(one_hot(labels[0], 3), got[0])
+    for bad in (3, -1):
+        with pytest.raises(UsageError):
+            one_hot(np.array([[bad]]), 3)
 
 
 def test_loss_total_arithmetic():
@@ -428,6 +449,7 @@ def test_save_load_round_trip(mini, mini_inputs, tmp_path):
     instr = [clone.encode_instruction(np.asarray(tokenize(t).tokens))
              for t in ("walk straight then stop near the bed",
                        "turn left near the table then stop")]
+    sem = one_hot(sem, NUM_CLASSES)
     a = mini.predict_path(sem, instr_old, p0)
     b = clone.predict_path(sem, instr, p0)
     assert np.array_equal(np.asarray(a[0].data), np.asarray(b[0].data))

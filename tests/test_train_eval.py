@@ -9,9 +9,11 @@ import pytest
 from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import NumericError, UsageError
-from mapnav.mapping import (OCC_THRESHOLD, crop_ego_occupancy, crop_ego_semantic,
-                            new_global_occupancy, sense, update_global, world_to_ego)
-from mapnav.model.supervision import ego_to_heatmap_cell, sample_waypoints
+from mapnav.mapping import (FREE, OCC, OCC_THRESHOLD, UNK, crop_ego_occupancy,
+                            crop_ego_semantic, new_global_occupancy, sense, update_global,
+                            world_to_ego)
+from mapnav.model.cm2 import one_hot
+from mapnav.model.supervision import ego_to_heatmap_cell, make_gt_heatmaps, sample_waypoints
 from mapnav.train_eval import (
     METRIC_COLUMNS, TAU_SWEEP, VARIANTS, NavMetrics, aggregate_nav,
     assemble_batch, batch_loss, build_dataset, build_episode_records,
@@ -23,7 +25,8 @@ from mapnav.train_eval.dataset import (
     HEADING_JITTER, HISTORY_SPACING, TrainingRecord, _path_heading, _path_point, episode_rng,
 )
 from mapnav.worldsim import (
-    FLOOR, WALL, Floorplan, Pose, generate_episode, generate_floorplan, wrap_angle,
+    FLOOR, NUM_CLASSES, WALL, Floorplan, Pose, generate_episode, generate_floorplan,
+    wrap_angle,
 )
 
 
@@ -67,22 +70,61 @@ def test_record_supervision_invariants(records):
 
 def test_record_visibility_consistency(records):
     for rec in records:
-        _, _, _, _, vis, _, _ = __import__(
-            "mapnav.train_eval.dataset", fromlist=["record_arrays"]
-        ).record_arrays(rec, sigma=1.0)
+        vis = assemble_batch([rec], sigma=1.0)[4][0]
         for i, (f, r) in enumerate(rec.waypoints_ego):
             cr, cc = ego_to_heatmap_cell(f, r, 12, 12)
             assert vis[i] == (0 <= cr < 12 and 0 <= cc < 12)
 
 
 def test_record_array_shapes(records):
-    from mapnav.train_eval.dataset import record_arrays
-    occ, chi, sem, hm, vis, p0, xi = record_arrays(records[0], sigma=1.0)
+    """One record's label maps, as batch assembly gives them and as the
+    model one-hot encodes them, and its supervision targets."""
+    occ, chi, sem, hm, vis, p0, xi, _ = assemble_batch(records[:1], sigma=1.0)
+    occ, chi, sem = one_hot(occ, 3)[0], one_hot(chi, NUM_CLASSES)[0], one_hot(sem, NUM_CLASSES)[0]
     assert occ.shape == (3, 24, 24) and np.allclose(occ.sum(axis=0), 1.0)
     assert chi.shape[1:] == (24, 24) and np.allclose(chi.sum(axis=0), 1.0)
     assert sem.shape == chi.shape
-    assert hm.shape == (5, 12, 12) and p0.shape == (1, 12, 12)
-    assert vis.shape == (5,) and xi.shape == (5,)
+    assert hm.shape == (1, 5, 12, 12) and p0.shape == (1, 1, 12, 12)
+    assert vis.shape == (1, 5) and xi.shape == (1, 5)
+
+
+def record_arrays_reference(rec, num_classes=NUM_CLASSES, sigma=1.0):
+    """One record expanded into one-hot model inputs and targets, one
+    record at a time: (occ (3,s,s), chi (c,s,s), sem_gt (c,s,s), heatmaps
+    (k,u,u), visibility (k,), start_heatmap (1,u,u), traversed (k,))."""
+    s = rec.occ_labels.shape[0]
+    u = s // 2
+    occ = np.zeros((3, s, s))
+    for ch in (OCC, FREE, UNK):
+        occ[ch] = rec.occ_labels == ch
+    rows, cols = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
+    chi = np.zeros((num_classes, s, s))
+    chi[rec.chi_labels.astype(int), rows, cols] = 1.0
+    sem = np.zeros((num_classes, s, s))
+    sem[rec.sem_labels.astype(int), rows, cols] = 1.0
+    heatmaps, vis = make_gt_heatmaps(rec.waypoints_ego, u, u, sigma)
+    start_hm, _ = make_gt_heatmaps(rec.waypoints_ego[:1], u, u, sigma)
+    return occ, chi, sem, heatmaps, vis, start_hm, rec.traversed.astype(np.float64)
+
+
+def test_model_one_hots_of_batch_equal_per_record_expansion():
+    """The model's one-hot grids of assembled label maps, and the batch's
+    heatmaps, visibility, start heatmaps and traversal labels, equal the
+    per-record expansion byte for byte, at ego 24 and 48 and p_noise 0 and
+    0.3."""
+    pairs = generate_split(RunConfig(), range(20, 23), 0, 2)
+    for p_noise in (0.0, 0.3):
+        for ego in (24, 48):
+            records = build_dataset(pairs, 4, 5, ego, seed=7, p_noise=p_noise)
+            occ, chi, sem, hm, vis, p0, xi, _ = assemble_batch(records, sigma=1.0)
+            assert len(np.unique(occ)) == 3 and len(np.unique(chi)) > 3
+            got = (one_hot(occ, 3), one_hot(chi, NUM_CLASSES), one_hot(sem, NUM_CLASSES),
+                   hm, vis, p0, xi)
+            want = [np.stack(a) for a in zip(*map(record_arrays_reference, records))]
+            want[4] = want[4].astype(np.float64)
+            for name, g, w in zip(("occ", "chi", "sem", "hm", "vis", "p0", "xi"), got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape, (name, p_noise, ego)
+                assert np.ascontiguousarray(g).tobytes() == w.tobytes(), (name, p_noise, ego)
 
 
 def test_dataset_deterministic_and_serializable(plan, episode, tmp_path):
@@ -151,7 +193,7 @@ def test_save_rejects_records_of_another_shape(plan, episode, records, tmp_path)
 def build_episode_records_reference(plan, episode, samples_per_episode, k, ego_size, rng,
                                     num_rays=64, max_range=4.8, p_noise=0.0):
     """The per-pose record builder: one ``sense`` per sensor pose, one pair
-    of crops per sample, labels by argmax."""
+    of crops per sample."""
     path = np.asarray(episode.gt_path)
     arcs = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(path, axis=0), axis=1))])
     total = arcs[-1]
@@ -175,9 +217,9 @@ def build_episode_records_reference(plan, episode, samples_per_episode, k, ego_s
         records.append(TrainingRecord(
             episode_id=episode.episode_id, t=t, pose=pose,
             tokens=np.asarray(episode.tokens, dtype=np.int64),
-            occ_labels=crop_ego_occupancy(gmap, pose, ego_size).argmax(axis=0).astype(np.uint8),
-            chi_labels=chi_frame.argmax(axis=0).astype(np.uint8),
-            sem_labels=crop_ego_semantic(plan, pose, ego_size).argmax(axis=0).astype(np.uint8),
+            occ_labels=crop_ego_occupancy(gmap, pose, ego_size),
+            chi_labels=chi_frame,
+            sem_labels=crop_ego_semantic(plan, pose, ego_size),
             waypoints_ego=world_to_ego(pose, wps),
             traversed=(wp_arcs <= sa + 1e-9).astype(np.uint8)))
     return records
@@ -392,8 +434,9 @@ def test_training_aborts_on_divergence(train_records, tmp_path, monkeypatch):
 def test_assemble_batch_shapes(train_records):
     batch = assemble_batch(train_records[:3], sigma=1.0)
     occ, chi, sem, hm, vis, p0, xi, tokens = batch
-    assert occ.shape == (3, 3, 24, 24)
-    assert hm.shape == (3, 5, 12, 12)
+    assert occ.shape == chi.shape == sem.shape == (3, 24, 24)
+    assert occ.dtype == chi.dtype == sem.dtype == np.uint8
+    assert hm.shape == (3, 5, 12, 12) and p0.shape == (3, 1, 12, 12)
     assert vis.shape == (3, 5) and xi.shape == (3, 5)
     assert len(tokens) == 3
 
