@@ -19,7 +19,7 @@ from ..language.encoder import encode_instruction, init_instruction_params, pad_
 from ..language.vocab import VOCAB_SIZE
 from ..worldsim.floorplan import NUM_CLASSES
 from .attention import cross_modal_attend, init_cross_modal
-from .unet import UNetSpec, apply_unet, init_unet
+from .unet import LEAKY_SLOPE, UNetSpec, apply_unet, init_unet
 
 ENCODER_DOWNSAMPLE = 8
 OCC_CLASSES = 3   # occupied, free, unknown: the labels of an occupancy map
@@ -66,6 +66,9 @@ class ModelConfig:
             raise ConfigError(f"ego_size {self.ego_size} must be divisible by {ENCODER_DOWNSAMPLE}")
         if self.d < 8 or self.k < 2:
             raise ConfigError(f"invalid model dims d={self.d} k={self.k}")
+        for name, low in (("unet_depth", 1), ("unet_base", 1), ("n_instr_layers", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 def _encoder_channels(d: int) -> list[int]:
@@ -87,8 +90,8 @@ def apply_map_encoder(x: nm.Tensor, params: dict, d: int, prefix: str) -> nm.Ten
     """(B,C,h,w) -> (B,d,h/8,w/8) via 3 strided conv blocks."""
     h = x
     for i in range(3):
-        h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}c{i}.w"],
-                                    params[f"{prefix}c{i}.b"], padding=1))
+        h = nm.conv2d(h, params[f"{prefix}c{i}.w"], params[f"{prefix}c{i}.b"], padding=1,
+                      slope=LEAKY_SLOPE)
         h = nm.avg_pool2d(h, 2)
     return h
 

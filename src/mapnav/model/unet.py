@@ -13,6 +13,8 @@ import numpy as np
 
 from .. import numerics as nm
 
+LEAKY_SLOPE = 0.01  # of every hidden conv's LeakyReLU, in the UNets and the map encoders
+
 
 @dataclass
 class UNetSpec:
@@ -77,32 +79,33 @@ def init_unet(rng: np.random.Generator, spec: UNetSpec, prefix: str,
 
 def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
                bneck_features: nm.Tensor | None = None):
-    """Forward pass; returns (logits, bottleneck activation)."""
+    """Forward pass; returns (logits, bottleneck activation).
+
+    Every conv but the 1x1 head applies its bias and a LeakyReLU of
+    ``LEAKY_SLOPE`` in place, so the tape keeps each activation once: as
+    that conv's output, which is also the next op's input."""
+    def conv(h, name):
+        return nm.conv2d(h, params[f"{prefix}{name}.w"], params[f"{prefix}{name}.b"],
+                         padding=1, slope=LEAKY_SLOPE)
+
     skips = []
     h = x
     for i, down in enumerate(spec.down_flags):
-        h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}enc{i}.c1.w"],
-                                    params[f"{prefix}enc{i}.c1.b"], padding=1))
+        h = conv(h, f"enc{i}.c1")
         skips.append(h)
         if down:
-            h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}enc{i}.c2.w"],
-                                        params[f"{prefix}enc{i}.c2.b"], padding=1))
-            h = nm.avg_pool2d(h, 2)
+            h = nm.avg_pool2d(conv(h, f"enc{i}.c2"), 2)
     if bneck_features is not None:
         h = nm.concat([h, bneck_features], axis=-3)
-    h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}bneck.w"],
-                                params[f"{prefix}bneck.b"], padding=1))
+    h = conv(h, "bneck")
     bottleneck = h
     for i in reversed(range(spec.depth)):
         if spec.down_flags[i]:
             # nearest 2x upsample and a 3x3 conv, as one op on the low-res grid
-            h = nm.leaky_relu(nm.upconv2d(h, params[f"{prefix}dec{i}.up.w"],
-                                          params[f"{prefix}dec{i}.up.b"]))
+            h = nm.upconv2d(h, params[f"{prefix}dec{i}.up.w"], params[f"{prefix}dec{i}.up.b"],
+                            slope=LEAKY_SLOPE)
         else:
-            h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}dec{i}.up.w"],
-                                        params[f"{prefix}dec{i}.up.b"], padding=1))
-        h = nm.concat([h, skips[i]], axis=-3)
-        h = nm.leaky_relu(nm.conv2d(h, params[f"{prefix}dec{i}.mix.w"],
-                                    params[f"{prefix}dec{i}.mix.b"], padding=1))
+            h = conv(h, f"dec{i}.up")
+        h = conv(nm.concat([h, skips[i]], axis=-3), f"dec{i}.mix")
     logits = nm.conv2d(h, params[f"{prefix}head.w"], params[f"{prefix}head.b"])
     return logits, bottleneck

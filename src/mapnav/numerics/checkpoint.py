@@ -9,7 +9,9 @@ Layout (little-endian):
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -21,21 +23,33 @@ MAGIC = b"CM2CKPT1"
 
 
 def save_checkpoint(path, params: dict, config: dict | None = None):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        cfg = json.dumps(config or {}, sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(cfg)))
-        f.write(cfg)
-        f.write(struct.pack("<I", len(params)))
-        for name, p in params.items():
-            arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write atomically: into a temporary file beside ``path``, synced, then
+    ``os.replace``. A write that fails removes the temporary file and leaves
+    a checkpoint already at ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            cfg = json.dumps(config or {}, sort_keys=True).encode("utf-8")
+            f.write(struct.pack("<I", len(cfg)))
+            f.write(cfg)
+            f.write(struct.pack("<I", len(params)))
+            for name, p in params.items():
+                arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    f.write(struct.pack("<I", d))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())  # the bytes reach the disk before the rename does
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -206,20 +206,6 @@ def relu(a: Tensor) -> Tensor:
     return make_op(data, (a,), factory)
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"leaky_relu: alpha {alpha} not in [0, 1]")
-    data = np.maximum(a.data, alpha * a.data)
-
-    def factory(out):
-        def bw():
-            accumulate(a, out.grad * np.where(a.data > 0, 1.0, alpha))
-
-        return bw
-
-    return make_op(data, (a,), factory)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     s = np.empty_like(a.data)
     pos = a.data >= 0
@@ -357,8 +343,42 @@ def _kernel_grad_rows(src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int)
     return gw
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time.
+def _pad_rows(x4: np.ndarray, padding: int, tail: int) -> np.ndarray:
+    """(B, C, hp*wp + tail) copy of (B, C, H, W) ``x4``, zero-padded by
+    ``padding`` on every side and row-flattened, then ``tail`` more zeros."""
+    bsz, c, h, w = x4.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = np.zeros((bsz, c, hp * wp + tail))
+    xp[:, :, : hp * wp].reshape(bsz, c, hp, wp)[
+        :, :, padding : padding + h, padding : padding + w] = x4
+    return xp
+
+
+def _check_slope(op: str, slope: float | None):
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"{op}: slope {slope} not in [0, 1]")
+
+
+def _leaky_relu_(data: np.ndarray, slope: float | None):
+    """LeakyReLU of ``slope`` applied to ``data`` in place; none for None."""
+    if slope is not None:
+        np.maximum(data, slope * data, out=data)
+
+
+def _pre_activation_grad(out: Tensor, slope: float | None) -> np.ndarray:
+    """Gradient at the pre-activation of an op output ``out`` made by
+    :func:`_leaky_relu_`. For a slope in [0, 1] the output is positive exactly
+    where the pre-activation is, so the derivative is read off the output."""
+    if slope is None:
+        return out.grad
+    return out.grad * np.where(out.data > 0, 1.0, slope)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
+           slope: float | None = None) -> Tensor:
+    """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time,
+    plus the bias, then a LeakyReLU of ``slope`` in [0, 1] (none for None)
+    applied in place on the output.
 
     Per image, the kw column shifts of the zero-padded, row-flattened input
     ``xp`` (B, ci, hp*wp + kw-1) are stacked into one (kw*ci, hp*wp) buffer;
@@ -366,11 +386,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
     stack. Output column ``r*wp + c`` is pixel (r, c) for ``c < wo``; the
     wrap-around columns ``c >= wo`` are dropped.
 
-    Backward: the input gradient is the same correlation, of the output
-    gradient zero-padded by (kh-1-padding, kw-1-padding) on a grid of row
-    width ``wp``, with the flipped kernel transposed to (ci, co). The kernel
-    gradient is one GEMM per image and kernel row with the row stack of
-    ``xp``. The tape holds ``xp`` and the output."""
+    Backward: the output gradient is multiplied by the LeakyReLU's
+    derivative, read off the output. The input gradient is then the same
+    correlation, of that gradient zero-padded by (kh-1-padding, kw-1-padding)
+    on a grid of row width ``wp``, with the flipped kernel transposed to
+    (ci, co). The kernel gradient is one GEMM per image and kernel row with
+    the row stack of ``xp``, rebuilt from ``x``. The tape holds the input,
+    a parent already, and the output: no padded copy, pre-activation or
+    mask."""
     x4 = x.data.reshape((1,) + x.shape) if x.ndim == 3 else x.data
     if x4.ndim != 4:
         raise ShapeError(f"conv2d: expected (C,H,W) or (B,C,H,W), got {x.shape}")
@@ -385,6 +408,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
     if not 0 <= padding < min(kh, kw):
         raise ConfigError(f"conv2d: padding {padding} not in [0, {min(kh, kw)}) "
                           f"for kernel {kh}x{kw}")
+    _check_slope("conv2d", slope)
     hp, wp = h + 2 * padding, ww + 2 * padding
     ho, wo = hp - kh + 1, wp - kw + 1
     if ho < 1 or wo < 1:
@@ -392,13 +416,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
                           f"padded by {padding}")
 
     n = ho * wp
-    xp = np.zeros((bsz, ci, hp * wp + kw - 1))
-    xp[:, :, : hp * wp].reshape(bsz, ci, hp, wp)[
-        :, :, padding : padding + h, padding : padding + ww] = x4
     w_rows = w.data.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)  # [i, o, j*ci + c]
-    acc = _correlate_rows(xp, w_rows, wp, n)
+    acc = _correlate_rows(_pad_rows(x4, padding, kw - 1), w_rows, wp, n)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
     out_data = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
+    _leaky_relu_(out_data, slope)
     if x.ndim == 3:
         out_data = out_data[0]
 
@@ -406,7 +428,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
 
     def factory(out):
         def bw():
-            g4 = out.grad.reshape(bsz, co, ho, wo)
+            g4 = _pre_activation_grad(out, slope).reshape(bsz, co, ho, wo)
             if b is not None:
                 accumulate(b, g4.sum(axis=(0, 2, 3)))
             # gpad from offset ``top`` is also the flat (B, co, n) output
@@ -417,7 +439,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
                 :, :, ph : ph + ho, pw : pw + wo] = g4
             if w.requires_grad:
                 top = ph * wp + pw
+                xp = _pad_rows(x.data.reshape(bsz, ci, h, ww), padding, kw - 1)
                 gw = _kernel_grad_rows(xp, gpad[:, :, top : top + n], kh, kw, wp)
+                del xp  # before the input gradient's buffers
                 accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
             if x.requires_grad:
                 w_flip = w.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(kh, ci, kw * co)
@@ -443,10 +467,11 @@ def _tap_map() -> np.ndarray:
 _TAPS = _tap_map()
 
 
-def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
+             slope: float | None = None) -> Tensor:
     """``conv2d`` of the nearest-neighbour 2x upsample of (B,C,H,W) ``x``
-    with a 3x3 kernel and padding 1, computed on the low-res grid as a
-    sub-pixel convolution; the upsampled tensor is never built.
+    with a 3x3 kernel, padding 1 and ``slope``, computed on the low-res grid
+    as a sub-pixel convolution; the upsampled tensor is never built.
 
     Output pixel (2r+a, 2s+e) is the 2x2 correlation, at (r+a, s+e), of the
     zero-padded low-res input ``xp`` with the folded kernel of phase (a, e),
@@ -454,11 +479,13 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     one :func:`_correlate_rows` call with 4*co output channels over the
     (H+1, W+1) grid; phase (a, e) reads it from row a, column e.
 
-    Backward: the output gradient of phase (a, e) is placed on that grid at
-    row a, column e. The input gradient is its correlation with the flipped
-    folded kernel; the kernel gradient is :func:`_kernel_grad_rows` of it
-    with ``xp``, folded back through ``_TAPS.T``. The tape holds ``xp``, the
-    folded kernel and the output."""
+    Backward: the output gradient, times the LeakyReLU's derivative read off
+    the output, of phase (a, e) is placed on that grid at row a, column e.
+    The input gradient is its correlation with the flipped folded kernel;
+    the kernel gradient is :func:`_kernel_grad_rows` of it with ``xp``,
+    rebuilt from ``x``, folded back through ``_TAPS.T``. The tape holds the
+    input, a parent already, the folded kernel and the output: no padded
+    copy, pre-activation or mask."""
     if x.ndim != 4:
         raise ShapeError(f"upconv2d: expected (B,C,H,W), got {x.shape}")
     if w.ndim != 4:
@@ -469,28 +496,30 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"upconv2d: input channels {cin} != kernel channels {ci}")
     if (kh, kw) != (3, 3):
         raise ConfigError(f"upconv2d: kernel must be 3x3, got {kh}x{kw}")
+    _check_slope("upconv2d", slope)
 
     wp = ww + 2
     n = (h + 1) * wp
-    xp = np.zeros((bsz, ci, (h + 2) * wp + 1))
-    xp[:, :, : (h + 2) * wp].reshape(bsz, ci, h + 2, wp)[:, :, 1 : h + 1, 1 : ww + 1] = x.data
     folded = (w.data.reshape(co * ci, 9) @ _TAPS).reshape(co, ci, 2, 2, 2, 2)  # [o, c, a, i, e, j]
     w_rows = folded.transpose(3, 2, 4, 0, 5, 1).reshape(2, 4 * co, 2 * ci)  # [i, (a,e,o), j*ci + c]
-    grid = _correlate_rows(xp, w_rows, wp, n).reshape(bsz, 2, 2, co, h + 1, wp)
+    grid = _correlate_rows(_pad_rows(x.data, 1, 1), w_rows, wp, n).reshape(
+        bsz, 2, 2, co, h + 1, wp)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
     out6 = np.empty((bsz, co, h, 2, ww, 2))
     for a in range(2):
         for e in range(2):
             np.add(grid[:, a, e, :, a : a + h, e : e + ww], bias, out=out6[:, :, :, a, :, e])
     out_data = out6.reshape(bsz, co, 2 * h, 2 * ww)
+    _leaky_relu_(out_data, slope)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def factory(out):
         def bw():
-            g6 = out.grad.reshape(bsz, co, h, 2, ww, 2)
+            g = _pre_activation_grad(out, slope)
+            g6 = g.reshape(bsz, co, h, 2, ww, 2)
             if b is not None:
-                accumulate(b, out.grad.sum(axis=(0, 2, 3)))
+                accumulate(b, g.sum(axis=(0, 2, 3)))
             gflat = np.zeros((bsz, 2, 2, co, n + 1))
             ggrid = gflat[..., :n].reshape(bsz, 2, 2, co, h + 1, wp)
             for a in range(2):
@@ -498,7 +527,9 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                     ggrid[:, a, e, :, a : a + h, e : e + ww] = g6[:, :, :, a, :, e]
             gflat = gflat.reshape(bsz, 4 * co, n + 1)
             if w.requires_grad:
+                xp = _pad_rows(x.data, 1, 1)
                 gw = _kernel_grad_rows(xp, gflat[:, :, :n], 2, 2, wp)  # [i, (a,e,o), j*ci + c]
+                del xp  # before the input gradient's buffers
                 gfold = gw.reshape(2, 2, 2, co, 2, ci).transpose(3, 5, 1, 0, 2, 4)
                 accumulate(w, (gfold.reshape(co * ci, 16) @ _TAPS.T).reshape(co, ci, 3, 3))
             if x.requires_grad:

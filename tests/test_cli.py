@@ -250,7 +250,9 @@ def test_config_rejects_invalid():
                 tiny_config(**{field: value})
     # a raw numpy error in sensing, or a NaN loss from flat heatmaps
     for field, value in (("max_range", 0.0), ("max_range", -1.0), ("max_range", float("nan")),
-                         ("num_rays", 0), ("sigma", 0.0), ("sigma", -1.0)):
+                         ("num_rays", 0), ("sigma", 0.0), ("sigma", -1.0),
+                         # an IndexError, a ZeroDivisionError, or no instruction layers
+                         ("unet_depth", 0), ("unet_base", 0), ("n_instr_layers", -1)):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
 

@@ -479,3 +479,7 @@ def test_load_rejects_mismatched_config(mini, tmp_path):
     nm.save_checkpoint(path, mini.params, config=wrong)
     with pytest.raises(ConfigError):
         CM2Model.load(path)
+    for field, value in (("unet_depth", 0), ("unet_base", 0), ("n_instr_layers", -1)):
+        nm.save_checkpoint(path, mini.params, config=dict(asdict(mini.config), **{field: value}))
+        with pytest.raises(ConfigError, match=field):
+            CM2Model.load(path)

@@ -94,14 +94,23 @@ def test_grad_activations(rng):
     a = nm.Tensor(rng.normal(size=(4, 5)) + 0.3, requires_grad=True)
     c = nm.Tensor(rng.normal(size=(4, 5)))
     check(lambda: nm.tsum(nm.mul(nm.relu(a), c)), {"a": a})
-    check(lambda: nm.tsum(nm.mul(nm.leaky_relu(a), c)), {"a": a})
+    # LeakyReLU is fused into the convs: through a 1x1 kernel of one,
+    # conv2d's output is the activation of its input
+    one = nm.Tensor(np.ones((1, 1, 1, 1)))
+
+    def leaky(slope=0.01):
+        return nm.reshape(nm.conv2d(nm.reshape(a, (1, 4, 5)), one, slope=slope), (4, 5))
+
+    check(lambda: nm.tsum(nm.mul(leaky(), c)), {"a": a})
     check(lambda: nm.tsum(nm.mul(nm.sigmoid(a), c)), {"a": a})
-    for alpha in (0.0, 0.01, 1.0):
-        assert np.array_equal(nm.leaky_relu(a, alpha).data,
-                              np.where(a.data > 0, a.data, alpha * a.data))
-    for alpha in (-0.1, 1.5):  # max(x, alpha*x) is leaky ReLU only for alpha in [0, 1]
+    for slope in (0.0, 0.01, 1.0):
+        assert np.array_equal(leaky(slope).data, np.where(a.data > 0, a.data, slope * a.data))
+    x4, w3 = P(rng, 1, 1, 2, 2), P(rng, 1, 1, 3, 3)
+    for slope in (-0.1, 1.5):  # max(x, slope*x) is leaky ReLU only for slope in [0, 1]
         with pytest.raises(ConfigError):
-            nm.leaky_relu(a, alpha)
+            leaky(slope)
+        with pytest.raises(ConfigError):
+            nm.upconv2d(x4, w3, slope=slope)
 
 
 def test_grad_softmax_layernorm(rng):
@@ -267,9 +276,24 @@ def test_conv2d_tape_holds_no_patch_matrix(rng):
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    # the output plus one zero-padded copy of the input, about 2.1x; an
-    # im2col patch matrix alone would be 9x
+    # the output alone, 1x; an im2col patch matrix alone would be 9x
     assert held <= 3 * x.data.nbytes, held / x.data.nbytes
+
+
+def test_conv2d_tape_holds_input_and_output_only(rng):
+    """With the LeakyReLU fused, the tape keeps no pre-activation, mask or
+    zero-padded copy of the input: only the output beside the input."""
+    x = P(rng, 4, 16, 32, 32)
+    w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
+    tracemalloc.start()
+    try:
+        out = nm.conv2d(x, w, b, padding=1, slope=0.01)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # a pre-activation would add 1x, a padded copy about 1.1x
+    assert held <= out.data.nbytes + 0.25 * x.data.nbytes, held / x.data.nbytes
 
 
 def test_upconv2d_matches_direct_convolution_of_the_upsample(rng):
@@ -297,20 +321,50 @@ def test_upconv2d_matches_direct_convolution_of_the_upsample(rng):
         assert np.allclose(b.grad, sum(r[2] for r in refs), atol=1e-12, rtol=0), (xs, co)
 
 
+def test_fused_leaky_relu_equals_the_op_times_its_mask(rng):
+    """``slope=s`` equals the unfused op times the constant mask
+    ``where(y > 0, 1, s)`` of its output ``y``: forward and x, w, b grads,
+    byte for byte."""
+    conv = [((1, 3, 5, 6), (4, 3, 3, 3), 1),   # B=1
+            ((3, 2, 5, 5), (3, 2, 3, 3), 1),   # B=3
+            ((3, 5, 7), (2, 3, 3, 3), 1),      # a (C,H,W) input
+            ((2, 3, 5, 5), (4, 3, 3, 3), 0),   # padding 0
+            ((2, 2, 6, 5), (3, 2, 5, 3), 2),   # a 5x3 kernel padded by 2
+            ((2, 3, 6, 4), (2, 3, 1, 1), 0)]   # a 1x1 kernel
+    cases = [(nm.conv2d, xs, ws, {"padding": pad}) for xs, ws, pad in conv]
+    cases += [(nm.upconv2d, (1, 3, 4, 4), (2, 3, 3, 3), {}),   # B=1
+              (nm.upconv2d, (3, 2, 5, 7), (4, 2, 3, 3), {})]   # B=3
+    for op, xs, ws, kw in cases:
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+        y = op(nm.Tensor(x), nm.Tensor(w), nm.Tensor(b), **kw).data
+        g = nm.Tensor(rng.normal(size=y.shape))
+        for s in (0.0, 0.01, 1.0):
+            fused = [nm.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            out = op(*fused, slope=s, **kw)
+            nm.tsum(nm.mul(out, g)).backward()
+            plain = [nm.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            ref = nm.mul(op(*plain, **kw), nm.Tensor(np.where(y > 0, 1.0, s)))
+            nm.tsum(nm.mul(ref, g)).backward()
+            assert np.array_equal(out.data, ref.data), (op.__name__, xs, ws, s)
+            for f, p in zip(fused, plain):
+                assert np.array_equal(f.grad, p.grad), (op.__name__, xs, ws, s)
+
+
 def test_upconv2d_tape_holds_no_upsampled_input(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
-    tracemalloc.start()
-    try:
-        out = nm.upconv2d(x, w, b)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    # the output (4x) plus one zero-padded low-res copy of the input (34*34
-    # of 32*32 cells, about 1.13x) and the folded kernel; the upsampled
-    # input alone would add 4x
-    assert held <= out.data.nbytes + 1.5 * x.data.nbytes, held / x.data.nbytes
+    for slope in (None, 0.01):
+        tracemalloc.start()
+        try:
+            out = nm.upconv2d(x, w, b, slope=slope)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # the output (4x) and the folded kernel; the upsampled input alone
+        # would add 4x, a zero-padded low-res copy of the input about 1.13x
+        # and a pre-activation 4x
+        assert held <= out.data.nbytes + 0.25 * x.data.nbytes, (slope, held / x.data.nbytes)
 
 
 def test_avg_pool2d_matches_block_means(rng):
@@ -486,6 +540,18 @@ def test_checkpoint_bytes_deterministic(tmp_path, rng):
     nm.save_checkpoint(p1, params, config={"x": 1})
     nm.save_checkpoint(p2, params, config={"x": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_write_that_fails_keeps_the_old_file(tmp_path, rng):
+    """A save that fails part-way, here at a value that is no float array,
+    leaves the checkpoint already there byte for byte and no stray file."""
+    path = tmp_path / "m.ckpt"
+    nm.save_checkpoint(path, {"w": P(rng, 3, 4)}, config={"d": 16})
+    old = path.read_bytes()
+    with pytest.raises(ValueError):
+        nm.save_checkpoint(path, {"w": P(rng, 3, 4), "b": "not a number"}, config={"d": 16})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
