@@ -1,8 +1,8 @@
 """Trained instruction encoder: embeddings + 2 masked self-attention layers.
 
-Produces the M x d instruction feature matrix consumed as key/value by the
-cross-modal attention blocks. Pad positions are masked out of attention and
-their output rows zeroed.
+Produces the M x d instruction feature matrix (one per leading batch index)
+that the cross-modal attention blocks' text branches read. Pad positions are
+masked out of attention and their output rows zeroed.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ def init_instruction_params(rng: np.random.Generator, d: int,
 
 def encode_instruction(tokens, params: dict[str, nm.Tensor], d: int,
                        n_layers: int = 2, prefix: str = "instr.") -> nm.Tensor:
-    """Token ids (length M) -> instruction features X of shape (M, d)."""
+    """Token ids (..., M) -> instruction features X of shape (..., M, d);
+    leading axes are a batch."""
     from ..model.attention import apply_self_attention  # mapnav.model imports this module
 
     ids = np.asarray(tokens, dtype=np.int64)
@@ -46,11 +47,11 @@ def encode_instruction(tokens, params: dict[str, nm.Tensor], d: int,
     if ids.size and ids.max() >= table.shape[0]:
         raise UsageError(f"token id {ids.max()} >= vocabulary size {table.shape[0]}")
     real = pad_mask(ids)
-    x = nm.add(nm.embedding_lookup(table, ids), nm.Tensor(positional_encoding(ids.shape[0], d)))
+    x = nm.add(nm.embedding_lookup(table, ids), nm.Tensor(positional_encoding(ids.shape[-1], d)))
     for l in range(n_layers):
         x = apply_self_attention(x, params, f"{prefix}l{l}.", key_mask=real)
     x = nm.linear(x, params[prefix + "final.w"], params[prefix + "final.b"])
-    return nm.mul(x, nm.Tensor(real[:, None]))
+    return nm.mul(x, nm.Tensor(real[..., None]))
 
 
 def pad_mask(tokens) -> np.ndarray:

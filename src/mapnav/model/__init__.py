@@ -1,5 +1,6 @@
 from .cm2 import CM2Model, ModelConfig, apply_map_encoder, init_map_encoder
-from .attention import cross_modal_attend, init_cross_modal, apply_self_attention, init_self_attention
+from .attention import (apply_self_attention, cross_modal_attend, init_cross_modal,
+                        init_self_attention, text_keys_values)
 from .unet import UNetSpec, init_unet, apply_unet
 from .supervision import (
     PathSupervision, sample_waypoints, nearest_arc_length,

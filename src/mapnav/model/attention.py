@@ -63,27 +63,37 @@ def init_cross_modal(rng, d: int, prefix: str) -> dict:
     return p
 
 
-def cross_modal_attend(y: nm.Tensor, x: nm.Tensor, params: dict, prefix: str,
-                       x_pad_mask: np.ndarray | None = None):
-    """Map tokens attend over instruction tokens.
+def text_keys_values(x: nm.Tensor, params: dict, prefix: str,
+                     x_pad_mask: np.ndarray | None = None) -> tuple[nm.Tensor, nm.Tensor]:
+    """The text branch of cross-modal block ``prefix``: self-attention over
+    the instruction tokens ``x`` (..., M, d), then the keys and values
+    (..., M, d) that the map side queries. It depends on the instruction
+    alone, so a caller runs it once per instruction, not once per map."""
+    if x.shape[-1] != params[prefix + "wk"].shape[0]:
+        raise ConfigError(f"feature dims differ: text {x.shape} vs block {prefix!r} "
+                          f"{params[prefix + 'wk'].shape}")
+    x = apply_self_attention(x, params, prefix + "selftext.", key_mask=x_pad_mask)
+    return nm.matmul(x, params[prefix + "wk"]), nm.matmul(x, params[prefix + "wv"])
 
-    Self-attention runs on each modality, then the map side queries the
-    instruction side. ``y`` is (..., N, d) and ``x`` (..., M, d), with the
-    same leading (batch) axes; ``x_pad_mask`` is (..., M). Returns (H of
-    shape (..., N, d), attention (..., N, M) as a plain array for
-    inspection).
+
+def cross_modal_attend(y: nm.Tensor, keys: nm.Tensor, values: nm.Tensor, params: dict,
+                       prefix: str, x_pad_mask: np.ndarray | None = None):
+    """Map tokens attend over instruction tokens: the map side of the block.
+
+    Self-attention runs over the map tokens ``y`` (..., N, d), which then
+    query the instruction's ``keys`` and ``values`` (..., M, d), the output
+    of :func:`text_keys_values` with the same leading (batch) axes;
+    ``x_pad_mask`` is (..., M). Returns (H of shape (..., N, d), attention
+    (..., N, M) as a plain array for inspection).
     """
-    if y.shape[-1] != x.shape[-1]:
-        raise ConfigError(f"feature dims differ: map {y.shape} vs text {x.shape}")
+    if y.shape[-1] != keys.shape[-1]:
+        raise ConfigError(f"feature dims differ: map {y.shape} vs text {keys.shape}")
     d = y.shape[-1]
     y = apply_self_attention(y, params, prefix + "selfmap.")
-    x = apply_self_attention(x, params, prefix + "selftext.", key_mask=x_pad_mask)
     q = nm.matmul(y, params[prefix + "wq"])
-    k = nm.matmul(x, params[prefix + "wk"])
-    v = nm.matmul(x, params[prefix + "wv"])
-    scores = nm.scale(nm.matmul(q, _swap_last(k)), 1.0 / np.sqrt(d))
+    scores = nm.scale(nm.matmul(q, _swap_last(keys)), 1.0 / np.sqrt(d))
     if x_pad_mask is not None:
         scores = nm.add(scores, _key_bias(x_pad_mask))
     attn = nm.softmax(scores, axis=-1)
-    h = nm.matmul(attn, v)
+    h = nm.matmul(attn, values)
     return h, attn.data.copy()

@@ -18,7 +18,7 @@ from ..errors import ConfigError, UsageError
 from ..language.encoder import encode_instruction, init_instruction_params, pad_mask
 from ..language.vocab import VOCAB_SIZE
 from ..worldsim.floorplan import NUM_CLASSES
-from .attention import cross_modal_attend, init_cross_modal
+from .attention import cross_modal_attend, init_cross_modal, text_keys_values
 from .unet import LEAKY_SLOPE, UNetSpec, apply_unet, init_unet
 
 ENCODER_DOWNSAMPLE = 8
@@ -96,6 +96,20 @@ def apply_map_encoder(x: nm.Tensor, params: dict, d: int, prefix: str) -> nm.Ten
     return h
 
 
+def _along_batch(parts: list[nm.Tensor]) -> nm.Tensor:
+    return parts[0] if len(parts) == 1 else nm.concat(parts, axis=0)
+
+
+@dataclass
+class InstructionEncoding:
+    """What the network derives from a batch of instructions alone, computed
+    once per batch (or rollout episode) and read by every map forward on it:
+    each cross-modal block's keys and values (B,M,d), under the block's
+    parameter prefix, and the pad mask (B,M), 1 at real tokens."""
+    kv: dict[str, tuple[nm.Tensor, nm.Tensor]]
+    mask: np.ndarray
+
+
 @dataclass
 class Forward:
     """What one model forward gives its callers."""
@@ -150,20 +164,29 @@ class CM2Model:
         return p
 
     # ------------------------------------------------------------------
-    def encode_instruction(self, tokens) -> tuple[nm.Tensor, np.ndarray]:
-        x = encode_instruction(tokens, self.params, self.config.d,
-                               self.config.n_instr_layers)
-        return x, pad_mask(tokens)
+    def encode_instruction(self, tokens) -> InstructionEncoding:
+        """Encode (M,) or (B,M) token ids: the language encoder, then each
+        cross-modal block's text branch. The result has a leading batch axis;
+        with ``use_map_attention`` off it holds no occupancy block."""
+        c = self.config
+        ids = np.asarray(tokens, dtype=np.int64)
+        ids = ids[None] if ids.ndim == 1 else ids
+        mask = pad_mask(ids)
+        x = encode_instruction(ids, self.params, c.d, c.n_instr_layers)
+        prefixes = ("attn_o.", "attn_s.") if c.use_map_attention else ("attn_s.",)
+        return InstructionEncoding(
+            {p: text_keys_values(x, self.params, p, x_pad_mask=mask) for p in prefixes}, mask)
 
     def _attend_tokens(self, enc: nm.Tensor | None, instr, attn_prefix: str):
         """Cross-modal attention over encoded map tokens, for the whole batch.
 
-        ``enc`` is (B,d,g,g); ``instr`` a list of B (X, mask). Returns the
-        attended grid (B,d,g,g) and the attention matrices (B,N,M). ``enc``
-        None is the no-map-attention ablation: a learned constant grid
-        stands in, with zero attention (B,N,1).
+        ``enc`` is (B,d,g,g); ``instr`` a list of encodings, B samples in
+        all. Returns the attended grid (B,d,g,g) and the attention matrices
+        (B,N,M). ``enc`` None is the no-map-attention ablation: a learned
+        constant grid stands in, with zero attention (B,N,1).
         """
-        bsz, d, g = len(instr), self.config.d, self.config.token_grid
+        mask = np.concatenate([e.mask for e in instr])
+        bsz, d, g = mask.shape[0], self.config.d, self.config.token_grid
         if enc is None:
             h = nm.stack([self.params["const_h_o"]] * bsz, axis=0)
             attn = np.zeros((bsz, g * g, 1))
@@ -171,9 +194,9 @@ class CM2Model:
             if enc.shape[0] != bsz:
                 raise ConfigError(f"{bsz} instructions for a batch of {enc.shape[0]}")
             y = nm.transpose(nm.reshape(enc, (bsz, d, g * g)), (0, 2, 1))
-            xs, masks = zip(*instr)
-            h, attn = cross_modal_attend(y, nm.stack(xs, axis=0), self.params,
-                                         attn_prefix, x_pad_mask=np.stack(masks))
+            keys, values = (_along_batch([e.kv[attn_prefix][i] for e in instr]) for i in (0, 1))
+            h, attn = cross_modal_attend(y, keys, values, self.params, attn_prefix,
+                                         x_pad_mask=mask)
         return nm.reshape(nm.transpose(h, (0, 2, 1)), (bsz, d, g, g)), attn
 
     @staticmethod
@@ -192,8 +215,8 @@ class CM2Model:
 
         occ_in: (B,h,w) ego occupancy label map (occupied, free, unknown);
         sem_obs_in: (B,h,w) ground-projected semantic label map; instr: list
-        of B (X, pad_mask) pairs. Returns (occ_probs, sem_probs, h_grid,
-        attention (B,N,M)).
+        of instruction encodings, B samples in all. Returns (occ_probs,
+        sem_probs, h_grid, attention (B,N,M)).
         """
         c = self.config
         occ_in, sem_obs_in = np.asarray(occ_in), np.asarray(sem_obs_in)
@@ -221,8 +244,8 @@ class CM2Model:
         """Waypoint heatmaps and traversal probabilities.
 
         sem_in: (B,c,h,w) semantic map (predicted or ground truth); instr:
-        list of B (X, pad_mask); start_heatmap: (B,1,u,v). Returns
-        (heatmaps, traversed, h_grid, attention (B,N,M)).
+        list of instruction encodings, B samples in all; start_heatmap:
+        (B,1,u,v). Returns (heatmaps, traversed, h_grid, attention (B,N,M)).
         """
         c = self.config
         sem_in = sem_in if isinstance(sem_in, nm.Tensor) else nm.Tensor(sem_in)

@@ -21,8 +21,10 @@ from ..worldsim.floorplan import generate_floorplan
 
 def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
     """Per-episode closure ``forward(pose, gmap, sem_frame)``: the model's
-    :class:`Forward` at one rollout state, in ``config.mode``, under no_grad."""
-    instr = [model.encode_instruction(np.asarray(episode.tokens))]
+    :class:`Forward` at one rollout state, in ``config.mode``, under no_grad.
+    The instruction is encoded once, here, for every step of the episode."""
+    with nm.no_grad():
+        instr = [model.encode_instruction(np.asarray(episode.tokens))]
     c = model.config
     u = c.heatmap_size
     start = np.array([[episode.start.x, episode.start.y]])

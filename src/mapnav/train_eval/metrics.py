@@ -44,9 +44,15 @@ def episode_metrics(plan, episode, trajectory, stopped: bool,
     xy = np.asarray([(p[0], p[1]) for p in trajectory], dtype=np.float64)
     tl = float(np.sum(np.linalg.norm(np.diff(xy, axis=0), axis=1))) if len(xy) > 1 else 0.0
     goal = np.asarray(episode.goal, dtype=np.float64)
-    ne = _geodesic(plan, xy[-1], goal)
+    # one search per distinct position: a rollout revisits positions as it turns
+    positions = [(x, y) for x, y in xy]
+    to_goal = {}
+    for pos in positions:
+        if pos not in to_goal:
+            to_goal[pos] = _geodesic(plan, pos, goal)
+    ne = to_goal[positions[-1]]
     sr = 1.0 if (stopped and ne <= success_radius) else 0.0
-    closest = min(_geodesic(plan, p, goal) for p in xy)
+    closest = min(to_goal.values())
     os_ = 1.0 if closest <= success_radius else 0.0
     l_gt = episode.path_length
     spl = sr * l_gt / max(l_gt, tl) if l_gt > 0 else sr

@@ -21,7 +21,7 @@ from mapnav.controller import (ControllerConfig, decode_waypoints,
 from mapnav.mapping import ego_to_world
 from mapnav.model import (CM2Model, ModelConfig, make_gt_heatmaps,
                           make_path_supervision)
-from mapnav.model.attention import cross_modal_attend, init_cross_modal
+from mapnav.model.attention import init_cross_modal
 from mapnav.train_eval import (aggregate_nav, build_dataset, compute_map_metrics,
                                episode_metrics, generate_split)
 from mapnav.train_eval.training import assemble_batch, batch_loss
@@ -189,7 +189,7 @@ def test_gradcheck_full_losses_within_time_budget():
     from mapnav.model import loss_map
 
     def map_only():
-        instr = [model.encode_instruction(t) for t in tokens]
+        instr = [model.encode_instruction(np.stack(tokens))]
         occ_hat, sem_hat, _, _ = model.predict_maps(occ, chi, instr)
         return loss_map(occ_hat, sem_hat, occ, batch[2])
 
@@ -207,7 +207,7 @@ def test_gradcheck_full_losses_within_time_budget():
 
 def test_attention_matches_brute_force_oracle():
     # naive O(N*M*d) looped reimplementation of the whole block
-    from tests.test_model import np_cross_modal
+    from tests.test_model import attend, np_cross_modal
     rng = np.random.default_rng(42)
     for case in range(100):
         n = int(rng.integers(2, 12))
@@ -218,8 +218,7 @@ def test_attention_matches_brute_force_oracle():
         params = init_cross_modal(rng, d, "a.")
         y = rng.normal(size=(n, d))
         x = rng.normal(size=(m, d))
-        h, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), params, "a.",
-                                     x_pad_mask=mask)
+        h, attn = attend(y, x, params, "a.", mask)
         raw = {k: np.asarray(v.data) for k, v in params.items()}
         H_ref, A_ref = np_cross_modal(y, x, raw, "a.", mask)
         assert np.max(np.abs(h.data - H_ref)) < 1e-9, case

@@ -10,9 +10,10 @@ from mapnav.model import (
     CM2Model, HEATMAP_CELL, ModelConfig, cross_modal_attend,
     ego_to_heatmap_cell, heatmap_cell_to_ego, init_cross_modal,
     loss_map, loss_total, loss_waypoint, make_gt_heatmaps,
-    make_path_supervision, nearest_arc_length, sample_waypoints,
+    make_path_supervision, nearest_arc_length, sample_waypoints, text_keys_values,
 )
-from mapnav.model.cm2 import one_hot
+from mapnav.model.cm2 import apply_map_encoder, one_hot
+from mapnav.model.unet import UNetSpec, apply_unet, init_unet
 from mapnav.worldsim import NUM_CLASSES, Pose
 
 D = 16
@@ -62,6 +63,12 @@ def np_cross_modal(y, x, p, prefix, mask):
     return h, a
 
 
+def attend(y, x, params, prefix, mask=None):
+    """The whole cross-modal block: its text branch, then its map side."""
+    keys, values = text_keys_values(nm.Tensor(x), params, prefix, x_pad_mask=mask)
+    return cross_modal_attend(nm.Tensor(y), keys, values, params, prefix, x_pad_mask=mask)
+
+
 @pytest.fixture(scope="module")
 def attn_params():
     return init_cross_modal(np.random.default_rng(2), D, "cm.")
@@ -79,8 +86,7 @@ def test_cross_modal_matches_brute_force(attn_params):
         x = rng.normal(size=(m, D))
         mask = np.ones(m)
         mask[int(rng.integers(1, m)):] = 0.0  # trailing pads
-        h, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), attn_params,
-                                     "cm.", x_pad_mask=mask)
+        h, attn = attend(y, x, attn_params, "cm.", mask)
         h_ref, attn_ref = np_cross_modal(y, x, raw(attn_params), "cm.", mask)
         assert np.max(np.abs(np.asarray(h.data) - h_ref)) < 1e-9
         assert np.max(np.abs(attn - attn_ref)) < 1e-9
@@ -89,8 +95,7 @@ def test_cross_modal_matches_brute_force(attn_params):
     x = rng.normal(size=(3, 8, D))
     mask = np.ones((3, 8))
     mask[0, 3:] = mask[1, 7:] = mask[2, 1:] = 0.0
-    h, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), attn_params,
-                                 "cm.", x_pad_mask=mask)
+    h, attn = attend(y, x, attn_params, "cm.", mask)
     assert h.shape == (3, 5, D) and attn.shape == (3, 5, 8)
     for b in range(3):
         h_ref, attn_ref = np_cross_modal(y[b], x[b], raw(attn_params), "cm.", mask[b])
@@ -103,8 +108,7 @@ def test_attention_rows_and_pad_columns(attn_params):
     y = rng.normal(size=(6, D))
     x = rng.normal(size=(9, D))
     mask = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0], dtype=np.float64)
-    _, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), attn_params,
-                                 "cm.", x_pad_mask=mask)
+    _, attn = attend(y, x, attn_params, "cm.", mask)
     assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(attn[:, 4:] == 0.0)
 
@@ -115,8 +119,7 @@ def test_attention_single_real_token(attn_params):
     x = rng.normal(size=(7, D))
     mask = np.zeros(7)
     mask[2] = 1.0
-    h, attn = cross_modal_attend(nm.Tensor(y), nm.Tensor(x), attn_params,
-                                 "cm.", x_pad_mask=mask)
+    h, attn = attend(y, x, attn_params, "cm.", mask)
     assert np.allclose(attn[:, 2], 1.0)
     p = raw(attn_params)
     xs = np_self_attention(x, p, "cm.selftext.", key_mask=mask)
@@ -126,8 +129,31 @@ def test_attention_single_real_token(attn_params):
 
 def test_attention_dim_mismatch(attn_params):
     with pytest.raises(ConfigError):
-        cross_modal_attend(nm.Tensor(np.zeros((4, D))),
-                           nm.Tensor(np.zeros((5, D + 2))), attn_params, "cm.")
+        attend(np.zeros((4, D)), np.zeros((5, D + 2)), attn_params, "cm.")
+    wide = nm.Tensor(np.zeros((5, D + 2)))
+    with pytest.raises(ConfigError):
+        cross_modal_attend(nm.Tensor(np.zeros((4, D))), wide, wide, attn_params, "cm.")
+
+
+def test_text_branch_gradcheck_on_a_batch(attn_params):
+    """Finite differences through the text branch of a (B,M,d) batch, with a
+    different pad mask per sample, into its parameters and its input."""
+    rng = np.random.default_rng(6)
+    x = nm.Tensor(rng.normal(size=(3, 6, D)), requires_grad=True)
+    mask = np.ones((3, 6))
+    mask[0, 4:] = mask[2, 1:] = 0.0
+    wk, wv = rng.normal(size=(2, 3, 6, D))
+    params = {n: p for n, p in attn_params.items() if ".selfmap." not in n and n != "cm.wq"}
+
+    def loss():
+        keys, values = text_keys_values(x, attn_params, "cm.", x_pad_mask=mask)
+        return nm.add(nm.tsum(nm.mul(keys, nm.Tensor(wk))),
+                      nm.tsum(nm.mul(values, nm.Tensor(wv))))
+
+    report = nm.grad_check(loss, dict(params, x=x), max_entries=6, rng=rng)
+    for p in attn_params.values():
+        p.grad = None
+    assert max(report.values()) < 1e-6, report
 
 
 # ------------------------------------------------------------ heatmap codec
@@ -483,3 +509,83 @@ def test_load_rejects_mismatched_config(mini, tmp_path):
         nm.save_checkpoint(path, mini.params, config=dict(asdict(mini.config), **{field: value}))
         with pytest.raises(ConfigError, match=field):
             CM2Model.load(path)
+
+
+# ------------------------------------------------------ instruction encoding
+def test_batched_instruction_encoding_equals_single_encodings(mini):
+    """Encoding a (B,M) token batch gives, byte for byte, the B encodings of
+    its rows, each with a leading batch axis of one."""
+    texts = ("walk straight then stop near the bed", "turn left near the table then stop",
+             "go to the tv")
+    ids = np.stack([np.asarray(tokenize(t).tokens) for t in texts])
+    batch = mini.encode_instruction(ids)
+    assert set(batch.kv) == {"attn_o.", "attn_s."}
+    assert np.array_equal(batch.mask, (ids != 0).astype(float))
+    for b, row in enumerate(ids):
+        one = mini.encode_instruction(row)
+        assert one.mask.shape == (1, MAX_TOKENS)
+        assert np.array_equal(one.mask[0], batch.mask[b])
+        for prefix, (keys, values) in batch.kv.items():
+            assert keys.shape == values.shape == (len(texts), MAX_TOKENS, D)
+            assert one.kv[prefix][0].shape == (1, MAX_TOKENS, D)
+            assert np.array_equal(one.kv[prefix][0].data[0], keys.data[b])
+            assert np.array_equal(one.kv[prefix][1].data[0], values.data[b])
+
+
+def test_encoding_without_map_attention_holds_no_occupancy_block(mini):
+    from dataclasses import replace
+    config = replace(mini.config, use_map_attention=False)
+    model = CM2Model(config, params=mini.params)
+    enc = model.encode_instruction(np.asarray(tokenize("go to the tv").tokens))
+    assert set(enc.kv) == {"attn_s."}
+    assert np.array_equal(enc.kv["attn_s."][0].data,
+                          mini.encode_instruction(np.asarray(tokenize("go to the tv").tokens))
+                          .kv["attn_s."][0].data)
+
+
+# ------------------------------------------------- LeakyReLU slope oracles
+def np_leaky(y):
+    return np.where(y > 0, y, 0.01 * y)
+
+
+def np_avg_pool2(y):
+    b, c, h, w = y.shape
+    return y.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def np_conv_leaky(h, params, name, padding=1):
+    """One hidden conv: ``conv2d`` without its fused activation, then an
+    explicit LeakyReLU of slope 0.01."""
+    y = nm.conv2d(nm.Tensor(h), params[name + ".w"], params[name + ".b"], padding=padding)
+    return np_leaky(np.asarray(y.data))
+
+
+def test_map_encoder_matches_unfused_oracle(mini):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, 24, 24))
+    got = apply_map_encoder(nm.Tensor(x), mini.params, D, "enc_o.")
+    h = x
+    for i in range(3):
+        h = np_avg_pool2(np_conv_leaky(h, mini.params, f"enc_o.c{i}"))
+    assert got.shape == h.shape == (2, D, 3, 3)
+    assert np.max(np.abs(np.asarray(got.data) - h)) < 1e-12
+
+
+def test_unet_block_matches_unfused_oracle():
+    """A one-level UNet (two encoder convs and a pool, the bottleneck, the
+    2x up-conv, the skip mix and the 1x1 head) against the unfused ops."""
+    spec = UNetSpec(in_ch=3, out_ch=2, base=4, depth=1, spatial=8)
+    params = init_unet(np.random.default_rng(9), spec, "u.")
+    rng = np.random.default_rng(10)
+    for p in params.values():   # nonzero biases, so that the bias goes in before the slope
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.shape)
+    x = rng.normal(size=(2, 3, 8, 8))
+    logits, bneck = apply_unet(nm.Tensor(x), params, spec, "u.")
+    skip = np_conv_leaky(x, params, "u.enc0.c1")
+    h = np_avg_pool2(np_conv_leaky(skip, params, "u.enc0.c2"))
+    h = np_conv_leaky(h, params, "u.bneck")
+    assert np.max(np.abs(np.asarray(bneck.data) - h)) < 1e-12
+    h = np_conv_leaky(h.repeat(2, axis=-2).repeat(2, axis=-1), params, "u.dec0.up")
+    h = np_conv_leaky(np.concatenate([h, skip], axis=1), params, "u.dec0.mix")
+    ref = nm.conv2d(nm.Tensor(h), params["u.head.w"], params["u.head.b"])
+    assert np.max(np.abs(np.asarray(logits.data) - np.asarray(ref.data))) < 1e-12

@@ -530,3 +530,93 @@ def test_evaluate_episode_honours_p_noise(plan, episode, tmp_path, monkeypatch):
     assert traces[0] == traces[1]
     assert all(np.array_equal(a, b) for a, b in zip(noisy, again))
     assert any(not np.array_equal(a, b) for a, b in zip(noisy, clean))
+
+
+def test_rollout_step_builds_no_tape(plan, episode, monkeypatch):
+    """A rollout runs under no_grad from its instruction encoding on: neither
+    the encoding nor a step's Forward outputs carry an autodiff graph."""
+    import mapnav.train_eval.evaluate as evaluate
+    from mapnav.model import CM2Model
+    config = tiny_config()
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    encodings = []
+    encode = model.encode_instruction
+
+    def recording(tokens):
+        encodings.append(encode(tokens))
+        return encodings[-1]
+
+    monkeypatch.setattr(model, "encode_instruction", recording)
+    forward = evaluate.episode_forward(model, config, plan, episode)
+    pose = Pose(episode.start.x, episode.start.y, episode.start.theta)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays, config.max_range,
+                      0.0, None)
+    out = forward(pose, gmap, sem_frame)
+    (enc,) = encodings
+    assert set(enc.kv) == {"attn_o.", "attn_s."}
+    tensors = [t for kv in enc.kv.values() for t in kv]
+    tensors += [out.occ_hat, out.sem, out.heatmaps, out.traversed, out.h_grid]
+    assert not any(t.requires_grad for t in tensors)
+
+
+def _counting(monkeypatch, calls, module, name, key):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_rollout_runs_per_episode_work_once(plan, episode, monkeypatch):
+    """What only the episode determines stays out of the rollout step: a
+    T-step rollout runs the language encoder once, each cross-modal block's
+    text branch once, and one shortest-path search per distinct trajectory
+    position."""
+    import collections
+
+    import mapnav.model.cm2 as cm2
+    import mapnav.train_eval.evaluate as evaluate
+    import mapnav.train_eval.metrics as metrics
+    from mapnav.model import CM2Model
+    calls = collections.Counter()
+    _counting(monkeypatch, calls, cm2, "encode_instruction", lambda *a: "encoder")
+    _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: ("text", a[2]))
+    _counting(monkeypatch, calls, cm2, "cross_modal_attend", lambda *a: ("map", a[4]))
+    _counting(monkeypatch, calls, metrics, "shortest_path", lambda *a: "search")
+    trajectories = []
+    episode_metrics = evaluate.episode_metrics
+
+    def recording(plan, episode, trajectory, *args):
+        trajectories.append(trajectory)
+        return episode_metrics(plan, episode, trajectory, *args)
+
+    monkeypatch.setattr(evaluate, "episode_metrics", recording)
+    config = tiny_config(budget=8)
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    evaluate.evaluate_episode(model, config, plan, episode)
+    steps = calls["map", "attn_s."]
+    (trajectory,) = trajectories
+    positions = {(x, y) for x, y, _ in trajectory}
+    assert steps >= 4 and calls["map", "attn_o."] == steps
+    assert calls["encoder"] == 1
+    assert calls["text", "attn_o."] == calls["text", "attn_s."] == 1
+    assert len(positions) < len(trajectory)   # the rollout turned in place
+    assert calls["search"] == len(positions)
+
+
+def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
+    import collections
+
+    import mapnav.model.cm2 as cm2
+    from mapnav.model import CM2Model
+    calls = collections.Counter()
+    _counting(monkeypatch, calls, cm2, "encode_instruction", lambda *a: ("encoder", a[0].shape))
+    _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: ("text", a[2]))
+    config = tiny_config()
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    batch_loss(model, assemble_batch(train_records[:4], config.sigma), config)
+    assert calls == {("encoder", (4, len(train_records[0].tokens))): 1,
+                     ("text", "attn_o."): 1, ("text", "attn_s."): 1}
