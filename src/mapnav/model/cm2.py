@@ -164,16 +164,19 @@ class CM2Model:
         return p
 
     # ------------------------------------------------------------------
-    def encode_instruction(self, tokens) -> InstructionEncoding:
-        """Encode (M,) or (B,M) token ids: the language encoder, then each
-        cross-modal block's text branch. The result has a leading batch axis;
-        with ``use_map_attention`` off it holds no occupancy block."""
+    def encode_instruction(self, tokens, mode: str = "cm2") -> InstructionEncoding:
+        """Encode (M,) or (B,M) token ids for forwards in ``mode``: the
+        language encoder, then the text branch of each cross-modal block
+        that mode reads. The result has a leading batch axis; in mode
+        "cm2-gt", or with ``use_map_attention`` off, it holds no occupancy
+        block."""
         c = self.config
         ids = np.asarray(tokens, dtype=np.int64)
         ids = ids[None] if ids.ndim == 1 else ids
         mask = pad_mask(ids)
         x = encode_instruction(ids, self.params, c.d, c.n_instr_layers)
-        prefixes = ("attn_o.", "attn_s.") if c.use_map_attention else ("attn_s.",)
+        reads_occ = c.use_map_attention and mode != "cm2-gt"
+        prefixes = ("attn_o.", "attn_s.") if reads_occ else ("attn_s.",)
         return InstructionEncoding(
             {p: text_keys_values(x, self.params, p, x_pad_mask=mask) for p in prefixes}, mask)
 
@@ -194,6 +197,9 @@ class CM2Model:
             if enc.shape[0] != bsz:
                 raise ConfigError(f"{bsz} instructions for a batch of {enc.shape[0]}")
             y = nm.transpose(nm.reshape(enc, (bsz, d, g * g)), (0, 2, 1))
+            if any(attn_prefix not in e.kv for e in instr):
+                raise ConfigError(f"an instruction encoding holds no {attn_prefix!r} block; "
+                                  f"encode it for the mode of this forward")
             keys, values = (_along_batch([e.kv[attn_prefix][i] for e in instr]) for i in (0, 1))
             h, attn = cross_modal_attend(y, keys, values, self.params, attn_prefix,
                                          x_pad_mask=mask)
@@ -234,9 +240,8 @@ class CM2Model:
         occ_logits, _ = apply_unet(occ_in, self.params, self.unet_o_spec, "g_o.",
                                    bneck_features=h_bneck)
         occ_probs = nm.softmax(occ_logits, axis=-3)
-        sem_logits, _ = apply_unet(nm.concat([occ_probs, sem_obs_in], axis=-3),
-                                   self.params, self.unet_s_spec, "g_s.",
-                                   bneck_features=h_bneck)
+        sem_logits, _ = apply_unet(occ_probs, self.params, self.unet_s_spec, "g_s.",
+                                   bneck_features=h_bneck, cat=sem_obs_in)
         sem_probs = nm.softmax(sem_logits, axis=-3)
         return occ_probs, sem_probs, h_grid, attns
 
@@ -258,8 +263,7 @@ class CM2Model:
         p0 = start_heatmap if isinstance(start_heatmap, nm.Tensor) else nm.Tensor(start_heatmap)
         if not c.use_start_heatmap:
             p0 = nm.Tensor(np.zeros(p0.shape))
-        logits, bneck = apply_unet(nm.concat([h_up, p0], axis=-3),
-                                   self.params, self.unet_f_spec, "f.")
+        logits, bneck = apply_unet(h_up, self.params, self.unet_f_spec, "f.", cat=p0)
         heatmaps = nm.sigmoid(logits)
         pooled = nm.tmean(bneck, axis=(-2, -1))
         traversed = nm.sigmoid(nm.linear(pooled, self.params["xi.w"], self.params["xi.b"]))

@@ -3,7 +3,7 @@
 Blocks downsample by 2 while the spatial size stays even and above the
 bottleneck size of 3; on small inputs trailing blocks run at stride 1 so the
 configured depth is preserved. Extra feature channels (the attended
-instruction representation) can be concatenated at the bottleneck.
+instruction representation) can be joined at the bottleneck.
 """
 from __future__ import annotations
 
@@ -78,26 +78,28 @@ def init_unet(rng: np.random.Generator, spec: UNetSpec, prefix: str,
 
 
 def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
-               bneck_features: nm.Tensor | None = None):
-    """Forward pass; returns (logits, bottleneck activation).
+               bneck_features: nm.Tensor | None = None, cat: nm.Tensor | None = None):
+    """Forward pass on ``x``, with the channels of ``cat`` after its own;
+    returns (logits, bottleneck activation).
 
     Every conv but the 1x1 head applies its bias and a LeakyReLU of
     ``LEAKY_SLOPE`` in place, so the tape keeps each activation once: as
-    that conv's output, which is also the next op's input."""
-    def conv(h, name):
+    that conv's output, which is also the next op's input. Each channel join
+    (the input and ``cat``, the bottleneck and ``bneck_features``, a decoder
+    level and its skip) is the conv's second input, so no joined copy is
+    made."""
+    def conv(h, name, cat=None):
         return nm.conv2d(h, params[f"{prefix}{name}.w"], params[f"{prefix}{name}.b"],
-                         padding=1, slope=LEAKY_SLOPE)
+                         padding=1, slope=LEAKY_SLOPE, cat=cat)
 
     skips = []
     h = x
     for i, down in enumerate(spec.down_flags):
-        h = conv(h, f"enc{i}.c1")
+        h = conv(h, f"enc{i}.c1", cat if i == 0 else None)
         skips.append(h)
         if down:
             h = nm.avg_pool2d(conv(h, f"enc{i}.c2"), 2)
-    if bneck_features is not None:
-        h = nm.concat([h, bneck_features], axis=-3)
-    h = conv(h, "bneck")
+    h = conv(h, "bneck", bneck_features)
     bottleneck = h
     for i in reversed(range(spec.depth)):
         if spec.down_flags[i]:
@@ -106,6 +108,6 @@ def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
                             slope=LEAKY_SLOPE)
         else:
             h = conv(h, f"dec{i}.up")
-        h = conv(nm.concat([h, skips[i]], axis=-3), f"dec{i}.mix")
+        h = conv(h, f"dec{i}.mix", skips[i])
     logits = nm.conv2d(h, params[f"{prefix}head.w"], params[f"{prefix}head.b"])
     return logits, bottleneck

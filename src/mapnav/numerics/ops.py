@@ -173,20 +173,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def factory(out):
         def bw():
-            accumulate(a, unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
-            accumulate(b, unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
+            _matmul_grads(a, b, out.grad)
 
         return bw
 
     return make_op(data, (a, b), factory)
 
 
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray):
+    """Accumulate the gradients of ``a @ b`` given its output gradient ``g``.
+    For a 2-D ``b`` the gradient of ``b`` is one GEMM over the rows of ``a``
+    and ``g`` flattened across their leading axes."""
+    accumulate(a, unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+    if b.ndim == 2:
+        gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+    accumulate(b, gb)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` with ``b`` broadcast over rows."""
-    out = matmul(x, w)
+    """``x @ w + b`` for a 2-D ``w``, with ``b`` broadcast over rows, as one
+    op: the bias is added into the product in place, so the tape keeps no
+    pre-bias copy."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    data = x.data @ w.data
     if b is not None:
-        out = add(out, b)
-    return out
+        data += b.data
+
+    def factory(out):
+        def bw():
+            _matmul_grads(x, w, out.grad)
+            if b is not None:
+                accumulate(b, unbroadcast(out.grad, b.shape))
+
+        return bw
+
+    return make_op(data, (x, w) if b is None else (x, w, b), factory)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +367,20 @@ def _kernel_grad_rows(src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int)
     return gw
 
 
-def _pad_rows(x4: np.ndarray, padding: int, tail: int) -> np.ndarray:
-    """(B, C, hp*wp + tail) copy of (B, C, H, W) ``x4``, zero-padded by
-    ``padding`` on every side and row-flattened, then ``tail`` more zeros."""
-    bsz, c, h, w = x4.shape
+def _pad_rows(parts, padding: int, tail: int) -> np.ndarray:
+    """(B, C, hp*wp + tail) copy of the (B, C_k, H, W) arrays ``parts``
+    joined along channels, zero-padded by ``padding`` on every side and
+    row-flattened, then ``tail`` more zeros."""
+    bsz, _, h, w = parts[0].shape
+    c = sum(p.shape[1] for p in parts)
     hp, wp = h + 2 * padding, w + 2 * padding
     xp = np.zeros((bsz, c, hp * wp + tail))
-    xp[:, :, : hp * wp].reshape(bsz, c, hp, wp)[
-        :, :, padding : padding + h, padding : padding + w] = x4
+    inner = xp[:, :, : hp * wp].reshape(bsz, c, hp, wp)[
+        :, :, padding : padding + h, padding : padding + w]
+    lo = 0
+    for p in parts:
+        inner[:, lo : lo + p.shape[1]] = p
+        lo += p.shape[1]
     return xp
 
 
@@ -375,34 +405,45 @@ def _pre_activation_grad(out: Tensor, slope: float | None) -> np.ndarray:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
-           slope: float | None = None) -> Tensor:
+           slope: float | None = None, cat: Tensor | None = None) -> Tensor:
     """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time,
     plus the bias, then a LeakyReLU of ``slope`` in [0, 1] (none for None)
-    applied in place on the output.
+    applied in place on the output. A second input ``cat``, of ``x``'s shape
+    but for its channel count, is joined after ``x``'s channels: the result
+    is the conv of ``concat([x, cat], axis=-3)``, which is never built.
 
     Per image, the kw column shifts of the zero-padded, row-flattened input
-    ``xp`` (B, ci, hp*wp + kw-1) are stacked into one (kw*ci, hp*wp) buffer;
-    each kernel row is then one GEMM of inner dimension kw*ci with that
-    stack. Output column ``r*wp + c`` is pixel (r, c) for ``c < wo``; the
-    wrap-around columns ``c >= wo`` are dropped.
+    ``xp`` (B, ci, hp*wp + kw-1), into which ``x`` and ``cat`` are copied,
+    are stacked into one (kw*ci, hp*wp) buffer; each kernel row is then one
+    GEMM of inner dimension kw*ci with that stack. Output column ``r*wp + c``
+    is pixel (r, c) for ``c < wo``; the wrap-around columns ``c >= wo`` are
+    dropped.
 
     Backward: the output gradient is multiplied by the LeakyReLU's
     derivative, read off the output. The input gradient is then the same
     correlation, of that gradient zero-padded by (kh-1-padding, kw-1-padding)
     on a grid of row width ``wp``, with the flipped kernel transposed to
-    (ci, co). The kernel gradient is one GEMM per image and kernel row with
-    the row stack of ``xp``, rebuilt from ``x``. The tape holds the input,
-    a parent already, and the output: no padded copy, pre-activation or
-    mask."""
-    x4 = x.data.reshape((1,) + x.shape) if x.ndim == 3 else x.data
-    if x4.ndim != 4:
+    (ci, co), over the channels of the inputs that require a gradient only.
+    The kernel gradient is one GEMM per image and kernel row with the row
+    stack of ``xp``, rebuilt from ``x`` and ``cat``. The tape holds the
+    inputs, parents already, and the output: no padded or joined copy,
+    pre-activation or mask."""
+    parts = (x,) if cat is None else (x, cat)
+    lead = (1,) if x.ndim == 3 else ()
+    arrays = [p.data.reshape(lead + p.shape) for p in parts]
+    if arrays[0].ndim != 4:
         raise ShapeError(f"conv2d: expected (C,H,W) or (B,C,H,W), got {x.shape}")
+    if cat is not None and (cat.ndim != x.ndim or cat.shape[:-3] + cat.shape[-2:]
+                            != x.shape[:-3] + x.shape[-2:]):
+        raise ShapeError(f"conv2d: cat {cat.shape} does not match the input {x.shape} "
+                         f"but for its channels")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4D, got {w.shape}")
     co, ci, kh, kw = w.shape
-    bsz, cin, h, ww = x4.shape
-    if ci != cin:
-        raise ShapeError(f"conv2d: input channels {cin} != kernel channels {ci}")
+    bsz, _, h, ww = arrays[0].shape
+    bounds = np.cumsum([0] + [a.shape[1] for a in arrays])  # the channels of parts[k]
+    if ci != bounds[-1]:
+        raise ShapeError(f"conv2d: input channels {bounds[-1]} != kernel channels {ci}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     if not 0 <= padding < min(kh, kw):
@@ -417,14 +458,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
 
     n = ho * wp
     w_rows = w.data.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)  # [i, o, j*ci + c]
-    acc = _correlate_rows(_pad_rows(x4, padding, kw - 1), w_rows, wp, n)
+    acc = _correlate_rows(_pad_rows(arrays, padding, kw - 1), w_rows, wp, n)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
     out_data = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
     _leaky_relu_(out_data, slope)
     if x.ndim == 3:
         out_data = out_data[0]
 
-    parents = (x, w) if b is None else (x, w, b)
+    parents = parts + ((w,) if b is None else (w, b))
 
     def factory(out):
         def bw():
@@ -439,14 +480,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
                 :, :, ph : ph + ho, pw : pw + wo] = g4
             if w.requires_grad:
                 top = ph * wp + pw
-                xp = _pad_rows(x.data.reshape(bsz, ci, h, ww), padding, kw - 1)
+                xp = _pad_rows([p.data.reshape((bsz, -1, h, ww)) for p in parts],
+                               padding, kw - 1)
                 gw = _kernel_grad_rows(xp, gpad[:, :, top : top + n], kh, kw, wp)
                 del xp  # before the input gradient's buffers
                 accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
-            if x.requires_grad:
-                w_flip = w.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(kh, ci, kw * co)
-                gx = _correlate_rows(gpad, w_flip, wp, h * wp)
-                accumulate(x, gx.reshape(bsz, ci, h, wp)[:, :, :, :ww].reshape(x.shape))
+            want = [k for k, p in enumerate(parts) if p.requires_grad]
+            if want:
+                # the channels from the first to the last input that wants a gradient
+                lo, hi = bounds[want[0]], bounds[want[-1] + 1]
+                w_flip = w.data[:, lo:hi, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(
+                    kh, hi - lo, kw * co)
+                gx = _correlate_rows(gpad, w_flip, wp, h * wp).reshape(bsz, hi - lo, h, wp)
+                for k in want:
+                    accumulate(parts[k], gx[:, bounds[k] - lo : bounds[k + 1] - lo, :, :ww]
+                               .reshape(parts[k].shape))
 
         return bw
 
@@ -502,7 +550,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     n = (h + 1) * wp
     folded = (w.data.reshape(co * ci, 9) @ _TAPS).reshape(co, ci, 2, 2, 2, 2)  # [o, c, a, i, e, j]
     w_rows = folded.transpose(3, 2, 4, 0, 5, 1).reshape(2, 4 * co, 2 * ci)  # [i, (a,e,o), j*ci + c]
-    grid = _correlate_rows(_pad_rows(x.data, 1, 1), w_rows, wp, n).reshape(
+    grid = _correlate_rows(_pad_rows([x.data], 1, 1), w_rows, wp, n).reshape(
         bsz, 2, 2, co, h + 1, wp)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
     out6 = np.empty((bsz, co, h, 2, ww, 2))
@@ -527,7 +575,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
                     ggrid[:, a, e, :, a : a + h, e : e + ww] = g6[:, :, :, a, :, e]
             gflat = gflat.reshape(bsz, 4 * co, n + 1)
             if w.requires_grad:
-                xp = _pad_rows(x.data, 1, 1)
+                xp = _pad_rows([x.data], 1, 1)
                 gw = _kernel_grad_rows(xp, gflat[:, :, :n], 2, 2, wp)  # [i, (a,e,o), j*ci + c]
                 del xp  # before the input gradient's buffers
                 gfold = gw.reshape(2, 2, 2, co, 2, ci).transpose(3, 5, 1, 0, 2, 4)

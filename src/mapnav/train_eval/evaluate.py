@@ -24,7 +24,7 @@ def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
     :class:`Forward` at one rollout state, in ``config.mode``, under no_grad.
     The instruction is encoded once, here, for every step of the episode."""
     with nm.no_grad():
-        instr = [model.encode_instruction(np.asarray(episode.tokens))]
+        instr = [model.encode_instruction(np.asarray(episode.tokens), config.mode)]
     c = model.config
     u = c.heatmap_size
     start = np.array([[episode.start.x, episode.start.y]])
@@ -102,7 +102,7 @@ def evaluate_map_quality(model: CM2Model, config: RunConfig,
     with nm.no_grad():
         for rec in records:
             occ, chi, sem, _, vis, p0, _, _ = assemble_batch([rec], config.sigma)
-            instr = [model.encode_instruction(rec.tokens)]
+            instr = [model.encode_instruction(rec.tokens, config.mode)]
             fwd = model.forward(config.mode, instr, p0, occ, chi, sem)
             if fwd.occ_hat is not None:
                 pred_labels = np.asarray(fwd.sem.data[0]).argmax(axis=0)

@@ -36,7 +36,7 @@ def batch_loss(model: CM2Model, batch, config: RunConfig):
 
     Returns (total loss tensor, waypoint-loss value, map-loss value)."""
     occ, chi, sem, hm, vis, p0, xi, tokens = batch
-    instr = [model.encode_instruction(np.stack(tokens))]
+    instr = [model.encode_instruction(np.stack(tokens), config.mode)]
     out = model.forward(config.mode, instr, p0, occ, chi, sem)
     l_wp = loss_waypoint(out.heatmaps, hm, vis, out.traversed, xi,
                          lambda_aux=config.lambda_xi)

@@ -2,8 +2,7 @@
 
 Each test verifies one headline property at its stated tolerance: gradient
 correctness, attention-oracle equivalence, heatmap codec fidelity,
-controller soundness, metric exactness, overfit capability, ablation
-directions, and byte-level determinism.
+controller soundness, metric exactness, and byte-level determinism.
 """
 import dataclasses
 import math
@@ -159,6 +158,15 @@ def test_gradcheck_every_primitive():
     onehot = np.eye(3)[rng.integers(0, 3, size=(2, 4, 4))].transpose(0, 3, 1, 2)
     _check(lambda: nm.pixelwise_cross_entropy(nm.softmax(logits, axis=-3), onehot),
            {"l": logits})
+
+    # drawn last, so that the checks above keep their draws
+    xb, bb = P(2, 5, 3), P(4)
+    cb = C(2, 5, 4)
+    _check(lambda: nm.tsum(nm.mul(nm.linear(xb, wt, bb), cb)),
+           {"x": xb, "w": wt, "b": bb})   # a (B,M,d) batch
+    yc, wj = P(2, 2, 6, 6), P(4, 5, 3, 3)
+    _check(lambda: nm.tsum(nm.mul(nm.conv2d(xc, wj, bc, padding=1, slope=0.01, cat=yc), c1)),
+           {"x": xc, "cat": yc, "w": wj, "b": bc})   # a second input after x's channels
 
 
 @pytest.mark.slow

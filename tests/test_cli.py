@@ -100,6 +100,26 @@ def test_eval_writes_metrics(workdir, tmp_path, capsys):
     assert "PCW" in capsys.readouterr().out
 
 
+def test_eval_worker_pool_equals_serial_eval(workdir):
+    """Two worker processes, each loading the checkpoint, give every
+    episode's NavMetrics equal to an in-process serial run."""
+    from mapnav.model import CM2Model
+    from mapnav.train_eval.evaluate import evaluate_navigation
+    from mapnav.worldsim.episodes import load_episodes
+    from mapnav.worldsim.floorplan import generate_floorplan
+    config = RunConfig.load(workdir["config"])
+    ckpt = str(workdir["run"] / "model.ckpt")
+    model = CM2Model.load(ckpt)
+    pairs = [(generate_floorplan(ep.floorplan_seed, size=config.world_size), ep)
+             for split in ("seen", "unseen")
+             for ep in load_episodes(workdir["data"] / f"{split}_episodes.jsonl")]
+    assert len(pairs) >= 3
+    serial, agg = evaluate_navigation(model, config, pairs)
+    pooled, agg_pooled = evaluate_navigation(model, config, pairs, workers=2, ckpt_path=ckpt)
+    assert pooled == serial
+    assert agg_pooled == agg
+
+
 def test_eval_missing_checkpoint(workdir, tmp_path):
     assert main(["eval", "--config", str(workdir["config"]),
                  "--ckpt", str(tmp_path / "none.ckpt"),

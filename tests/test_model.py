@@ -543,6 +543,39 @@ def test_encoding_without_map_attention_holds_no_occupancy_block(mini):
                           .kv["attn_s."][0].data)
 
 
+def test_forward_joins_no_channels_with_concat(mini, mini_inputs, monkeypatch):
+    """Every channel join of the three UNets is conv2d's second input, so a
+    forward with or without the map heads concatenates nothing along the
+    channels; only the encodings are joined along the batch."""
+    occ, sem, instr, p0 = mini_inputs
+    axes = []
+    concat = nm.concat
+
+    def recording(tensors, axis=0):
+        axes.append(axis)
+        return concat(tensors, axis)
+
+    monkeypatch.setattr(nm, "concat", recording)
+    for mode in ("cm2", "cm2-gt"):
+        out = mini.forward(mode, instr, p0, occ, sem, sem)
+        assert out.heatmaps.requires_grad
+    assert axes and set(axes) == {0}
+
+
+def test_encoding_for_ground_truth_maps_holds_no_occupancy_block(mini, mini_inputs):
+    occ, sem, _, p0 = mini_inputs
+    ids = np.stack([np.asarray(tokenize(t).tokens) for t in ("go to the tv", "go to the bed")])
+    enc = mini.encode_instruction(ids, "cm2-gt")
+    assert set(enc.kv) == {"attn_s."}
+    full = mini.encode_instruction(ids)
+    assert np.array_equal(enc.kv["attn_s."][1].data, full.kv["attn_s."][1].data)
+    gt = mini.forward("cm2-gt", [enc], p0, sem_gt=sem)
+    assert np.array_equal(gt.heatmaps.data, mini.forward("cm2-gt", [full], p0, sem_gt=sem)
+                          .heatmaps.data)
+    with pytest.raises(ConfigError, match="attn_o"):
+        mini.forward("cm2", [enc], p0, occ, sem)
+
+
 # ------------------------------------------------- LeakyReLU slope oracles
 def np_leaky(y):
     return np.where(y > 0, y, 0.01 * y)

@@ -76,6 +76,45 @@ def test_grad_matmul_linear(rng):
     check(lambda: nm.tsum(nm.mul(nm.matmul(xb, w2), cb)), {"x": xb, "w": w2})
     check(lambda: nm.tsum(nm.mul(nm.matmul(xb, wb), cb)), {"x": xb, "w": wb})
     check(lambda: nm.tsum(nm.mul(nm.matmul(x1, wb), cb)), {"x": x1, "w": wb})
+    # linear on a (B,M,d) batch: its weight gradient sums over both leading axes
+    bl = P(rng, 5)
+    check(lambda: nm.tsum(nm.mul(nm.linear(xb, w2, bl), cb)), {"x": xb, "w": w2, "b": bl})
+
+
+def test_linear_is_matmul_plus_bias(rng):
+    """The fused ``linear`` gives ``add(matmul(x, w), b)`` byte for byte, and
+    the same x and b grads; the weight grad, one GEMM over the flattened
+    rows, agrees to rounding."""
+    for xs, ws in (((5, 3), (3, 4)), ((2, 6, 3), (3, 4)), ((3, 1, 6, 5), (5, 2))):
+        x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[1])
+        g = nm.Tensor(rng.normal(size=xs[:-1] + ws[1:]))
+        fused = [nm.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        out = nm.linear(*fused)
+        nm.tsum(nm.mul(out, g)).backward()
+        plain = [nm.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        ref = nm.add(nm.matmul(plain[0], plain[1]), plain[2])
+        nm.tsum(nm.mul(ref, g)).backward()
+        assert np.array_equal(out.data, ref.data), xs
+        assert np.array_equal(fused[0].grad, plain[0].grad), xs
+        assert np.array_equal(fused[2].grad, plain[2].grad), xs
+        assert np.allclose(fused[1].grad, plain[1].grad, rtol=1e-13, atol=1e-13), xs
+    with pytest.raises(ShapeError):
+        nm.linear(P(rng, 4, 3), P(rng, 2, 3, 5))   # a batched weight
+    with pytest.raises(ShapeError):
+        nm.linear(P(rng, 4, 3), P(rng, 4, 5))
+
+
+def test_linear_tape_holds_no_pre_bias_product(rng):
+    x, w, b = P(rng, 8, 64, 128), P(rng, 128, 256), P(rng, 256)
+    tracemalloc.start()
+    try:
+        out = nm.linear(x, w, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the output alone; a kept pre-bias product would double it
+    assert held <= 1.1 * out.data.nbytes, held / out.data.nbytes
 
 
 def test_matmul_shape_error(rng):
@@ -167,6 +206,11 @@ def test_grad_conv_ops(rng):
     c9 = nm.Tensor(rng.normal(size=(2, 2, 5, 5)))
     check(lambda: nm.tsum(nm.mul(nm.conv2d(xn, wn, bn, padding=1), c9)),
           {"x": xn, "w": wn, "b": bn})
+    # a second input joined after x's channels, with and without the slope
+    xs, ws = P(rng, 2, 2, 6, 6), P(rng, 4, 5, 3, 3)
+    for slope in (None, 0.01):
+        check(lambda: nm.tsum(nm.mul(nm.conv2d(xs, ws, b, padding=1, slope=slope, cat=x), c)),
+              {"x": xs, "cat": x, "w": ws, "b": b})
 
 
 def test_conv_contract_errors(rng):
@@ -187,6 +231,12 @@ def test_conv_contract_errors(rng):
         nm.upconv2d(x4, P(rng, 4, 3, 1, 1))  # not 3x3
     with pytest.raises(ShapeError):
         nm.upconv2d(x4, P(rng, 4, 2, 3, 3))  # kernel channels differ from the input's
+    for cat in (P(rng, 2, 3, 6, 6),   # kernel channels differ from x's and cat's
+                P(rng, 2, 1, 6, 5),   # another width
+                P(rng, 3, 1, 6, 6),   # another batch
+                P(rng, 1, 6, 6)):     # another rank
+        with pytest.raises(ShapeError):
+            nm.conv2d(x4, P(rng, 4, 4, 3, 3), padding=1, cat=cat)
 
 
 def test_grad_losses(rng):
@@ -264,6 +314,78 @@ def test_conv2d_grads_match_direct_reference(rng):
         assert np.allclose(x.grad, gx, atol=1e-12, rtol=0), (xs, ws, pad)
         assert np.allclose(w.grad, sum(r[1] for r in refs), atol=1e-12, rtol=0), (xs, ws, pad)
         assert np.allclose(b.grad, sum(r[2] for r in refs), atol=1e-12, rtol=0), (xs, ws, pad)
+
+
+def test_conv2d_second_input_equals_conv_of_the_concat(rng):
+    """``conv2d(x, w, b, cat=y)`` gives ``conv2d(concat([x, y]), w, b)``: the
+    output and the x, y, w and b grads byte for byte. An input that needs no
+    gradient gets none. The other input's gradient is then a GEMM over its
+    own kernel rows only, which may take another BLAS kernel for a
+    different row count, so it agrees to rounding."""
+    cases = [((2, 3, 5, 6), 2, (4, 5, 3, 3), 1),   # B=2
+             ((1, 2, 6, 6), 3, (3, 5, 3, 3), 0),   # B=1, padding 0
+             ((3, 4, 5, 5), 1, (2, 5, 1, 1), 0),   # a 1x1 kernel, one joined channel
+             ((3, 5, 7), 2, (2, 5, 3, 3), 1)]      # (C,H,W) inputs
+    for xs, cc, ws, pad in cases:
+        ys = xs[:-3] + (cc,) + xs[-2:]
+        x, y, w, b = (rng.normal(size=s) for s in (xs, ys, ws, ws[:1]))
+        g = None
+        for slope in (None, 0.01):
+            for want in ((True, True), (True, False), (False, True)):
+                two = [nm.Tensor(a.copy(), requires_grad=r)
+                       for a, r in zip((x, y, w, b), want + (True, True))]
+                out = nm.conv2d(two[0], two[2], two[3], padding=pad, slope=slope, cat=two[1])
+                g = nm.Tensor(rng.normal(size=out.shape)) if g is None else g
+                nm.tsum(nm.mul(out, g)).backward()
+                one = [nm.Tensor(a.copy(), requires_grad=r)
+                       for a, r in zip((x, y, w, b), want + (True, True))]
+                ref = nm.conv2d(nm.concat(one[:2], axis=-3), one[2], one[3], padding=pad,
+                                slope=slope)
+                nm.tsum(nm.mul(ref, g)).backward()
+                assert np.array_equal(out.data, ref.data), (xs, cc, ws, slope, want)
+                for k, (t, r) in enumerate(zip(two, one)):
+                    case = (xs, cc, ws, slope, want, k)
+                    if r.grad is None:
+                        assert t.grad is None, case
+                    elif k < 2 and not all(want):
+                        assert np.max(np.abs(t.grad - r.grad)) <= 1e-14 * np.max(np.abs(r.grad)), case
+                    else:
+                        assert np.array_equal(t.grad, r.grad), case
+
+
+def test_conv2d_input_gradient_skips_an_input_without_grad(rng, monkeypatch):
+    """The input gradient is one correlation whose output channels are those
+    of the inputs that require a gradient, and only those."""
+    from mapnav.numerics import ops
+    rows = []
+    correlate = ops._correlate_rows
+
+    def recording(src, w_rows, wp, n):
+        rows.append(w_rows.shape[1])
+        return correlate(src, w_rows, wp, n)
+
+    monkeypatch.setattr(ops, "_correlate_rows", recording)
+    w = P(rng, 6, 7, 3, 3)
+    for want, channels in (((True, False), 3), ((False, True), 4), ((True, True), 7)):
+        x, y = (nm.Tensor(rng.normal(size=(2, c, 5, 5)), requires_grad=r)
+                for c, r in zip((3, 4), want))
+        rows.clear()
+        nm.tsum(nm.conv2d(x, w, padding=1, cat=y)).backward()
+        assert rows == [6, channels], want   # the forward, then the input gradient
+
+
+def test_conv2d_tape_holds_no_joined_input(rng):
+    x, y = P(rng, 4, 16, 32, 32), P(rng, 4, 16, 32, 32)
+    w, b = P(rng, 16, 32, 3, 3), P(rng, 16)
+    tracemalloc.start()
+    try:
+        out = nm.conv2d(x, w, b, padding=1, slope=0.01, cat=y)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the output alone; the joined input would add 2x, a padded copy of it 2.2x
+    assert held <= out.data.nbytes + 0.25 * x.data.nbytes, held / x.data.nbytes
 
 
 def test_conv2d_tape_holds_no_patch_matrix(rng):

@@ -542,8 +542,8 @@ def test_rollout_step_builds_no_tape(plan, episode, monkeypatch):
     encodings = []
     encode = model.encode_instruction
 
-    def recording(tokens):
-        encodings.append(encode(tokens))
+    def recording(*args):
+        encodings.append(encode(*args))
         return encodings[-1]
 
     monkeypatch.setattr(model, "encode_instruction", recording)
@@ -620,3 +620,28 @@ def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
     batch_loss(model, assemble_batch(train_records[:4], config.sigma), config)
     assert calls == {("encoder", (4, len(train_records[0].tokens))): 1,
                      ("text", "attn_o."): 1, ("text", "attn_s."): 1}
+
+
+def test_ground_truth_map_batch_encodes_only_the_path_block(train_records, monkeypatch):
+    """In mode cm2-gt no map head runs, so a batch's encoding runs only the
+    path block's text branch and holds no occupancy block."""
+    import collections
+
+    import mapnav.model.cm2 as cm2
+    from mapnav.model import CM2Model
+    calls = collections.Counter()
+    _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: a[2])
+    config = tiny_config(mode="cm2-gt")
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    encodings = []
+    encode = model.encode_instruction
+
+    def recording(*args):
+        encodings.append(encode(*args))
+        return encodings[-1]
+
+    monkeypatch.setattr(model, "encode_instruction", recording)
+    batch_loss(model, assemble_batch(train_records[:4], config.sigma), config)
+    assert calls == {"attn_s.": 1}
+    (enc,) = encodings
+    assert set(enc.kv) == {"attn_s."}
