@@ -120,14 +120,10 @@ def cmd_eval(args) -> int:
                                       write_metrics_csv)
 
     config = _load_config(args.config)
-    if args.workers:
-        config.workers = args.workers
     model, config = _load_model(args, config)
     pairs = _load_pairs(os.path.join(args.data, f"{args.split}_episodes.jsonl"),
                         config.world_size)
-    per_episode, agg = evaluate_navigation(model, config, pairs,
-                                           workers=config.workers,
-                                           ckpt_path=args.ckpt)
+    per_episode, agg = evaluate_navigation(model, config, pairs)
     extra = {}
     rec_path = os.path.join(args.data, "unseen_records.bin")
     if args.split == "unseen" and os.path.exists(rec_path):
@@ -143,12 +139,17 @@ def cmd_ablate(args) -> int:
     from .train_eval.dataset import load_records
 
     config = _load_config(args.config)
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    names = tuple(args.suite.split(",")) if args.suite else tuple(VARIANTS)
+    unknown = [n for n in names if n not in VARIANTS]
+    if unknown:
+        raise UsageError(f"unknown --suite variants {unknown}; known: {list(VARIANTS)}")
     records = load_records(os.path.join(args.data, "train_records.bin"))
     eval_pairs = _load_pairs(os.path.join(args.data, "unseen_episodes.jsonl"),
                              config.world_size)
     eval_records = load_records(os.path.join(args.data, "unseen_records.bin"))
     seeds = tuple(range(config.seed, config.seed + args.seeds))
-    names = tuple(args.suite.split(",")) if args.suite else tuple(VARIANTS)
     checkpoints = train_variants(config, records, args.out, seeds=seeds, names=names)
     tau_ckpt = checkpoints.get("full", {}).get(seeds[0])
     run_suite(config, checkpoints, eval_pairs, eval_records, args.out,
@@ -216,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--split", choices=("seen", "unseen", "train"), default="unseen")
     e.add_argument("--out", default="metrics.csv")
-    e.add_argument("--workers", type=int, default=0)
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="train and evaluate model variants")

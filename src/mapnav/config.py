@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .controller import ControllerConfig
 from .errors import ConfigError
-from .model.cm2 import ModelConfig
+from .model.cm2 import ModelConfig, config_from_dict
 
 MODES = ("cm2", "cm2-gt")
 
@@ -59,7 +59,6 @@ class RunConfig:
     success_radius: float = 1.0
     unknown_cost: float = 2.0
     eval_episodes: int = 50
-    workers: int = 1
 
     def __post_init__(self):
         env = os.environ.get("CM2_SEED")
@@ -125,11 +124,7 @@ class RunConfig:
             raise ConfigError(f"invalid config JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return config_from_dict(cls, data).validate()
 
     def save(self, path):
         with open(path, "w") as fh:

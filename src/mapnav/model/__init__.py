@@ -3,8 +3,7 @@ from .attention import (apply_self_attention, cross_modal_attend, init_cross_mod
                         init_self_attention, text_keys_values)
 from .unet import UNetSpec, init_unet, apply_unet
 from .supervision import (
-    PathSupervision, sample_waypoints, nearest_arc_length,
-    make_gt_heatmaps, make_path_supervision,
+    sample_waypoints, make_gt_heatmaps,
     ego_to_heatmap_cell, heatmap_cell_to_ego, HEATMAP_CELL,
 )
 from .losses import loss_waypoint, loss_map, loss_total

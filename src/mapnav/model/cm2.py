@@ -9,6 +9,7 @@ in, so repeated calls with identical inputs are bit-identical.
 """
 from __future__ import annotations
 
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,6 +70,22 @@ class ModelConfig:
         for name, low in (("unet_depth", 1), ("unet_base", 1), ("n_instr_layers", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+
+
+def config_from_dict(cls, data: dict):
+    """``cls(**data)`` for a config dataclass such as :class:`ModelConfig`,
+    raising ConfigError for a key it lacks or a value not of its field's
+    type. An int is taken, as a float, where a float is expected."""
+    types = typing.get_type_hints(cls)
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        want = types[key]
+        if (not isinstance(value, (int, float) if want is float else want)
+                or isinstance(value, bool) != (want is bool)):
+            raise ConfigError(f"{key} must be {want.__name__}, got {value!r}")
+    return cls(**{k: types[k](v) for k, v in data.items()})
 
 
 def _encoder_channels(d: int) -> list[int]:
@@ -296,7 +313,7 @@ class CM2Model:
     @classmethod
     def load(cls, path) -> "CM2Model":
         raw, cfg = nm.load_checkpoint(path)
-        config = ModelConfig(**cfg)
+        config = config_from_dict(ModelConfig, cfg)
         params = {k: nm.Tensor(v, requires_grad=True) for k, v in raw.items()}
         model = cls(config, params=params)
         # verify stored parameter names and shapes against a fresh init

@@ -1,4 +1,4 @@
-"""Waypoint supervision: sampling, visibility, traversal labels, heatmaps.
+"""Waypoint supervision: sampling, visibility, heatmaps.
 
 Heatmap frame: the ego map downscaled by 2 (one heatmap cell = 0.4 m), agent
 at the center cell facing up. Ground-truth heatmaps are unnormalized
@@ -7,24 +7,11 @@ all-zero maps and a false visibility bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..mapping import world_to_ego
-from ..worldsim.agent import Pose
 from ..worldsim.floorplan import CELL_SIZE
 
 HEATMAP_CELL = 2.0 * CELL_SIZE
-
-
-@dataclass
-class PathSupervision:
-    waypoints_ego: np.ndarray   # (k, 2) ego (forward, right) meters
-    visibility: np.ndarray      # (k,) bool: waypoint inside heatmap bounds
-    traversed: np.ndarray       # (k,) float 0/1, monotone non-increasing
-    heatmaps: np.ndarray        # (k, u, v) ground-truth Gaussians
-    start_heatmap: np.ndarray   # (1, u, v)
 
 
 def sample_waypoints(gt_path: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,18 +28,6 @@ def sample_waypoints(gt_path: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     out[:, 0] = np.interp(targets, s, pts[:, 0])
     out[:, 1] = np.interp(targets, s, pts[:, 1])
     return out, targets
-
-
-def nearest_arc_length(gt_path: np.ndarray, pose: Pose) -> float:
-    """Arc length of the ground-truth path point nearest the agent."""
-    pts = np.asarray(gt_path, dtype=np.float64)
-    d = np.linalg.norm(pts - np.array([pose.x, pose.y]), axis=1)
-    i = int(np.argmin(d))
-    if len(pts) < 2:
-        return 0.0
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    return float(s[i])
 
 
 def ego_to_heatmap_cell(f: float, r: float, u: int, v: int) -> tuple[int, int]:
@@ -80,18 +55,3 @@ def make_gt_heatmaps(waypoints_ego: np.ndarray, u: int, v: int,
         stack[i] = np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * sigma**2))
     return stack, vis
 
-
-def make_path_supervision(gt_path: np.ndarray, pose: Pose, k: int,
-                          u: int, v: int, sigma: float = 1.0) -> PathSupervision:
-    world_wps, arcs = sample_waypoints(gt_path, k)
-    ego = world_to_ego(pose, world_wps)
-    heatmaps, vis = make_gt_heatmaps(ego, u, v, sigma)
-    agent_arc = nearest_arc_length(gt_path, pose)
-    traversed = (arcs <= agent_arc + 1e-9).astype(np.float64)
-    return PathSupervision(
-        waypoints_ego=ego,
-        visibility=vis,
-        traversed=traversed,
-        heatmaps=heatmaps,
-        start_heatmap=heatmaps[:1],
-    )

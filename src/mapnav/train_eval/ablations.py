@@ -49,14 +49,13 @@ def train_variants(base: RunConfig, records, out_dir, seeds=(0, 1, 2),
     return paths
 
 
-def evaluate_checkpoint(base: RunConfig, name: str, seed: int, ckpt_path,
+def evaluate_checkpoint(base: RunConfig, name: str, seed: int, ckpt,
                         eval_pairs, eval_records, **extra) -> dict:
     cfg = variant_config(base, name, seed, **extra)
-    model = CM2Model.load(ckpt_path)
+    model = CM2Model.load(ckpt)
     row = {"variant": name, "seed": seed}
     row.update(evaluate_map_quality(model, cfg, eval_records))
-    _, agg = evaluate_navigation(model, cfg, eval_pairs, workers=cfg.workers,
-                                 ckpt_path=ckpt_path)
+    _, agg = evaluate_navigation(model, cfg, eval_pairs)
     row.update(agg)
     return row
 

@@ -1,8 +1,10 @@
 """Closed-loop navigation evaluation and open-loop map/waypoint quality."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import multiprocessing
+import os
 
 import numpy as np
 
@@ -15,8 +17,6 @@ from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
 from ..train_eval.training import assemble_batch
-from ..worldsim.episodes import episode_from_json, episode_to_json
-from ..worldsim.floorplan import generate_floorplan
 
 
 def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
@@ -63,35 +63,54 @@ def evaluate_episode(model: CM2Model, config: RunConfig, plan, episode,
                            config.success_radius)
 
 
+# Each pool process runs one episode at a time, so BLAS threads in it would
+# only compete with the other processes for the same CPUs.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _WORKER: dict = {}
 
 
-def _worker_init(ckpt_path, config_json):
-    _WORKER["model"] = CM2Model.load(ckpt_path)
-    _WORKER["config"] = RunConfig.from_json(config_json)
+def _init_worker(model, config):
+    _WORKER.update(model=model, config=config)
 
 
-def _worker_eval(episode_json):
-    episode = episode_from_json(episode_json)
-    plan = generate_floorplan(episode.floorplan_seed,
-                              size=_WORKER["config"].world_size)
+def _eval_pair(pair):
+    plan, episode = pair
     return evaluate_episode(_WORKER["model"], _WORKER["config"], plan, episode)
 
 
-def evaluate_navigation(model: CM2Model, config: RunConfig, plans_episodes,
-                        workers: int = 1, ckpt_path=None) -> tuple[list[NavMetrics], dict]:
-    """Rollout every episode and aggregate; ``plans_episodes`` is an iterable
-    of (Floorplan, Episode). Parallel workers reload the model from
-    ``ckpt_path`` per process."""
+@contextlib.contextmanager
+def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
+    """A ``spawn`` pool of min(usable CPUs, ``n_episodes``) processes, each
+    given ``model`` and ``config`` once and started with single-threaded
+    BLAS. The caller's environment is restored on exit."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with multiprocessing.get_context("spawn").Pool(
+                max(1, min(cpus, n_episodes)), initializer=_init_worker,
+                initargs=(model, config)) as pool:
+            yield pool
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def evaluate_navigation(model: CM2Model, config: RunConfig,
+                        plans_episodes) -> tuple[list[NavMetrics], dict]:
+    """Roll out every (Floorplan, Episode) pair of ``plans_episodes`` and
+    aggregate. Episodes run in a ``spawn`` pool of one process per usable
+    CPU, so a script that calls this needs an ``if __name__ == "__main__":``
+    guard."""
     pairs = list(plans_episodes)
-    if workers > 1 and ckpt_path is not None:
-        payload = [episode_to_json(ep) for _, ep in pairs]
-        with multiprocessing.Pool(workers, initializer=_worker_init,
-                                  initargs=(ckpt_path, config.to_json())) as pool:
-            per_episode = pool.map(_worker_eval, payload)
-    else:
-        per_episode = [evaluate_episode(model, config, plan, ep)
-                       for plan, ep in pairs]
+    with _episode_pool(model, config, len(pairs)) as pool:
+        per_episode = pool.map(_eval_pair, pairs)
     return per_episode, aggregate_nav(per_episode)
 
 

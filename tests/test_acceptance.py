@@ -17,9 +17,9 @@ from mapnav.config import RunConfig
 from mapnav.controller import (ControllerConfig, decode_waypoints,
                                heatmap_mode, run_rollout,
                                select_short_term_goal)
-from mapnav.mapping import ego_to_world
+from mapnav.mapping import ego_to_world, world_to_ego
 from mapnav.model import (CM2Model, ModelConfig, make_gt_heatmaps,
-                          make_path_supervision)
+                          sample_waypoints)
 from mapnav.model.attention import init_cross_modal
 from mapnav.train_eval import (aggregate_nav, build_dataset, compute_map_metrics,
                                episode_metrics, generate_split)
@@ -298,8 +298,9 @@ def test_closed_loop_with_gt_maps_and_heatmaps():
         for s in range(10):
             ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
 
-            def predict(pose, gmap, occ_frame, sem_frame, _ep=ep):
-                return make_path_supervision(_ep.gt_path, pose, 10, 24, 24).heatmaps
+            def predict(pose, gmap, occ_frame, sem_frame,
+                        _wps=sample_waypoints(ep.gt_path, 10)[0]):
+                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24)[0]
 
             result = run_rollout(plan, ep, predict, config, use_gt_map=True)
             runs += 1
@@ -325,8 +326,9 @@ def test_closed_loop_with_sensed_maps_and_perfect_heatmaps():
         for s in range(10):
             ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
 
-            def predict(pose, gmap, occ_frame, sem_frame, _ep=ep):
-                return make_path_supervision(_ep.gt_path, pose, 10, 24, 24).heatmaps
+            def predict(pose, gmap, occ_frame, sem_frame,
+                        _wps=sample_waypoints(ep.gt_path, 10)[0]):
+                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24)[0]
 
             result = run_rollout(plan, ep, predict, config, use_gt_map=False)
             runs += 1

@@ -101,23 +101,37 @@ def test_eval_writes_metrics(workdir, tmp_path, capsys):
 
 
 def test_eval_worker_pool_equals_serial_eval(workdir):
-    """Two worker processes, each loading the checkpoint, give every
-    episode's NavMetrics equal to an in-process serial run."""
+    """The process pool gives every episode's NavMetrics, in order, and the
+    aggregate equal to a serial in-process loop over ``evaluate_episode``."""
+    from mapnav.cli import _load_pairs
     from mapnav.model import CM2Model
-    from mapnav.train_eval.evaluate import evaluate_navigation
-    from mapnav.worldsim.episodes import load_episodes
-    from mapnav.worldsim.floorplan import generate_floorplan
+    from mapnav.train_eval.evaluate import evaluate_episode, evaluate_navigation
+    from mapnav.train_eval.metrics import aggregate_nav
     config = RunConfig.load(workdir["config"])
-    ckpt = str(workdir["run"] / "model.ckpt")
-    model = CM2Model.load(ckpt)
-    pairs = [(generate_floorplan(ep.floorplan_seed, size=config.world_size), ep)
-             for split in ("seen", "unseen")
-             for ep in load_episodes(workdir["data"] / f"{split}_episodes.jsonl")]
+    model = CM2Model.load(workdir["run"] / "model.ckpt")
+    pairs = [pair for split in ("seen", "unseen") for pair in
+             _load_pairs(workdir["data"] / f"{split}_episodes.jsonl", config.world_size)]
     assert len(pairs) >= 3
-    serial, agg = evaluate_navigation(model, config, pairs)
-    pooled, agg_pooled = evaluate_navigation(model, config, pairs, workers=2, ckpt_path=ckpt)
+    serial = [evaluate_episode(model, config, plan, ep) for plan, ep in pairs]
+    pooled, agg = evaluate_navigation(model, config, pairs)
     assert pooled == serial
-    assert agg_pooled == agg
+    assert agg == aggregate_nav(serial)
+
+
+def test_eval_pool_runs_single_threaded_blas(monkeypatch):
+    """Pool processes start with one BLAS thread; the caller's environment
+    is as it was, whether a variable was set or not."""
+    from mapnav.model import CM2Model
+    from mapnav.train_eval.evaluate import _BLAS_THREAD_VARS, _episode_pool
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    config = tiny_config()
+    model = CM2Model(config.model_config())
+    with _episode_pool(model, config, 2) as pool:
+        seen = pool.map(os.getenv, _BLAS_THREAD_VARS * 2)
+    assert seen == ["1"] * len(seen)
+    assert dict(os.environ) == before
 
 
 def test_eval_missing_checkpoint(workdir, tmp_path):
@@ -144,6 +158,21 @@ def test_eval_checkpoint_with_extra_tensor(workdir, tmp_path, capsys):
     assert main(["eval", "--config", str(workdir["config"]), "--ckpt", str(bad),
                  "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")]) == EXIT_USAGE
     assert "unexpected 'bogus.w'" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("bad, message", [({"bogus": 1}, "unknown config keys: ['bogus']"),
+                                          ({"d": "16"}, "d must be int"),
+                                          ({"k": True}, "k must be int")],
+                         ids=["unknown-key", "str-for-int", "bool-for-int"])
+def test_eval_checkpoint_with_bad_model_config(workdir, tmp_path, capsys, bad, message):
+    from mapnav.numerics import load_checkpoint, save_checkpoint
+    params, cfg = load_checkpoint(workdir["run"] / "model.ckpt")
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, params, config=dict(cfg, **bad))
+    assert main(["eval", "--config", str(workdir["config"]), "--ckpt", str(ckpt),
+                 "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -282,7 +311,10 @@ def test_config_rejects_invalid():
                                           ("samples_per_episode", -1),
                                           ("max_range", -1.0),
                                           ("num_rays", 0),
-                                          ("sigma", 0.0)])
+                                          ("sigma", 0.0),
+                                          ("d", "x"),
+                                          ("lr", None),
+                                          ("seed", "1")])
 def test_gen_data_rejects_empty_dataset_config(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     dataclasses.replace(tiny_config(), **{field: value}).save(bad)
@@ -290,6 +322,16 @@ def test_gen_data_rejects_empty_dataset_config(tmp_path, capsys, field, value):
     assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--suite", "full,no-pO"]],
+                         ids=["no-seeds", "unknown-variant"])
+def test_ablate_rejects_bad_arguments(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                 "--out", str(out)] + argv) == EXIT_USAGE
+    assert argv[0] in capsys.readouterr().err
+    assert not out.exists()  # nothing trained
 
 
 def test_exit_code_constants():

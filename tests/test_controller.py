@@ -11,8 +11,8 @@ from mapnav.controller import (
     select_short_term_goal, stop_decision,
 )
 from mapnav.errors import ConfigError
-from mapnav.mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world
-from mapnav.model import make_gt_heatmaps, make_path_supervision
+from mapnav.mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, world_to_ego
+from mapnav.model import make_gt_heatmaps, sample_waypoints
 from mapnav.worldsim import (
     CELL_SIZE, Pose, cell_center, generate_episode, generate_floorplan,
     pos_to_cell,
@@ -298,9 +298,10 @@ def test_controller_config_validation():
 
 # ------------------------------------------------------------- closed loop
 def gt_predictor(episode):
+    wps = sample_waypoints(episode.gt_path, 10)[0]
+
     def predict(pose, gmap, occ_frame, sem_frame):
-        sup = make_path_supervision(episode.gt_path, pose, 10, 24, 24)
-        return sup.heatmaps
+        return make_gt_heatmaps(world_to_ego(pose, wps), 24, 24)[0]
     return predict
 
 

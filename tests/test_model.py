@@ -9,12 +9,13 @@ from mapnav.language import MAX_TOKENS, tokenize
 from mapnav.model import (
     CM2Model, HEATMAP_CELL, ModelConfig, cross_modal_attend,
     ego_to_heatmap_cell, heatmap_cell_to_ego, init_cross_modal,
-    loss_map, loss_total, loss_waypoint, make_gt_heatmaps,
-    make_path_supervision, nearest_arc_length, sample_waypoints, text_keys_values,
+    loss_map, loss_total, loss_waypoint, make_gt_heatmaps, sample_waypoints,
+    text_keys_values,
 )
 from mapnav.model.cm2 import apply_map_encoder, one_hot
 from mapnav.model.unet import UNetSpec, apply_unet, init_unet
-from mapnav.worldsim import NUM_CLASSES, Pose
+from mapnav.train_eval import build_episode_records
+from mapnav.worldsim import NUM_CLASSES
 
 D = 16
 
@@ -206,28 +207,16 @@ def test_sample_waypoints_endpoints(episode):
     assert np.allclose(np.diff(arcs), arcs[1] - arcs[0])  # uniform spacing
 
 
-def test_traversed_prefix_monotone(episode):
-    path = episode.gt_path
-    for frac in (0.0, 0.3, 0.7, 1.0):
-        pt = path[int(frac * (len(path) - 1))]
-        sup = make_path_supervision(path, Pose(pt[0], pt[1], 0.0), 10, 24, 24)
-        assert sup.traversed[0] == 1.0
-        assert np.all(np.diff(sup.traversed) <= 0.0)
-        # the start heatmap is the first waypoint's, built on its own
-        start_hm, _ = make_gt_heatmaps(sup.waypoints_ego[:1], 24, 24)
-        assert sup.start_heatmap.tobytes() == start_hm.tobytes()
-    # at the start only the first waypoint is traversed; at the goal all are
-    start = make_path_supervision(path, Pose(*path[0], 0.0), 10, 24, 24)
-    end = make_path_supervision(path, Pose(*path[-1], 0.0), 10, 24, 24)
-    assert start.traversed.sum() == 1.0
-    assert end.traversed.sum() == 10.0
-
-
-def test_nearest_arc_length(episode):
-    assert nearest_arc_length(episode.gt_path, Pose(*episode.gt_path[0], 0.0)) == 0.0
-    total = episode.path_length
-    at_end = nearest_arc_length(episode.gt_path, Pose(*episode.gt_path[-1], 0.0))
-    assert at_end == pytest.approx(total, abs=1e-9)
+def test_traversed_prefix_monotone(plan, episode):
+    """The traversal labels of training records: per record a prefix of
+    ones, growing along the path, from the first waypoint alone at the start
+    to all of them at the goal."""
+    records = build_episode_records(plan, episode, 5, 10, 24, np.random.default_rng(0))
+    flags = np.stack([r.traversed for r in records]).astype(np.int64)
+    assert np.all(np.diff(flags, axis=1) <= 0)
+    assert np.all(np.diff(flags.sum(axis=1)) >= 0)
+    assert flags[0].sum() == 1
+    assert flags[-1].sum() == 10
 
 
 # -------------------------------------------------------------------- model
