@@ -21,8 +21,11 @@ pose (x, y, t).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .errors import UsageError
 from .worldsim.agent import DepthScan, Pose, raycast
 from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, VOID
 
@@ -184,10 +187,22 @@ def sense(plan: Floorplan, pose: Pose, gmap: np.ndarray | None, ego_size: int,
     return ground_project(scan, ego_size)
 
 
-def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
-    """(n,size,size) values of ``grids`` (one (g,g) grid, or (n,g,g), one
-    per pose) at every ego cell center of each of n poses; ``fill`` where
-    a center lies off the grid."""
+@dataclass(frozen=True)
+class EgoCells:
+    """The world cells that the (size,size) ego crops of n poses sample on a
+    (g,g) world grid: per pose, the flat index ``row*g + col`` of the cell
+    under each ego cell center, row-major, or ``g*g`` where a center lies off
+    the grid. Made once by :func:`ego_cells`, it can be cropped from several
+    grids."""
+    flat: np.ndarray   # (n, size*size) int
+    size: int
+    g: int
+
+
+def ego_cells(poses, size: int, g: int) -> EgoCells:
+    """The :class:`EgoCells` of a sequence of poses' (size,size) crops of a
+    (g,g) grid: each ego cell center rotated and shifted into the world by
+    the pose, then floored to a cell."""
     rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     half = size // 2
     f = (half - rows).ravel() * CELL_SIZE
@@ -196,12 +211,25 @@ def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
     wx, wy = _to_world(x, y, ct, st, f, r)
     wr = np.floor(wy / CELL_SIZE).astype(int)
     wc = np.floor(wx / CELL_SIZE).astype(int)
-    n, g = len(poses), grids.shape[-1]
     inside = (wr >= 0) & (wr < g) & (wc >= 0) & (wc < g)
+    return EgoCells(np.where(inside, wr * g + wc, g * g), size, g)
+
+
+def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
+    """(n,size,size) values of ``grids`` (one (g,g) grid, or (n,g,g), one
+    per pose) at every ego cell center of each of n poses, or at the cells
+    of their :class:`EgoCells`; ``fill`` where a center lies off the grid."""
+    g = grids.shape[-1]
+    cells = poses if isinstance(poses, EgoCells) else ego_cells(poses, size, g)
+    if cells.g != g:
+        raise UsageError(f"ego cells of a {cells.g}x{cells.g} grid cropped from a {g}x{g} one")
+    n = len(cells.flat)
+    inside = cells.flat < g * g
     fi = np.broadcast_to(np.arange(n)[:, None], inside.shape)
     vals = np.full(inside.shape, fill, dtype=grids.dtype)
-    vals[inside] = np.broadcast_to(grids, (n, g, g))[fi[inside], wr[inside], wc[inside]]
-    return vals.reshape(n, size, size)
+    vals[inside] = np.broadcast_to(grids, (n, g, g)).reshape(n, g * g)[fi[inside],
+                                                                      cells.flat[inside]]
+    return vals.reshape(n, cells.size, cells.size)
 
 
 def crop_ego_occupancy(gmap: np.ndarray, poses,
@@ -209,8 +237,9 @@ def crop_ego_occupancy(gmap: np.ndarray, poses,
     """Agent-centered, heading-up crop of the global log-odds map as a
     (size,size) uint8 ``OCC``/``FREE``/``UNK`` label map.
 
-    For a sequence of n poses the crops come back as (n,size,size), and
-    ``gmap`` is either one (g,g) map or (n,g,g), one map per pose."""
+    For a sequence of n poses, or their :class:`EgoCells` (whose size is
+    then the crops'), the crops come back as (n,size,size), and ``gmap`` is
+    either one (g,g) map or (n,g,g), one map per pose."""
     one = isinstance(poses, Pose)
     vals = _crop_values(gmap, [poses] if one else poses, size, 0.0)
     labels = np.full(vals.shape, UNK, dtype=np.uint8)
@@ -222,8 +251,8 @@ def crop_ego_occupancy(gmap: np.ndarray, poses,
 def crop_ego_semantic(plan: Floorplan, poses,
                       size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
     """Ground-truth semantic crop of the floorplan, a (size,size) uint8
-    label map, or (n,size,size) for a sequence of n poses. Out-of-world
-    cells are void."""
+    label map, or (n,size,size) for a sequence of n poses or their
+    :class:`EgoCells`. Out-of-world cells are void."""
     one = isinstance(poses, Pose)
     labels = _crop_values(plan.grid, [poses] if one else poses, size, VOID)
     return labels[0] if one else labels

@@ -50,7 +50,7 @@ def apply_self_attention(x: nm.Tensor, params: dict, prefix: str,
     attn = nm.softmax(scores, axis=-1)
     x = nm.add(x, nm.matmul(nm.matmul(attn, v), params[prefix + "wo"]))
     h = nm.layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
-    h = nm.relu(nm.linear(h, params[prefix + "ff1.w"], params[prefix + "ff1.b"]))
+    h = nm.linear(h, params[prefix + "ff1.w"], params[prefix + "ff1.b"], slope=0.0)  # ReLU
     return nm.add(x, nm.linear(h, params[prefix + "ff2.w"], params[prefix + "ff2.b"]))
 
 

@@ -104,12 +104,12 @@ def init_map_encoder(rng, in_ch: int, d: int, prefix: str) -> dict:
 
 
 def apply_map_encoder(x: nm.Tensor, params: dict, d: int, prefix: str) -> nm.Tensor:
-    """(B,C,h,w) -> (B,d,h/8,w/8) via 3 strided conv blocks."""
+    """(B,C,h,w) -> (B,d,h/8,w/8) via 3 conv blocks, each with its 2x2
+    average pool folded into the conv."""
     h = x
     for i in range(3):
         h = nm.conv2d(h, params[f"{prefix}c{i}.w"], params[f"{prefix}c{i}.b"], padding=1,
-                      slope=LEAKY_SLOPE)
-        h = nm.avg_pool2d(h, 2)
+                      slope=LEAKY_SLOPE, pool=2)
     return h
 
 

@@ -87,10 +87,12 @@ def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
     that conv's output, which is also the next op's input. Each channel join
     (the input and ``cat``, the bottleneck and ``bneck_features``, a decoder
     level and its skip) is the conv's second input, so no joined copy is
-    made."""
-    def conv(h, name, cat=None):
+    made. Each down block's 2x2 average pool is folded into its second conv,
+    so the tape keeps the pooled activation and its sign mask, not the
+    unpooled activation."""
+    def conv(h, name, cat=None, pool=1):
         return nm.conv2d(h, params[f"{prefix}{name}.w"], params[f"{prefix}{name}.b"],
-                         padding=1, slope=LEAKY_SLOPE, cat=cat)
+                         padding=1, slope=LEAKY_SLOPE, cat=cat, pool=pool)
 
     skips = []
     h = x
@@ -98,7 +100,7 @@ def apply_unet(x: nm.Tensor, params: dict, spec: UNetSpec, prefix: str,
         h = conv(h, f"enc{i}.c1", cat if i == 0 else None)
         skips.append(h)
         if down:
-            h = nm.avg_pool2d(conv(h, f"enc{i}.c2"), 2)
+            h = conv(h, f"enc{i}.c2", pool=2)
     h = conv(h, "bneck", bneck_features)
     bottleneck = h
     for i in reversed(range(spec.depth)):

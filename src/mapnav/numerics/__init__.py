@@ -3,7 +3,7 @@ from .ops import (
     add, sub, mul, scale, tsum, tmean,
     reshape, transpose, concat, stack,
     matmul, linear,
-    relu, sigmoid, softmax, layer_norm,
+    sigmoid, softmax, layer_norm,
     embedding_lookup,
     conv2d, upconv2d, avg_pool2d, bilinear_resize,
     binary_cross_entropy, pixelwise_cross_entropy,

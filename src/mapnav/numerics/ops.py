@@ -192,21 +192,27 @@ def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray):
     accumulate(b, gb)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` for a 2-D ``w``, with ``b`` broadcast over rows, as one
-    op: the bias is added into the product in place, so the tape keeps no
-    pre-bias copy."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, *,
+           slope: float | None = None) -> Tensor:
+    """``x @ w + b`` for a 2-D ``w``, with ``b`` broadcast over rows, then a
+    LeakyReLU of ``slope`` in [0, 1] (none for None; 0 is a ReLU), as one op:
+    the bias and the activation are applied to the product in place, so the
+    tape keeps no pre-bias or pre-activation copy; backward reads the
+    activation's derivative off the output."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    _check_slope("linear", slope)
     data = x.data @ w.data
     if b is not None:
         data += b.data
+    _leaky_relu_(data, slope)
 
     def factory(out):
         def bw():
-            _matmul_grads(x, w, out.grad)
+            g = _pre_activation_grad(out, slope)
+            _matmul_grads(x, w, g)
             if b is not None:
-                accumulate(b, unbroadcast(out.grad, b.shape))
+                accumulate(b, unbroadcast(g, b.shape))
 
         return bw
 
@@ -215,19 +221,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # activations
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    data = a.data * mask
-
-    def factory(out):
-        def bw():
-            accumulate(a, out.grad * mask)
-
-        return bw
-
-    return make_op(data, (a,), factory)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -405,12 +398,15 @@ def _pre_activation_grad(out: Tensor, slope: float | None) -> np.ndarray:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
-           slope: float | None = None, cat: Tensor | None = None) -> Tensor:
+           slope: float | None = None, cat: Tensor | None = None, pool: int = 1) -> Tensor:
     """Stride-1 cross-correlation of (C,H,W) or (B,C,H,W), one image at a time,
     plus the bias, then a LeakyReLU of ``slope`` in [0, 1] (none for None)
-    applied in place on the output. A second input ``cat``, of ``x``'s shape
-    but for its channel count, is joined after ``x``'s channels: the result
-    is the conv of ``concat([x, cat], axis=-3)``, which is never built.
+    applied in place, then the ``pool`` x ``pool`` block means of that
+    activation: the result is ``avg_pool2d`` of the unpooled output, byte for
+    byte, and the unpooled output is not kept. A second input ``cat``, of
+    ``x``'s shape but for its channel count, is joined after ``x``'s
+    channels: the result is the conv of ``concat([x, cat], axis=-3)``, which
+    is never built.
 
     Per image, the kw column shifts of the zero-padded, row-flattened input
     ``xp`` (B, ci, hp*wp + kw-1), into which ``x`` and ``cat`` are copied,
@@ -419,15 +415,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
     is pixel (r, c) for ``c < wo``; the wrap-around columns ``c >= wo`` are
     dropped.
 
-    Backward: the output gradient is multiplied by the LeakyReLU's
-    derivative, read off the output. The input gradient is then the same
+    Backward: the output gradient, spread over each pooling block, is
+    multiplied by the LeakyReLU's derivative, read off the output or, when
+    pooled, off the pre-activation's sign. The input gradient is then the same
     correlation, of that gradient zero-padded by (kh-1-padding, kw-1-padding)
     on a grid of row width ``wp``, with the flipped kernel transposed to
     (ci, co), over the channels of the inputs that require a gradient only.
     The kernel gradient is one GEMM per image and kernel row with the row
     stack of ``xp``, rebuilt from ``x`` and ``cat``. The tape holds the
-    inputs, parents already, and the output: no padded or joined copy,
-    pre-activation or mask."""
+    inputs, parents already, and the output: no padded or joined copy or
+    pre-activation. A pooled conv with a slope also keeps that sign, one bool
+    per unpooled element, made only when a backward is recorded."""
     parts = (x,) if cat is None else (x, cat)
     lead = (1,) if x.ndim == 3 else ()
     arrays = [p.data.reshape(lead + p.shape) for p in parts]
@@ -455,21 +453,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{ww} "
                           f"padded by {padding}")
+    _check_pool("conv2d", ho, wo, pool)
 
     n = ho * wp
     w_rows = w.data.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)  # [i, o, j*ci + c]
     acc = _correlate_rows(_pad_rows(arrays, padding, kw - 1), w_rows, wp, n)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
-    out_data = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
-    _leaky_relu_(out_data, slope)
+    act = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
+    _leaky_relu_(act, slope)
+    out_data = act if pool == 1 else _block_means(act, pool)
     if x.ndim == 3:
         out_data = out_data[0]
 
     parents = parts + ((w,) if b is None else (w, b))
 
     def factory(out):
+        # the tape keeps the pooled output, so the unpooled pre-activation's
+        # sign is kept for the LeakyReLU's derivative
+        pos = act > 0 if pool > 1 and slope is not None else None
+
         def bw():
-            g4 = _pre_activation_grad(out, slope).reshape(bsz, co, ho, wo)
+            if pool == 1:
+                g4 = _pre_activation_grad(out, slope).reshape(bsz, co, ho, wo)
+            else:
+                g4 = _spread(out.grad.reshape(bsz, co, ho // pool, wo // pool), pool)
+                if pos is not None:
+                    g4 *= np.where(pos, 1.0, slope)
             if b is not None:
                 accumulate(b, g4.sum(axis=(0, 2, 3)))
             # gpad from offset ``top`` is also the flat (B, co, n) output
@@ -592,26 +601,45 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     return make_op(out_data, parents, factory)
 
 
+def _check_pool(op: str, h: int, w: int, factor: int):
+    if factor < 1 or h % factor or w % factor:
+        raise ConfigError(f"{op}: {h}x{w} not divisible by pool factor {factor}")
+
+
+def _pool_phases(factor: int) -> list:
+    """Index expressions of the ``factor**2`` phases of the last two axes:
+    phase (a, c) holds element (a, c) of every ``factor`` x ``factor`` block."""
+    return [np.s_[..., a::factor, c::factor] for a in range(factor) for c in range(factor)]
+
+
+def _block_means(data: np.ndarray, factor: int) -> np.ndarray:
+    """Means of the ``factor`` x ``factor`` blocks of the last two axes,
+    summed phase by phase in row-major order."""
+    return sum(data[p] for p in _pool_phases(factor)) / (factor * factor)
+
+
+def _spread(g: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient at the input of :func:`_block_means` of its output gradient
+    ``g``: each block's gradient over ``factor**2``, at every cell of it."""
+    g = g / (factor * factor)
+    gx = np.empty(g.shape[:-2] + (g.shape[-2] * factor, g.shape[-1] * factor))
+    for p in _pool_phases(factor):
+        gx[p] = g
+    return gx
+
+
 def avg_pool2d(x: Tensor, factor: int) -> Tensor:
     if factor == 1:
         return x
-    h, w = x.shape[-2], x.shape[-1]
-    if h % factor or w % factor:
-        raise ConfigError(f"avg_pool2d: {h}x{w} not divisible by {factor}")
-    phases = [np.s_[..., a::factor, c::factor] for a in range(factor) for c in range(factor)]
-    data = sum(x.data[p] for p in phases) / (factor * factor)
+    _check_pool("avg_pool2d", x.shape[-2], x.shape[-1], factor)
 
     def factory(out):
         def bw():
-            g = out.grad / (factor * factor)
-            gx = np.empty(x.shape)
-            for p in phases:
-                gx[p] = g
-            accumulate(x, gx)
+            accumulate(x, _spread(out.grad, factor))
 
         return bw
 
-    return make_op(data, (x,), factory)
+    return make_op(_block_means(x.data, factor), (x,), factory)
 
 
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
@@ -666,6 +694,9 @@ def pixelwise_cross_entropy(pred: Tensor, target) -> Tensor:
     """Mean over pixels of -sum_c q*log(q_hat); channel axis is -3.
 
     ``pred`` holds per-cell probability simplices, ``target`` one-hot labels.
+    The tape keeps the flat positions of the target's labels only; backward
+    reads ``pred``, a parent, and is -1/q_hat there and -0.0 elsewhere, as
+    ``-q/q_hat`` is for a one-hot ``q``.
     """
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if pred.shape != t.shape:
@@ -673,12 +704,15 @@ def pixelwise_cross_entropy(pred: Tensor, target) -> Tensor:
     if pred.ndim < 3:
         raise ShapeError("pixelwise_cross_entropy expects (...,C,H,W)")
     n_pix = pred.size // pred.shape[-3]
-    p = np.clip(pred.data, _EPS, None)
-    data = np.array(-(t * np.log(p)).sum() / n_pix)
+    data = np.array(-(t * np.log(np.clip(pred.data, _EPS, None))).sum() / n_pix)
 
     def factory(out):
+        labels = np.flatnonzero(t)
+
         def bw():
-            accumulate(pred, out.grad * (-t / p) / n_pix)
+            q = np.full(pred.shape, -0.0)
+            q.flat[labels] = -1.0 / np.maximum(pred.data.flat[labels], _EPS)
+            accumulate(pred, out.grad * q / n_pix)
 
         return bw
 

@@ -14,9 +14,9 @@ draw of sensor noise and heading jitter comes from the episode rng in the
 order a per-pose loop would draw it. The stretch's scans are registered in
 one ``update_global`` call, and the map after the sample frame is kept.
 After the walk, the sample scans are projected in one ``ground_project``
-call, and every sample pose is cropped from its map in one
-``crop_ego_occupancy`` call and from the floorplan in one
-``crop_ego_semantic`` call.
+call. The sample poses' ego cells are computed once (``ego_cells``), and
+every sample is cropped from its map in one ``crop_ego_occupancy`` call and
+from the floorplan in one ``crop_ego_semantic`` call.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import GenerationError, UsageError
 from ..language.vocab import MAX_TOKENS
-from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ground_project,
+from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ego_cells, ground_project,
                        new_global_occupancy, update_global, world_to_ego)
 from ..model.supervision import sample_waypoints
 from ..worldsim.agent import Pose, raycast, wrap_angle
@@ -107,9 +107,10 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         sample_scans.append(scans[-1])
     if not sample_poses:
         return []
-    occ_labels = crop_ego_occupancy(np.stack(maps), sample_poses, ego_size)
     chi_labels = ground_project(sample_scans, ego_size)
-    sem_labels = crop_ego_semantic(plan, sample_poses, ego_size)
+    cells = ego_cells(sample_poses, ego_size, gmap.shape[0])
+    occ_labels = crop_ego_occupancy(np.stack(maps), cells)
+    sem_labels = crop_ego_semantic(plan, cells)
     return [TrainingRecord(
         episode_id=episode.episode_id, t=t, pose=pose,
         tokens=np.asarray(episode.tokens, dtype=np.int64),

@@ -108,7 +108,8 @@ def test_gradcheck_every_primitive():
     # secant is not a derivative estimate across a kink)
     act = P(4, 5, offset=0.3)
     ca = C(4, 5)
-    _check(lambda: nm.tsum(nm.mul(nm.relu(act), ca)), {"a": act})
+    eye = nm.Tensor(np.eye(5))  # linear's fused ReLU of its input
+    _check(lambda: nm.tsum(nm.mul(nm.linear(act, eye, slope=0.0), ca)), {"a": act})
     one = nm.Tensor(np.ones((1, 1, 1, 1)))  # conv2d's fused LeakyReLU of its input
     _check(lambda: nm.tsum(nm.mul(nm.conv2d(nm.reshape(act, (1, 4, 5)), one, slope=0.01), ca)),
            {"a": act})
@@ -167,6 +168,9 @@ def test_gradcheck_every_primitive():
     yc, wj = P(2, 2, 6, 6), P(4, 5, 3, 3)
     _check(lambda: nm.tsum(nm.mul(nm.conv2d(xc, wj, bc, padding=1, slope=0.01, cat=yc), c1)),
            {"x": xc, "cat": yc, "w": wj, "b": bc})   # a second input after x's channels
+    c5 = C(2, 4, 3, 3)
+    _check(lambda: nm.tsum(nm.mul(nm.conv2d(xc, wc, bc, padding=1, slope=0.01, pool=2), c5)),
+           {"x": xc, "w": wc, "b": bc})   # the 2x2 average pool folded in
 
 
 @pytest.mark.slow

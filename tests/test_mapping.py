@@ -5,10 +5,11 @@ import pytest
 
 from mapnav.mapping import (
     FREE, OCC, UNK, LOGODDS_CLAMP, LOGODDS_FREE, LOGODDS_OCC, OCC_THRESHOLD,
-    crop_ego_occupancy, crop_ego_semantic, ego_to_cell,
+    crop_ego_occupancy, crop_ego_semantic, ego_cells, ego_to_cell,
     ego_to_world, ground_project, new_global_occupancy, sense,
     update_global, world_to_ego,
 )
+from mapnav.errors import UsageError
 from mapnav.model.cm2 import one_hot
 from mapnav.worldsim import (
     CELL_SIZE, FLOOR, NUM_CLASSES, VOID, WALL, DepthScan, Floorplan, Pose,
@@ -375,7 +376,8 @@ def crop_semantic_reference(plan, pose, size):
 
 def test_crops_of_many_poses_equal_per_pose_crops(plan):
     """Crops of a sequence of poses, from one shared map or from one map per
-    pose, equal the per-pose crops byte for byte, also at the world border."""
+    pose, equal the per-pose crops byte for byte, also at the world border;
+    so do crops at the poses' ``ego_cells``, made once for all three."""
     rng = np.random.default_rng(4)
     floor = np.argwhere(plan.traversable_mask())
     w = plan.size * CELL_SIZE
@@ -393,6 +395,10 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
         each = crop_ego_occupancy(maps, poses, size)
         sem = crop_ego_semantic(plan, poses, size)
         assert shared.shape == each.shape == sem.shape == (len(poses), size, size)
+        cells = ego_cells(poses, size, plan.size)
+        assert crop_ego_occupancy(gmap, cells).tobytes() == shared.tobytes()
+        assert crop_ego_occupancy(maps, cells).tobytes() == each.tobytes()
+        assert crop_ego_semantic(plan, cells).tobytes() == sem.tobytes()
         for i, pose in enumerate(poses):
             assert shared[i].tobytes() == crop_occupancy_reference(gmap, pose, size)[0].tobytes()
             assert each[i].tobytes() == crop_occupancy_reference(maps[i], pose, size)[0].tobytes()
@@ -401,6 +407,8 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
             assert crop_ego_semantic(plan, pose, size).tobytes() == sem[i].tobytes()
     # border poses see void beyond the world
     assert (sem[8:] == VOID).any(axis=(1, 2)).all()
+    with pytest.raises(UsageError):   # cells of another grid size
+        crop_ego_occupancy(new_global_occupancy(plan.size + 1), cells)
 
 
 def test_crop_out_of_world_is_void():

@@ -25,6 +25,18 @@ def P(rng, *shape):
     return nm.Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def held_by(fn):
+    """``fn()`` and the bytes it leaves allocated: its result, with the tape
+    that the result holds."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
 # ----------------------------------------------------------------------
 # elementwise / reduction gradients
 
@@ -106,15 +118,12 @@ def test_linear_is_matmul_plus_bias(rng):
 
 def test_linear_tape_holds_no_pre_bias_product(rng):
     x, w, b = P(rng, 8, 64, 128), P(rng, 128, 256), P(rng, 256)
-    tracemalloc.start()
-    try:
-        out = nm.linear(x, w, b)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    # the output alone; a kept pre-bias product would double it
-    assert held <= 1.1 * out.data.nbytes, held / out.data.nbytes
+    for slope in (None, 0.0):
+        out, held = held_by(lambda: nm.linear(x, w, b, slope=slope))
+        assert out.requires_grad
+        # the output alone; a kept pre-bias product or pre-activation would
+        # double it
+        assert held <= 1.1 * out.data.nbytes, (slope, held / out.data.nbytes)
 
 
 def test_matmul_shape_error(rng):
@@ -132,9 +141,11 @@ def test_grad_activations(rng):
     # offset inputs away from the kink so finite differences are clean
     a = nm.Tensor(rng.normal(size=(4, 5)) + 0.3, requires_grad=True)
     c = nm.Tensor(rng.normal(size=(4, 5)))
-    check(lambda: nm.tsum(nm.mul(nm.relu(a), c)), {"a": a})
-    # LeakyReLU is fused into the convs: through a 1x1 kernel of one,
-    # conv2d's output is the activation of its input
+    # ReLU and LeakyReLU are fused into linear and the convs: through an
+    # identity weight, or a 1x1 kernel of one, the output is the activation
+    # of the input
+    eye = nm.Tensor(np.eye(5))
+    check(lambda: nm.tsum(nm.mul(nm.linear(a, eye, slope=0.0), c)), {"a": a})
     one = nm.Tensor(np.ones((1, 1, 1, 1)))
 
     def leaky(slope=0.01):
@@ -150,6 +161,8 @@ def test_grad_activations(rng):
             leaky(slope)
         with pytest.raises(ConfigError):
             nm.upconv2d(x4, w3, slope=slope)
+        with pytest.raises(ConfigError):
+            nm.linear(a, eye, slope=slope)
 
 
 def test_grad_softmax_layernorm(rng):
@@ -211,6 +224,11 @@ def test_grad_conv_ops(rng):
     for slope in (None, 0.01):
         check(lambda: nm.tsum(nm.mul(nm.conv2d(xs, ws, b, padding=1, slope=slope, cat=x), c)),
               {"x": xs, "cat": x, "w": ws, "b": b})
+    # the 2x2 average pool folded into the conv, with and without the slope
+    c10 = nm.Tensor(rng.normal(size=(2, 4, 3, 3)))
+    for slope in (None, 0.01):
+        check(lambda: nm.tsum(nm.mul(nm.conv2d(x, w, b, padding=1, slope=slope, pool=2), c10)),
+              {"x": x, "w": w, "b": b})
 
 
 def test_conv_contract_errors(rng):
@@ -231,6 +249,11 @@ def test_conv_contract_errors(rng):
         nm.upconv2d(x4, P(rng, 4, 3, 1, 1))  # not 3x3
     with pytest.raises(ShapeError):
         nm.upconv2d(x4, P(rng, 4, 2, 3, 3))  # kernel channels differ from the input's
+    for pool in (0, 4):   # a 6x6 output has no 0x0 or 4x4 blocks
+        with pytest.raises(ConfigError):
+            nm.conv2d(x4, w3, padding=1, pool=pool)
+    with pytest.raises(ConfigError):
+        nm.conv2d(P(rng, 2, 3, 7, 7), w3, padding=1, pool=2)   # a 7x7 output
     for cat in (P(rng, 2, 3, 6, 6),   # kernel channels differ from x's and cat's
                 P(rng, 2, 1, 6, 5),   # another width
                 P(rng, 3, 1, 6, 6),   # another batch
@@ -377,12 +400,7 @@ def test_conv2d_input_gradient_skips_an_input_without_grad(rng, monkeypatch):
 def test_conv2d_tape_holds_no_joined_input(rng):
     x, y = P(rng, 4, 16, 32, 32), P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 32, 3, 3), P(rng, 16)
-    tracemalloc.start()
-    try:
-        out = nm.conv2d(x, w, b, padding=1, slope=0.01, cat=y)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=0.01, cat=y))
     assert out.requires_grad
     # the output alone; the joined input would add 2x, a padded copy of it 2.2x
     assert held <= out.data.nbytes + 0.25 * x.data.nbytes, held / x.data.nbytes
@@ -391,12 +409,7 @@ def test_conv2d_tape_holds_no_joined_input(rng):
 def test_conv2d_tape_holds_no_patch_matrix(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
-    tracemalloc.start()
-    try:
-        out = nm.conv2d(x, w, b, padding=1)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1))
     assert out.requires_grad
     # the output alone, 1x; an im2col patch matrix alone would be 9x
     assert held <= 3 * x.data.nbytes, held / x.data.nbytes
@@ -407,15 +420,101 @@ def test_conv2d_tape_holds_input_and_output_only(rng):
     zero-padded copy of the input: only the output beside the input."""
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
-    tracemalloc.start()
-    try:
-        out = nm.conv2d(x, w, b, padding=1, slope=0.01)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=0.01))
     assert out.requires_grad
     # a pre-activation would add 1x, a padded copy about 1.1x
     assert held <= out.data.nbytes + 0.25 * x.data.nbytes, held / x.data.nbytes
+
+
+def test_pooled_conv2d_is_avg_pool_of_the_conv(rng):
+    """``conv2d(..., pool=p)`` gives ``avg_pool2d(conv2d(...), p)`` byte for
+    byte: the forward and the grads of x, cat, w and b."""
+    cases = [((2, 3, 6, 6), None, (4, 3, 3, 3), 1, 2),
+             ((2, 3, 6, 6), None, (4, 3, 3, 3), 0, 2),   # a 4x4 output
+             ((2, 3, 6, 6), (2, 2, 6, 6), (4, 5, 3, 3), 1, 2),   # a second input
+             ((3, 6, 8), None, (2, 3, 3, 3), 1, 2),   # a (C,H,W) input
+             ((1, 2, 6, 9), None, (3, 2, 3, 3), 1, 3)]   # 3x3 blocks
+    for xs, cs, ws, pad, pool in cases:
+        arrays = [rng.normal(size=s) for s in (xs, ws, ws[:1])]
+        cat = None if cs is None else rng.normal(size=cs)
+        for slope in (None, 0.0, 0.01):
+            runs = []
+            for fused in (True, False):
+                x, w, b = (nm.Tensor(a.copy(), requires_grad=True) for a in arrays)
+                y = None if cat is None else nm.Tensor(cat.copy(), requires_grad=True)
+                kw = {"padding": pad, "slope": slope, "cat": y}
+                out = (nm.conv2d(x, w, b, pool=pool, **kw) if fused
+                       else nm.avg_pool2d(nm.conv2d(x, w, b, **kw), pool))
+                g = np.random.default_rng(1).normal(size=out.shape)
+                nm.tsum(nm.mul(out, nm.Tensor(g))).backward()
+                runs.append([out.data] + [t.grad for t in (x, w, b, y) if t is not None])
+            for f, p in zip(*runs):
+                assert f.tobytes() == p.tobytes(), (xs, cs, pad, pool, slope)
+
+
+def test_pooled_conv2d_tape_holds_its_output_and_a_sign_mask(rng):
+    """A pooled conv keeps its pooled output and, with a slope, one bool per
+    unpooled element for the backward; under no_grad only the output."""
+    x = P(rng, 4, 16, 32, 32)
+    w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
+    unpooled = 4 * 16 * 32 * 32
+    for slope, mask in ((0.01, unpooled), (None, 0)):
+        out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=slope, pool=2))
+        assert out.requires_grad and out.shape == (4, 16, 16, 16)
+        # the unpooled activation would add 8 bytes per unpooled element
+        assert held <= out.data.nbytes + mask + 8192, (slope, held - out.data.nbytes)
+        with nm.no_grad():
+            out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=slope, pool=2))
+        assert not out.requires_grad
+        assert held <= out.data.nbytes + 8192, (slope, held - out.data.nbytes)
+
+
+def test_linear_with_slope_zero_matches_a_relu_oracle(rng):
+    """``linear(x, w, b, slope=0.0)`` is ``max(x @ w + b, 0)``; its grads are
+    the linear grads of the output gradient masked where that is positive."""
+    for xs, ws in (((5, 3), (3, 4)), ((2, 6, 3), (3, 4))):
+        x, w, b = P(rng, *xs), P(rng, *ws), P(rng, ws[1])
+        g = rng.normal(size=xs[:-1] + ws[1:])
+        out = nm.linear(x, w, b, slope=0.0)
+        nm.tsum(nm.mul(out, nm.Tensor(g))).backward()
+        pre = x.data @ w.data + b.data
+        assert np.array_equal(out.data, np.maximum(pre, 0.0)), xs
+        gm = g * (pre > 0)
+        assert np.allclose(x.grad, gm @ w.data.T, rtol=1e-13, atol=1e-13), xs
+        assert np.allclose(w.grad, x.data.reshape(-1, xs[-1]).T @ gm.reshape(-1, ws[1]),
+                           rtol=1e-13, atol=1e-13), xs
+        assert np.allclose(b.grad, gm.reshape(-1, ws[1]).sum(axis=0),
+                           rtol=1e-13, atol=1e-13), xs
+
+
+def test_pixelwise_cross_entropy_gradient_is_minus_target_over_pred(rng):
+    """The gradient read from the labels and ``pred`` is ``-t / clip(p)``
+    times the output gradient over the pixel count, byte for byte, also where
+    a probability is clipped and for a negative output gradient."""
+    logits = rng.normal(size=(2, 5, 4, 6)) * 3
+    logits[0, :, 0, 0] = [-900.0, 0.0, 1.0, 2.0, 3.0]   # class 0 underflows to 0
+    t = np.eye(5)[rng.integers(0, 5, size=(2, 4, 6))].transpose(0, 3, 1, 2)
+    t[0, :, 0, 0] = np.eye(5)[0]
+    p = nm.softmax(nm.Tensor(logits), axis=-3).data
+    assert p[0, 0, 0, 0] == 0.0
+    for c in (1.0, -0.5, 3.0):
+        pred = nm.Tensor(p.copy(), requires_grad=True)
+        nm.scale(nm.pixelwise_cross_entropy(pred, t), c).backward()
+        ref = np.array(c) * (-t / np.clip(p, 1e-12, None)) / (2 * 4 * 6)
+        assert pred.grad.tobytes() == ref.tobytes(), c
+
+
+def test_pixelwise_cross_entropy_tape_holds_no_copy_of_its_inputs(rng):
+    pred = nm.Tensor(rng.uniform(0.01, 1.0, size=(8, 13, 48, 48)), requires_grad=True)
+    labels = rng.integers(0, 13, size=(8, 48, 48))
+    # the one-hot target is made inside, as in the map loss, so that a tape
+    # that kept it would count it
+    out, held = held_by(lambda: nm.pixelwise_cross_entropy(
+        pred, np.eye(13)[labels].transpose(0, 3, 1, 2)))
+    assert out.requires_grad
+    # one label position (8 bytes) per pixel; a copy of pred or of the
+    # target would add 8 bytes per element, 13 per pixel
+    assert held <= 8 * 8 * 48 * 48 + 8192, held / pred.data.nbytes
 
 
 def test_upconv2d_matches_direct_convolution_of_the_upsample(rng):
@@ -476,12 +575,7 @@ def test_upconv2d_tape_holds_no_upsampled_input(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
     for slope in (None, 0.01):
-        tracemalloc.start()
-        try:
-            out = nm.upconv2d(x, w, b, slope=slope)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, held = held_by(lambda: nm.upconv2d(x, w, b, slope=slope))
         assert out.requires_grad
         # the output (4x) and the folded kernel; the upsampled input alone
         # would add 4x, a zero-padded low-res copy of the input about 1.13x
