@@ -7,7 +7,6 @@ import json
 import os
 from dataclasses import dataclass
 
-from .controller import ControllerConfig
 from .errors import ConfigError
 from .model.cm2 import ModelConfig, config_from_dict
 
@@ -53,11 +52,11 @@ class RunConfig:
     samples_per_episode: int = 10
 
     # controller / evaluation
-    tau: float = 0.5
-    gamma: float = 0.6
-    budget: int = 500
-    success_radius: float = 1.0
-    unknown_cost: float = 2.0
+    tau: float = 0.5              # stop radius (m)
+    gamma: float = 0.6            # goal-confidence threshold
+    budget: int = 500             # step budget per episode
+    success_radius: float = 1.0   # metrics only; desk scale (3.0 paper-comparable)
+    unknown_cost: float = 2.0     # planner cost of an unknown cell (>= 1)
     eval_episodes: int = 50
 
     def __post_init__(self):
@@ -85,32 +84,27 @@ class RunConfig:
             raise ConfigError("lr, batch_size must be positive; train_steps non-negative")
         if not 0.0 <= self.p_noise <= 1.0:
             raise ConfigError(f"p_noise must be in [0,1], got {self.p_noise}")
-        if self.k < 2:
-            raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
         if self.episodes_per_floorplan < 1 or self.samples_per_episode < 1:
             raise ConfigError("episodes_per_floorplan and samples_per_episode must be at least 1, "
                               f"got {self.episodes_per_floorplan} and {self.samples_per_episode}")
-        self.controller_config().validate()
+        if not self.tau > 0:
+            raise ConfigError(f"tau (stop radius) must be positive, got {self.tau}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError(f"gamma (confidence threshold) must be in (0,1), got {self.gamma}")
+        # grid_astar's octile heuristic is admissible only if every cell costs at least 1
+        if not self.unknown_cost >= 1.0:
+            raise ConfigError(f"unknown_cost must be at least 1, got {self.unknown_cost}")
         self.model_config().validate()
         return self
 
     # ------------------------------------------------------------------
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            ego_size=self.ego_size, d=self.d, k=self.k,
-            n_instr_layers=self.n_instr_layers, unet_base=self.unet_base,
-            unet_depth=self.unet_depth, sigma=self.sigma,
-            use_map_attention=self.use_map_attention,
-            use_start_heatmap=self.use_start_heatmap,
-        )
-
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(
-            tau=self.tau, gamma=self.gamma, budget=self.budget,
-            success_radius=self.success_radius, unknown_cost=self.unknown_cost,
-        )
+        """A ModelConfig holding every field this config shares with it."""
+        ours = {f.name for f in dataclasses.fields(self)}
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(ModelConfig) if f.name in ours})
 
     # ------------------------------------------------------------------
     def to_json(self) -> str:

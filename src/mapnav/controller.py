@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
 from .mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, new_global_occupancy, sense
 from .model.supervision import heatmap_cell_to_ego
 from .worldsim.agent import FORWARD_STEP, TURN_STEP, Pose, step_agent, wrap_angle
@@ -27,20 +27,8 @@ CARROT_DISTANCE = 0.3
 # away (half a cell diagonal) and may even land inside an adjacent wall cell
 WAYPOINT_REACHED = 0.45
 
-
-@dataclass
-class ControllerConfig:
-    tau: float = 0.5              # stop radius (m)
-    gamma: float = 0.6            # goal-confidence threshold
-    budget: int = 500             # step budget per episode
-    success_radius: float = 1.0   # desk-scale success radius (3.0 paper-comparable)
-    unknown_cost: float = 2.0     # traversal cost multiplier for unknown cells
-
-    def validate(self):
-        if self.tau <= 0:
-            raise ConfigError(f"stop radius must be positive, got {self.tau}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"confidence threshold must be in (0,1), got {self.gamma}")
+if TYPE_CHECKING:  # for annotations only: the controller reads a RunConfig's fields
+    from .config import RunConfig
 
 
 def heatmap_mode(heatmap: np.ndarray) -> tuple[float, float] | None:
@@ -157,8 +145,7 @@ def plan_local(gmap: np.ndarray, pose: Pose, goal_xy,
     return action
 
 
-def stop_decision(final_wp_ego, confidence: float,
-                  config: ControllerConfig) -> bool:
+def stop_decision(final_wp_ego, confidence: float, config: RunConfig) -> bool:
     """STOP iff the final predicted waypoint is within tau of the agent and
     its heatmap confidence exceeds gamma."""
     if final_wp_ego is None:
@@ -184,10 +171,8 @@ def gt_global_map(plan) -> np.ndarray:
     return gmap
 
 
-def run_rollout(plan, episode, predict, config: ControllerConfig,
-                ego_size: int = 48, num_rays: int = 64,
-                max_range: float = 4.8, trace_path=None,
-                use_gt_map: bool = False, p_noise: float = 0.0,
+def run_rollout(plan, episode, predict, config: RunConfig, trace_path=None,
+                use_gt_map: bool = False,
                 rng: np.random.Generator | None = None) -> RolloutResult:
     """Closed-loop episode rollout.
 
@@ -197,10 +182,12 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     single-frame ego occupancy grid; the slot stays because predictor
     wrappers pass four arguments through. The controller decodes modes,
     selects the short-term goal, plans one action, and checks the stop rule
-    every step. ``use_gt_map`` plans on the fully-observed
+    every step. ``config`` gives the stop rule (``tau``, ``gamma``), the
+    step ``budget``, the planner's ``unknown_cost`` and the sensor
+    (``ego_size``, ``num_rays``, ``max_range``, ``p_noise``, whose label
+    noise draws from ``rng``). ``use_gt_map`` plans on the fully-observed
     floorplan map instead of accumulated sensing (isolates controller
-    behavior from mapping noise). ``p_noise`` and ``rng`` drive the sensor's
-    label noise.
+    behavior from mapping noise).
     """
     config.validate()
     pose = Pose(episode.start.x, episode.start.y, episode.start.theta)
@@ -213,8 +200,8 @@ def run_rollout(plan, episode, predict, config: ControllerConfig,
     best_zeta = 0           # waypoint progress is monotone along the sequence
     committed = None        # latched world-frame short-term goal
     for t in range(config.budget):
-        sem_frame = sense(plan, pose, None if use_gt_map else gmap, ego_size,
-                          num_rays, max_range, p_noise, rng)
+        sem_frame = sense(plan, pose, None if use_gt_map else gmap, config.ego_size,
+                          config.num_rays, config.max_range, config.p_noise, rng)
         heatmaps = predict(pose, gmap, None, sem_frame)
         points = decode_waypoints(heatmaps)
         conf = float(np.max(heatmaps[-1]))

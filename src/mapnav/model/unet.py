@@ -24,22 +24,20 @@ class UNetSpec:
     depth: int
     spatial: int
     bneck_extra: int = 0
-    down_flags: list[bool] = field(default_factory=list)
-    channels: list[int] = field(default_factory=list)
-    bneck_size: int = 0
+    # derived from the fields above
+    down_flags: list[bool] = field(init=False)
+    channels: list[int] = field(init=False)
+    bneck_size: int = field(init=False)
 
     def __post_init__(self):
-        if not self.down_flags:
-            s = self.spatial
-            for _ in range(self.depth):
-                if s > 3 and s % 2 == 0:
-                    self.down_flags.append(True)
-                    s //= 2
-                else:
-                    self.down_flags.append(False)
-            self.bneck_size = s
-        if not self.channels:
-            self.channels = [self.base * min(2**i, 2) for i in range(self.depth)]
+        s = self.spatial
+        self.down_flags = []
+        for _ in range(self.depth):
+            self.down_flags.append(s > 3 and s % 2 == 0)
+            if self.down_flags[-1]:
+                s //= 2
+        self.bneck_size = s
+        self.channels = [self.base * min(2**i, 2) for i in range(self.depth)]
 
 
 def _conv_param(rng, p, name, cin, cout, k=3):

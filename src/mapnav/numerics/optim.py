@@ -50,10 +50,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> AdamState:
 class Adam:
     """Stateful wrapper binding an AdamState to a parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.0002,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.0002):
         self.params = params
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.state = AdamState(lr=lr)
 
     def step(self, only_with_grad: bool = False):
         params = self.params

@@ -55,10 +55,8 @@ def make_predictor(model: CM2Model, config: RunConfig, plan, episode):
 def evaluate_episode(model: CM2Model, config: RunConfig, plan, episode,
                      trace_path=None) -> NavMetrics:
     predict = make_predictor(model, config, plan, episode)
-    result = run_rollout(plan, episode, predict, config.controller_config(),
-                         ego_size=config.ego_size, num_rays=config.num_rays,
-                         max_range=config.max_range, trace_path=trace_path,
-                         p_noise=config.p_noise, rng=episode_rng(config.seed, episode))
+    result = run_rollout(plan, episode, predict, config, trace_path=trace_path,
+                         rng=episode_rng(config.seed, episode))
     return episode_metrics(plan, episode, result.trajectory, result.stopped,
                            config.success_radius)
 

@@ -14,6 +14,8 @@ from .floorplan import CELL_SIZE, Floorplan, cell_center, pos_to_cell
 
 SQRT2 = float(np.sqrt(2.0))
 PATH_SPACING = 0.2
+MIN_GEODESIC = 3.0   # episode start-to-goal path length range (m)
+MAX_GEODESIC = 9.0
 
 
 @dataclass
@@ -153,11 +155,11 @@ def shortest_path(plan: Floorplan, a: tuple[float, float],
     return path, polyline_length(path)
 
 
-def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0,
-                     min_geodesic: float = 3.0, max_geodesic: float = 9.0,
-                     with_instruction: bool = True) -> Episode:
+def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0) -> Episode:
     """Sample a start pose and goal with geodesic distance in range, build
     the ground-truth path, and attach a generated instruction."""
+    from ..language import grammar, tokenizer  # mapnav.language imports worldsim
+
     rng = np.random.default_rng(np.random.PCG64(hash((plan.seed, seed, 0x9E3779B9)) & 0x7FFFFFFF))
     floor_cells = np.argwhere(plan.traversable_mask())
     for _ in range(100):
@@ -167,13 +169,13 @@ def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0,
         start_xy = cell_center(sr, sc)
         goal_xy = cell_center(gr, gc)
         eu = float(np.hypot(goal_xy[0] - start_xy[0], goal_xy[1] - start_xy[1]))
-        if eu > max_geodesic:
+        if eu > MAX_GEODESIC:
             continue
         try:
             path, length = shortest_path(plan, start_xy, goal_xy)
         except NoPathError:
             continue
-        if not (min_geodesic <= length <= max_geodesic):
+        if not (MIN_GEODESIC <= length <= MAX_GEODESIC):
             continue
         theta = float(rng.uniform(-np.pi, np.pi))
         ep = Episode(
@@ -183,11 +185,8 @@ def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0,
             goal=(goal_xy[0], goal_xy[1]),
             gt_path=path,
         )
-        if with_instruction:
-            from ..language import grammar, tokenizer
-
-            ep.instruction_text = grammar.generate_instruction(ep, plan)
-            ep.tokens = tokenizer.tokenize(ep.instruction_text).tokens
+        ep.instruction_text = grammar.generate_instruction(ep, plan)
+        ep.tokens = tokenizer.tokenize(ep.instruction_text).tokens
         return ep
     raise GenerationError(f"episode sampling failed (plan seed {plan.seed}, seed {seed})")
 

@@ -14,8 +14,7 @@ import pytest
 from mapnav import numerics as nm
 from mapnav.cli import EXIT_OK, main
 from mapnav.config import RunConfig
-from mapnav.controller import (ControllerConfig, decode_waypoints,
-                               heatmap_mode, run_rollout,
+from mapnav.controller import (decode_waypoints, heatmap_mode, run_rollout,
                                select_short_term_goal)
 from mapnav.mapping import ego_to_world, world_to_ego
 from mapnav.model import (CM2Model, ModelConfig, make_gt_heatmaps,
@@ -295,12 +294,12 @@ def test_goal_selection_matches_brute_force_scan():
 @pytest.mark.slow
 def test_closed_loop_with_gt_maps_and_heatmaps():
     t0 = time.time()
-    config = ControllerConfig()
+    config = RunConfig()
     successes = runs = 0
     for fp_seed in range(10):
         plan = generate_floorplan(fp_seed)
         for s in range(10):
-            ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
+            ep = generate_episode(plan, s, episode_id=s)
 
             def predict(pose, gmap, occ_frame, sem_frame,
                         _wps=sample_waypoints(ep.gt_path, 10)[0]):
@@ -323,12 +322,12 @@ def test_closed_loop_with_sensed_maps_and_perfect_heatmaps():
     """The episodes and success rule of the ground-truth-map test above, with
     the planner on the map sensed along the way: the registration must not
     wall off doorways the floorplan leaves open."""
-    config = ControllerConfig()
+    config = RunConfig()
     successes = runs = 0
     for fp_seed in range(10):
         plan = generate_floorplan(fp_seed)
         for s in range(10):
-            ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
+            ep = generate_episode(plan, s, episode_id=s)
 
             def predict(pose, gmap, occ_frame, sem_frame,
                         _wps=sample_waypoints(ep.gt_path, 10)[0]):

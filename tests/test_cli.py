@@ -301,9 +301,25 @@ def test_config_rejects_invalid():
     for field, value in (("max_range", 0.0), ("max_range", -1.0), ("max_range", float("nan")),
                          ("num_rays", 0), ("sigma", 0.0), ("sigma", -1.0),
                          # an IndexError, a ZeroDivisionError, or no instruction layers
-                         ("unet_depth", 0), ("unet_base", 0), ("n_instr_layers", -1)):
+                         ("unet_depth", 0), ("unet_base", 0), ("n_instr_layers", -1),
+                         # a non-optimal plan, a rollout that never stops, or one that always does
+                         ("unknown_cost", 0.5), ("unknown_cost", float("nan")),
+                         ("tau", 0.0), ("tau", float("nan")), ("gamma", 1.5)):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
+
+
+def test_model_config_carries_every_shared_field():
+    from mapnav.model import ModelConfig
+    changed = dict(ego_size=16, d=32, k=4, n_instr_layers=1, unet_base=8, unet_depth=2,
+                   sigma=1.5, use_map_attention=False, use_start_heatmap=False)
+    shared = ({f.name for f in dataclasses.fields(RunConfig)}
+              & {f.name for f in dataclasses.fields(ModelConfig)})
+    assert set(changed) == shared
+    defaults = dataclasses.asdict(ModelConfig())
+    assert all(defaults[name] != value for name, value in changed.items())
+    got = RunConfig(**changed).validate().model_config()
+    assert dataclasses.asdict(got) == {**defaults, **changed}
 
 
 @pytest.mark.parametrize("field, value", [("episodes_per_floorplan", 0),

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from mapnav.config import RunConfig
 from mapnav.controller import (
-    CARROT_DISTANCE, ControllerConfig, _astar_weighted, _cost_grid,
+    CARROT_DISTANCE, _astar_weighted, _cost_grid,
     decode_waypoints, gt_global_map, heatmap_mode, plan_local, run_rollout,
     select_short_term_goal, stop_decision,
 )
-from mapnav.errors import ConfigError
-from mapnav.mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, world_to_ego
+from mapnav.mapping import LOGODDS_CLAMP, OCC_THRESHOLD, ego_to_world, sense, world_to_ego
 from mapnav.model import make_gt_heatmaps, sample_waypoints
 from mapnav.worldsim import (
     CELL_SIZE, Pose, cell_center, generate_episode, generate_floorplan,
@@ -280,20 +280,12 @@ def test_cost_grid_thresholds():
 
 # -------------------------------------------------------------- stop rule
 def test_stop_decision_thresholds():
-    cfg = ControllerConfig()
+    cfg = RunConfig()
     assert stop_decision((0.3, 0.0), 0.9, cfg) is True
     assert stop_decision((0.3, 0.0), 0.5, cfg) is False
     assert stop_decision((0.8, 0.0), 0.9, cfg) is False
-    assert stop_decision((0.8, 0.0), 0.9, ControllerConfig(tau=1.0)) is True
+    assert stop_decision((0.8, 0.0), 0.9, RunConfig(tau=1.0)) is True
     assert stop_decision(None, 0.9, cfg) is False
-
-
-def test_controller_config_validation():
-    with pytest.raises(ConfigError):
-        ControllerConfig(tau=0.0).validate()
-    with pytest.raises(ConfigError):
-        ControllerConfig(gamma=1.5).validate()
-    ControllerConfig().validate()
 
 
 # ------------------------------------------------------------- closed loop
@@ -307,13 +299,13 @@ def gt_predictor(episode):
 
 def test_rollout_soundness_gt_maps_and_heatmaps():
     """With ground-truth maps and heatmaps the controller reaches the goal."""
-    config = ControllerConfig()
+    config = RunConfig()
     successes = 0
     runs = 0
     for fp_seed in (0, 1, 2):
         plan = generate_floorplan(fp_seed)
         for s in range(4):
-            ep = generate_episode(plan, s, episode_id=s, with_instruction=False)
+            ep = generate_episode(plan, s, episode_id=s)
             result = run_rollout(plan, ep, gt_predictor(ep), config,
                                  use_gt_map=True)
             runs += 1
@@ -327,9 +319,9 @@ def test_rollout_soundness_gt_maps_and_heatmaps():
 
 def test_rollout_trace_contract(tmp_path):
     plan = generate_floorplan(1)
-    ep = generate_episode(plan, 0, episode_id=0, with_instruction=False)
+    ep = generate_episode(plan, 0, episode_id=0)
     trace_path = tmp_path / "trace.jsonl"
-    result = run_rollout(plan, ep, gt_predictor(ep), ControllerConfig(),
+    result = run_rollout(plan, ep, gt_predictor(ep), RunConfig(),
                          use_gt_map=True, trace_path=trace_path)
     rows = [json.loads(l) for l in trace_path.read_text().splitlines()]
     assert len(rows) == len(result.trace)
@@ -343,13 +335,36 @@ def test_rollout_trace_contract(tmp_path):
 
 def test_rollout_budget_exhaustion():
     plan = generate_floorplan(1)
-    ep = generate_episode(plan, 0, episode_id=0, with_instruction=False)
+    ep = generate_episode(plan, 0, episode_id=0)
 
     def never_stop(pose, gmap, occ_frame, sem_frame):
         return np.zeros((10, 24, 24))
 
-    result = run_rollout(plan, ep, never_stop, ControllerConfig(budget=25),
+    result = run_rollout(plan, ep, never_stop, RunConfig(budget=25),
                          use_gt_map=True)
     assert not result.stopped
     assert result.steps == 25
     assert all(a == "left" for a in result.actions)  # no goal -> rotate
+
+
+def test_rollout_senses_with_the_config_settings():
+    """The rollout's sensor takes ego_size, num_rays, max_range and p_noise
+    from the config: each frame the predictor gets equals one ``sense`` at
+    those settings, drawing label noise from a twin of the rollout's rng."""
+    plan = generate_floorplan(1)
+    ep = generate_episode(plan, 0, episode_id=0)
+    config = RunConfig(ego_size=24, num_rays=8, max_range=2.0, p_noise=0.3, budget=3)
+    twin = np.random.default_rng(5)
+    heatmaps = gt_predictor(ep)
+    frames = []
+
+    def predict(pose, gmap, occ_frame, sem_frame):
+        frames.append(sem_frame)
+        assert sem_frame.shape == (24, 24)
+        assert np.array_equal(sem_frame, sense(plan, pose, None, 24, 8, 2.0, 0.3, twin))
+        return heatmaps(pose, gmap, occ_frame, sem_frame)
+
+    result = run_rollout(plan, ep, predict, config, use_gt_map=True,
+                         rng=np.random.default_rng(5))
+    assert not result.stopped
+    assert result.steps == len(result.actions) == len(frames) == 3

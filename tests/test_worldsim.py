@@ -557,7 +557,7 @@ def test_episode_mean_geodesic_scale():
     for fp_seed in range(20):
         plan = generate_floorplan(fp_seed)
         for s in range(25):
-            lengths.append(generate_episode(plan, s, with_instruction=False).path_length)
+            lengths.append(generate_episode(plan, s).path_length)
     assert 4.0 <= float(np.mean(lengths)) <= 8.0
 
 
@@ -578,4 +578,4 @@ def test_episode_sampling_failure_raises():
     grid[5, 5] = FLOOR
     plan = Floorplan(grid=grid, seed=0)
     with pytest.raises(GenerationError):
-        generate_episode(plan, 0, with_instruction=False)
+        generate_episode(plan, 0)
