@@ -93,6 +93,10 @@ class RunConfig:
             raise ConfigError(f"tau (stop radius) must be positive, got {self.tau}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma (confidence threshold) must be in (0,1), got {self.gamma}")
+        if self.budget < 1:
+            raise ConfigError(f"budget (steps per episode) must be at least 1, got {self.budget}")
+        if not self.success_radius > 0:
+            raise ConfigError(f"success_radius must be positive, got {self.success_radius}")
         # grid_astar's octile heuristic is admissible only if every cell costs at least 1
         if not self.unknown_cost >= 1.0:
             raise ConfigError(f"unknown_cost must be at least 1, got {self.unknown_cost}")

@@ -13,6 +13,7 @@ from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
+from ..numerics.parallel import usable_cpus
 from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
@@ -81,15 +82,11 @@ def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
     """A ``spawn`` pool of min(usable CPUs, ``n_episodes``) processes, each
     given ``model`` and ``config`` once and started with single-threaded
     BLAS. The caller's environment is restored on exit."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with multiprocessing.get_context("spawn").Pool(
-                max(1, min(cpus, n_episodes)), initializer=_init_worker,
+                max(1, min(usable_cpus(), n_episodes)), initializer=_init_worker,
                 initargs=(model, config)) as pool:
             yield pool
     finally:

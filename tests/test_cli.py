@@ -134,6 +134,19 @@ def test_eval_pool_runs_single_threaded_blas(monkeypatch):
     assert dict(os.environ) == before
 
 
+def test_eval_pool_has_one_process_per_usable_cpu(monkeypatch):
+    """The pool takes its size from the usable-CPU count that the conv ops'
+    image blocks also use, capped by the episode count."""
+    from mapnav.model import CM2Model
+    from mapnav.train_eval import evaluate
+    config = tiny_config()
+    model = CM2Model(config.model_config())
+    for cpus, episodes, size in ((1, 3, 1), (3, 2, 2)):
+        monkeypatch.setattr(evaluate, "usable_cpus", lambda: cpus)
+        with evaluate._episode_pool(model, config, episodes) as pool:
+            assert pool._processes == size, (cpus, episodes)
+
+
 def test_eval_missing_checkpoint(workdir, tmp_path):
     assert main(["eval", "--config", str(workdir["config"]),
                  "--ckpt", str(tmp_path / "none.ckpt"),
@@ -304,7 +317,10 @@ def test_config_rejects_invalid():
                          ("unet_depth", 0), ("unet_base", 0), ("n_instr_layers", -1),
                          # a non-optimal plan, a rollout that never stops, or one that always does
                          ("unknown_cost", 0.5), ("unknown_cost", float("nan")),
-                         ("tau", 0.0), ("tau", float("nan")), ("gamma", 1.5)):
+                         ("tau", 0.0), ("tau", float("nan")), ("gamma", 1.5),
+                         # a rollout of no step, or metrics that fail every episode
+                         ("budget", 0), ("budget", -3),
+                         ("success_radius", float("nan")), ("success_radius", -1.0)):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
 
