@@ -10,5 +10,4 @@ from .ops import (
     glorot_uniform, zeros_param, ones_param,
 )
 from .optim import Adam, AdamState, adam_step
-from .gradcheck import grad_check
 from .checkpoint import save_checkpoint, load_checkpoint

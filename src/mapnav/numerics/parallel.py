@@ -50,7 +50,10 @@ def _pool(workers: int):
 # conv shapes of a default and a small-config train step (B=8, 2 CPUs, 1
 # BLAS thread): two blocks were slower on 40 of the 45 shapes below 1.6M,
 # by up to 2.3x, and faster on 14 of the 15 from 2.07M, even on the other.
-MIN_IMAGE_MACS = 1 << 21
+# The smallest of those, the map encoder's first conv at 2,073,600 (8,3,48,48)
+# -> 32 with pool 2, took 29.0 ms inline and 20.9 ms in two blocks (medians
+# of 10 alternating pairs, two blocks faster in all 10).
+MIN_IMAGE_MACS = 2_000_000
 
 
 def over_images(n_images: int, block, image_macs: int) -> list:

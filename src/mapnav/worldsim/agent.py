@@ -52,52 +52,67 @@ class DepthScan:
     max_range: float
 
 
-def _crossing_times(cell: int, step: np.ndarray, pos: float, d: np.ndarray,
-                    n: int) -> np.ndarray:
-    """(rays, n) times at which each ray crosses its next ``n`` cell
-    boundaries along one axis; inf for rays parallel to the boundaries."""
-    times = np.empty((len(d), n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        times[:, 0] = np.where(d == 0, np.inf, ((cell + (step > 0)) * CELL_SIZE - pos) / d)
-        times[:, 1:] = np.where(d == 0, np.inf, CELL_SIZE / np.abs(d))[:, None]
-    return np.add.accumulate(times, axis=1)
+OUTSIDE = 255  # the ray grid's label for the cells outside the world
 
 
-def _trace_rays(grid: np.ndarray, x: float, y: float, angles: np.ndarray,
+def _ray_grid(plan: Floorplan, pad: int) -> tuple[np.ndarray, int]:
+    """``plan.grid`` in a ring of ``OUTSIDE`` cells at least ``pad`` wide,
+    flattened, and the ring's width. It is built once per floorplan and
+    built again when a wider ring is needed or the grid's bytes differ from
+    the ones it was built from, so an edit to ``plan.grid`` in place never
+    leaves it stale."""
+    grid = plan.grid
+    key = (grid.shape, grid.tobytes())
+    cached = plan.ray_grid
+    if cached is None or cached[0] < pad or cached[1] != key:
+        padded = np.pad(grid, pad, constant_values=OUTSIDE)
+        cached = plan.ray_grid = (pad, key, padded.ravel())
+    return cached[2], cached[0]
+
+
+def _trace_rays(plan: Floorplan, x: float, y: float, angles: np.ndarray,
                 max_range: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid DDA (Amanatides & Woo) for all rays at once; returns (ranges,
     classes), class -1 (range ``max_range``) where a ray leaves the grid or
     passes ``max_range`` before it enters a non-floor cell.
 
-    Each ray's x- and y-boundary crossing times are accumulated in sequence
-    (the scalar walk's ``t_max += t_delta``) and merged in time order, the
-    row step first on a tie; the crossing counts give the cell entered at
-    each crossing.
+    Each ray's y- and x-boundary crossing times are accumulated in sequence
+    (the scalar walk's ``t_max += t_delta``), as rows ``[:R]`` and ``[R:]``
+    of one array, and merged in time order, the row step first on a tie;
+    the crossing counts give the cell entered at each crossing, looked up
+    in the grid padded by as many cells as a ray can cross, where a cell
+    outside the world reads ``OUTSIDE``.
     """
-    dx, dy = np.cos(angles), np.sin(angles)
+    n_rays = len(angles)
+    d = np.concatenate([np.sin(angles), np.cos(angles)])
     r0, c0 = int(np.floor(y / CELL_SIZE)), int(np.floor(x / CELL_SIZE))
-    step_c = np.where(dx > 0, 1, -1)
-    step_r = np.where(dy > 0, 1, -1)
+    step = np.where(d > 0, 1, -1)
     # a crossing time grows by at least one cell size per crossing, so the
     # first crossing past max_range falls within n of each axis
     n = int(max_range / CELL_SIZE) + 3
-    times = np.concatenate([_crossing_times(r0, step_r, y, dy, n),
-                            _crossing_times(c0, step_c, x, dx, n)], axis=1)
+    cell = np.repeat([r0, c0], n_rays)
+    pos = np.repeat([y, x], n_rays)
+    times = np.empty((2 * n_rays, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times[:, 0] = np.where(d == 0, np.inf, ((cell + (step > 0)) * CELL_SIZE - pos) / d)
+        times[:, 1:] = np.where(d == 0, np.inf, CELL_SIZE / np.abs(d))[:, None]
+    np.add.accumulate(times, axis=1, out=times)
+    times = np.concatenate([times[:n_rays], times[n_rays:]], axis=1)
     order = np.argsort(times, axis=1, kind="stable")
-    t = np.take_along_axis(times, order, axis=1)
+    ray = np.arange(n_rays)
+    t = times.ravel()[order + (2 * n * ray)[:, None]]
     n_x = np.cumsum(order >= n, axis=1)
     n_y = np.arange(1, 2 * n + 1) - n_x
-    rows = r0 + step_r[:, None] * n_y
-    cols = c0 + step_c[:, None] * n_x
-    g = grid.shape[0]
-    inside = (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
-    cells = grid[np.where(inside, rows, 0), np.where(inside, cols, 0)]
-    gone = (t > max_range) | ~inside
-    ray = np.arange(len(angles))
-    first = np.argmax(gone | (cells != FLOOR), axis=1)
-    hit = ~gone[ray, first]
-    ranges = np.where(hit, t[ray, first], max_range)
-    classes = np.where(hit, cells[ray, first].astype(np.int64), -1)
+    rows, cols = plan.grid.shape
+    flat, pad = _ray_grid(plan, n + max(0, -r0, -c0, r0 - rows + 1, c0 - cols + 1))
+    width = cols + 2 * pad
+    cells = flat[((r0 + pad) * width + c0 + pad)
+                 + (step[:n_rays] * width)[:, None] * n_y + step[n_rays:, None] * n_x]
+    first = np.argmax((t > max_range) | (cells != FLOOR), axis=1)
+    t_first, c_first = t[ray, first], cells[ray, first]
+    hit = (t_first <= max_range) & (c_first != OUTSIDE)
+    ranges = np.where(hit, t_first, max_range)
+    classes = np.where(hit, c_first.astype(np.int64), -1)
     return ranges, classes
 
 
@@ -112,8 +127,7 @@ def raycast(plan: Floorplan, pose: Pose, num_rays: int = DEFAULT_NUM_RAYS,
     if p_noise > 0 and rng is None:
         raise UsageError(f"raycast with p_noise={p_noise} needs an rng")
     rel = np.linspace(-FOV / 2.0, FOV / 2.0, num_rays)
-    ranges, classes = _trace_rays(plan.grid, pose.x, pose.y, pose.theta + rel,
-                                  max_range)
+    ranges, classes = _trace_rays(plan, pose.x, pose.y, pose.theta + rel, max_range)
     if p_noise > 0:
         for i in np.flatnonzero(classes >= 0):
             if rng.uniform() < p_noise:

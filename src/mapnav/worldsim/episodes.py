@@ -16,6 +16,10 @@ SQRT2 = float(np.sqrt(2.0))
 PATH_SPACING = 0.2
 MIN_GEODESIC = 3.0   # episode start-to-goal path length range (m)
 MAX_GEODESIC = 9.0
+# The A* cost in cells past which generate_episode's search stops: a cell
+# path longer than sqrt(2) * MAX_GEODESIC resamples to a path longer than
+# MAX_GEODESIC (see generate_episode). 1e-9 covers the rounding of A*'s sums.
+MAX_SEARCH_COST = SQRT2 * MAX_GEODESIC / CELL_SIZE + 1e-9
 
 
 @dataclass
@@ -57,13 +61,16 @@ def resample_polyline(points: np.ndarray, spacing: float = PATH_SPACING) -> np.n
     return out
 
 
-def grid_astar(cost: np.ndarray, start: tuple[int, int],
-               goal: tuple[int, int]) -> list[tuple[int, int]] | None:
+def grid_astar(cost: np.ndarray, start: tuple[int, int], goal: tuple[int, int],
+               max_cost: float = math.inf) -> list[tuple[int, int]] | None:
     """A* over 8-connected cells of a cost grid: a move costs its length (1
     or sqrt(2)) times the cost of the cell it enters, non-finite cells are
     blocked, and a diagonal move may not cut the corner of a blocked cell.
-    Returns the cell path, or None if the goal is unreachable or an endpoint
-    lies outside the grid.
+    Returns the cell path, or None if the goal is unreachable, an endpoint
+    lies outside the grid, or the path would cost more than ``max_cost``.
+    The octile heuristic is consistent, so the heap pops f = g + h in
+    non-decreasing order and the first pop above ``max_cost`` proves that
+    bound.
 
     The search runs on flat indices of the grid padded by one blocked cell,
     so no move needs a bounds check. A flat index sorts like its (row, col),
@@ -91,7 +98,9 @@ def grid_astar(cost: np.ndarray, start: tuple[int, int],
     diagonal = ((-w - 1, -1, -w), (-w + 1, 1, -w), (w - 1, -1, w), (w + 1, 1, w))
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        i = pop(heap)[1]
+        f, i = pop(heap)
+        if f > max_cost:
+            return None
         if i == dst:
             path = [i]
             while i in came:
@@ -124,21 +133,23 @@ def grid_astar(cost: np.ndarray, start: tuple[int, int],
 
 
 def astar_cells(traversable: np.ndarray, start: tuple[int, int],
-                goal: tuple[int, int]) -> list[tuple[int, int]]:
-    """A* over 8-connected cells, diagonal cost sqrt(2), no corner cutting."""
+                goal: tuple[int, int], max_cost: float = math.inf) -> list[tuple[int, int]]:
+    """A* over 8-connected cells, diagonal cost sqrt(2), no corner cutting;
+    NoPathError also when the path would be longer than ``max_cost`` cells."""
     rows, cols = traversable.shape
     for r, c in (start, goal):
         if not (0 <= r < rows and 0 <= c < cols and traversable[r, c]):
             raise NoPathError(f"endpoint not traversable: {start} -> {goal}")
-    path = grid_astar(np.where(traversable, 1.0, np.inf), start, goal)
+    path = grid_astar(np.where(traversable, 1.0, np.inf), start, goal, max_cost)
     if path is None:
-        raise NoPathError(f"no path from {start} to {goal}")
+        raise NoPathError(f"no path from {start} to {goal} of at most {max_cost} cells")
     return path
 
 
-def shortest_path(plan: Floorplan, a: tuple[float, float],
-                  b: tuple[float, float]) -> tuple[np.ndarray, float]:
-    """Geodesic polyline (resampled at 0.2 m) and its length in meters."""
+def shortest_path(plan: Floorplan, a: tuple[float, float], b: tuple[float, float],
+                  max_cost: float = math.inf) -> tuple[np.ndarray, float]:
+    """Geodesic polyline (resampled at 0.2 m) and its length in meters;
+    NoPathError if the cell path is longer than ``max_cost`` cells."""
     ca, cb = pos_to_cell(*a), pos_to_cell(*b)
     if ca == cb:
         if np.allclose(a, b):
@@ -146,7 +157,7 @@ def shortest_path(plan: Floorplan, a: tuple[float, float],
         else:
             path = resample_polyline(np.array([a, b]))
         return path, polyline_length(path)
-    cells = astar_cells(plan.traversable_mask(), ca, cb)
+    cells = astar_cells(plan.traversable_mask(), ca, cb, max_cost)
     pts = [np.asarray(a, dtype=np.float64)]
     for cell in cells[1:-1]:
         pts.append(np.array(cell_center(*cell)))
@@ -157,7 +168,18 @@ def shortest_path(plan: Floorplan, a: tuple[float, float],
 
 def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0) -> Episode:
     """Sample a start pose and goal with geodesic distance in range, build
-    the ground-truth path, and attach a generated instruction."""
+    the ground-truth path, and attach a generated instruction.
+
+    A pair's search stops past ``MAX_SEARCH_COST`` cells, with the same
+    outcome as a path rejected for its length: the resampled path of a cell
+    path of L cells is at least L * CELL_SIZE / sqrt(2) long. Its polyline
+    joins cell centres, so every segment is at least 0.2 m long, and each
+    chord of ``resample_polyline`` spans an arc of at most 0.2 m, so it
+    holds at most one vertex. An optimal path turns at most 90 degrees at a
+    vertex: a 135 or 180 degree turn, or a 90 degree turn between two
+    diagonals, has a strictly shorter legal shortcut through cells that the
+    path or its no-corner-cutting rule keeps free. A chord of arc D across a
+    turn of at most 90 degrees is at least D * cos(45 deg) = D / sqrt(2)."""
     from ..language import grammar, tokenizer  # mapnav.language imports worldsim
 
     rng = np.random.default_rng(np.random.PCG64(hash((plan.seed, seed, 0x9E3779B9)) & 0x7FFFFFFF))
@@ -172,7 +194,7 @@ def generate_episode(plan: Floorplan, seed: int, episode_id: int = 0) -> Episode
         if eu > MAX_GEODESIC:
             continue
         try:
-            path, length = shortest_path(plan, start_xy, goal_xy)
+            path, length = shortest_path(plan, start_xy, goal_xy, MAX_SEARCH_COST)
         except NoPathError:
             continue
         if not (MIN_GEODESIC <= length <= MAX_GEODESIC):

@@ -7,6 +7,7 @@ floor cell.
 """
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,8 @@ class Floorplan:
     rooms: list[Room] = field(default_factory=list)
     seed: int = 0
     n_objects: int = 0
+    # raycast's padded copy of the grid (see agent._ray_grid)
+    ray_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -95,6 +98,39 @@ def floor_connected(grid: np.ndarray) -> bool:
                 free[j] = False
                 stack.append(j)
     return count == total
+
+
+def _border_connected(grid: np.ndarray, r: int, c: int, h: int, w: int) -> bool:
+    """Whether the floor cells 4-adjacent to the block ``grid[r:r+h, c:c+w]``
+    are mutually reachable through floor; False if there are none. On a
+    grid whose floor was connected before the block was filled, this is
+    ``floor_connected(grid)``: a floor path through the block enters and
+    leaves it at two of these cells, and so can go round it instead; and if
+    no floor borders the block, the block held all of the floor. The search
+    runs on flat indices of the padded floor mask, as ``floor_connected``'s
+    does, and stops once it has reached every border cell."""
+    floor = np.pad(grid == FLOOR, 1)
+    wp = floor.shape[1]
+    free = floor.ravel().tolist()
+    corner = (r + 1) * wp + c + 1       # the block's top-left cell
+    ring = ([corner - wp + k for k in range(w)] + [corner + h * wp + k for k in range(w)]
+            + [corner + k * wp - 1 for k in range(h)] + [corner + k * wp + w for k in range(h)])
+    border = {i for i in ring if free[i]}
+    if not border:
+        return False
+    start = border.pop()
+    free[start] = False                 # a reached cell stops being free
+    queue = collections.deque([start])
+    while border:
+        if not queue:
+            return False
+        i = queue.popleft()
+        for j in (i + wp, i - wp, i + 1, i - 1):
+            if free[j]:
+                free[j] = False
+                border.discard(j)
+                queue.append(j)
+    return True
 
 
 def _split_rooms(rng: np.random.Generator, g: int, target: int) -> tuple[list[Room], list[tuple]]:
@@ -160,12 +196,11 @@ def _place_objects(rng: np.random.Generator, grid: np.ndarray, rooms: list[Room]
                     block = grid[r : r + sh, c : c + sw]
                     if not (block == FLOOR).all():
                         continue
-                    saved = block.copy()
                     grid[r : r + sh, c : c + sw] = cls
-                    if floor_connected(grid):
+                    if _border_connected(grid, r, c, sh, sw):
                         placed += 1
                         break
-                    grid[r : r + sh, c : c + sw] = saved
+                    grid[r : r + sh, c : c + sw] = FLOOR
         if placed >= min_objects:
             break
     return placed
@@ -196,9 +231,7 @@ def generate_floorplan(seed: int, size: int = 64, min_objects: int = 4,
         for rm in rooms:
             rm.kind = ROOM_TYPES[int(rng.integers(0, len(ROOM_TYPES)))]
         placed = _place_objects(rng, grid, rooms, min_objects, max_objects)
-        if placed < min_objects:
-            continue
-        if floor_connected(grid):
+        if placed >= min_objects:
             return Floorplan(grid=grid, rooms=rooms, seed=seed, n_objects=placed)
     raise GenerationError(f"floorplan generation failed for seed {seed}")
 

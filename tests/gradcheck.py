@@ -1,9 +1,10 @@
-"""Finite-difference validation of analytic gradients."""
+"""Finite-difference validation of analytic gradients: the oracle that the
+numerics, model, language and acceptance tests check autodiff against."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from mapnav.numerics import Tensor, no_grad
 
 
 def grad_check(

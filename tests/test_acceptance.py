@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from mapnav import numerics as nm
 from mapnav.cli import EXIT_OK, main
 from mapnav.config import RunConfig
@@ -34,8 +35,8 @@ GRADCHECK_EPS = 1e-5
 # ======================================================================
 
 def _check(loss_fn, params, eps=GRADCHECK_EPS):
-    errs = nm.grad_check(loss_fn, params, eps=eps, max_entries=4,
-                         rng=np.random.default_rng(11))
+    errs = grad_check(loss_fn, params, eps=eps, max_entries=4,
+                      rng=np.random.default_rng(11))
     worst = max(errs.values())
     assert worst < GRADCHECK_TOL, f"worst relative error {worst:.3e}: {errs}"
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 import mapnav.numerics as nm
 from mapnav.errors import UsageError
 from mapnav.language import (
@@ -231,6 +232,6 @@ def test_encoder_gradcheck(instr_params):
     def loss():
         return nm.tsum(encode_instruction(ids, instr_params, D))
 
-    report = nm.grad_check(loss, instr_params, eps=1e-5, max_entries=4,
-                           rng=np.random.default_rng(3))
+    report = grad_check(loss, instr_params, eps=1e-5, max_entries=4,
+                        rng=np.random.default_rng(3))
     assert max(report.values()) < 1e-4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 import mapnav.numerics as nm
 from mapnav.errors import ConfigError, UsageError
 from mapnav.language import MAX_TOKENS, tokenize
@@ -151,7 +152,7 @@ def test_text_branch_gradcheck_on_a_batch(attn_params):
         return nm.add(nm.tsum(nm.mul(keys, nm.Tensor(wk))),
                       nm.tsum(nm.mul(values, nm.Tensor(wv))))
 
-    report = nm.grad_check(loss, dict(params, x=x), max_entries=6, rng=rng)
+    report = grad_check(loss, dict(params, x=x), max_entries=6, rng=rng)
     for p in attn_params.values():
         p.grad = None
     assert max(report.values()) < 1e-6, report

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import grad_check
 from mapnav import numerics as nm
 from mapnav.errors import ConfigError, NumericError, ShapeError, UsageError
+from mapnav.numerics import ops
 
 TOL = 1e-4
 
 
 def check(loss_fn, params, eps=1e-5):
-    errs = nm.grad_check(loss_fn, params, eps=eps, max_entries=6,
-                         rng=np.random.default_rng(7))
+    errs = grad_check(loss_fn, params, eps=eps, max_entries=6,
+                      rng=np.random.default_rng(7))
     worst = max(errs.values())
     assert worst < TOL, f"worst relative error {worst:.3e}: {errs}"
 
@@ -459,6 +461,7 @@ def test_pooled_conv2d_tape_holds_its_output_and_a_sign_mask(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
     unpooled = 4 * 16 * 32 * 32
+    nm.conv2d(x, w, b, padding=1, pool=2)   # the image threads' pool is built here, not counted
     for slope, mask in ((0.01, unpooled), (None, 0)):
         out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=slope, pool=2))
         assert out.requires_grad and out.shape == (4, 16, 16, 16)
@@ -468,6 +471,36 @@ def test_pooled_conv2d_tape_holds_its_output_and_a_sign_mask(rng):
             out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=slope, pool=2))
         assert not out.requires_grad
         assert held <= out.data.nbytes + 8192, (slope, held - out.data.nbytes)
+
+
+def test_no_grad_pooled_conv2d_builds_no_sign_mask(rng, monkeypatch):
+    """Under no_grad a pooled conv with a slope builds no sign mask, not even
+    for a moment: when it hands its output to ``make_op`` it holds what the
+    same conv without a slope holds, and its peak is the unpooled conv's
+    (whose largest transient is the LeakyReLU's ``slope * data``). The convs
+    run inline, below ``MIN_IMAGE_MACS``, so the peaks are deterministic."""
+    x = nm.Tensor(rng.normal(size=(4, 8, 32, 32)))
+    w, b = nm.Tensor(rng.normal(size=(16, 8, 3, 3))), nm.Tensor(rng.normal(size=16))
+    mask = 4 * 16 * 32 * 32    # one bool per unpooled element
+    at_output = []
+
+    def recording(*args):
+        at_output.append(tracemalloc.get_traced_memory()[0])
+        return make_op(*args)
+
+    make_op = ops.make_op
+    monkeypatch.setattr(ops, "make_op", recording)
+    peaks = []
+    with nm.no_grad():
+        for slope, pool in ((0.01, 2), (None, 2), (0.01, 1)):
+            tracemalloc.start()
+            try:
+                nm.conv2d(x, w, b, padding=1, slope=slope, pool=pool)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert at_output[0] - at_output[1] < mask / 2, at_output
+    assert peaks[0] - peaks[2] < mask / 2, peaks
 
 
 def test_linear_with_slope_zero_matches_a_relu_oracle(rng):

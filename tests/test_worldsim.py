@@ -7,6 +7,7 @@ import pytest
 
 from mapnav.errors import GenerationError, NoPathError, UsageError
 from mapnav.worldsim import floorplan as floorplan_module
+from mapnav.worldsim.episodes import grid_astar
 from mapnav.worldsim import (
     CELL_SIZE, FLOOR, OBJECT_CLASS_IDS, WALL, VOID, Floorplan, Pose,
     astar_cells, cell_center, episode_from_json, episode_to_json,
@@ -165,20 +166,53 @@ def test_floorplan_invariants_100_seeds():
 
 
 def test_floor_connected_matches_scalar_dfs_on_generator_grids(monkeypatch):
-    """Every grid that generate_floorplan checks for seeds 1000-1029 gets the
-    reference's answer; some of those grids are disconnected."""
-    answers = []
+    """Every connectivity answer that generate_floorplan gets for seeds
+    1000-1029, from the whole-grid check after the walls and from the check
+    around each placed object, is the reference's on the whole grid; some of
+    those grids are disconnected."""
+    answers = {"floor_connected": [], "_border_connected": []}
 
-    def checked(grid):
-        got = floor_connected(grid)
-        answers.append(got)
-        assert got == scalar_floor_connected(grid)
-        return got
+    def checked(name):
+        check = getattr(floorplan_module, name)
 
-    monkeypatch.setattr(floorplan_module, "floor_connected", checked)
+        def wrapper(grid, *block):
+            got = check(grid, *block)
+            answers[name].append(got)
+            assert got == scalar_floor_connected(grid), (name, block)
+            return got
+        return wrapper
+
+    for name in answers:
+        monkeypatch.setattr(floorplan_module, name, checked(name))
     for seed in range(1000, 1030):
         generate_floorplan(seed)
-    assert len(answers) > 200 and True in answers and False in answers
+    assert len(answers["_border_connected"]) > 200
+    for got in answers.values():
+        assert True in got and False in got
+
+
+def test_border_connected_on_hand_built_blocks():
+    """The check around a filled block against the whole-grid reference: a
+    block against the outer wall, one that cuts a one-cell corridor, and one
+    that fills the last floor."""
+    room = box_room(8).grid
+    corridor = np.full((5, 9), WALL, dtype=np.uint8)
+    corridor[2, 1:8] = FLOOR
+    cell = np.full((5, 5), WALL, dtype=np.uint8)
+    cell[2, 2] = FLOOR
+    cases = [(room, (1, 1, 2, 2), True),        # in the corner of the outer wall
+             (room, (1, 3, 1, 2), True),        # against the top wall
+             (room, (1, 1, 6, 1), True),        # along the left wall
+             (room, (3, 1, 1, 6), False),       # wall to wall: the room splits
+             (corridor, (2, 4, 1, 1), False),   # cuts the corridor
+             (corridor, (2, 1, 1, 1), True),    # at the corridor's dead end
+             (cell, (2, 2, 1, 1), False)]       # the last floor cell
+    for grid, (r, c, h, w), want in cases:
+        grid = grid.copy()
+        assert scalar_floor_connected(grid)
+        grid[r : r + h, c : c + w] = OBJECT_CLASS_IDS[0]
+        assert scalar_floor_connected(grid) == want
+        assert floorplan_module._border_connected(grid, r, c, h, w) == want, (r, c, h, w)
 
 
 def test_floor_connected_at_grid_border():
@@ -329,6 +363,19 @@ def test_raycast_noise_needs_an_rng(plan):
     with pytest.raises(UsageError):
         raycast(plan, pose, p_noise=0.2)
     assert np.array_equal(raycast(plan, pose).classes, raycast(plan, pose, p_noise=0.0).classes)
+
+
+def test_raycast_sees_an_in_place_grid_edit():
+    """The padded grid that raycast keeps per floorplan follows edits made to
+    ``plan.grid`` in place, and a grid replaced by another one."""
+    plan = box_room(32)
+    pose = Pose(3.0, 3.0, 0.0)
+    assert raycast(plan, pose, num_rays=3).classes[1] == WALL
+    plan.grid[15, 20] = OBJECT_CLASS_IDS[0]       # on the middle ray, 1 m ahead
+    scan = raycast(plan, pose, num_rays=3)
+    assert scan.classes[1] == OBJECT_CLASS_IDS[0] and scan.ranges[1] == pytest.approx(1.0)
+    plan.grid = box_room(32).grid
+    assert raycast(plan, pose, num_rays=3).classes[1] == WALL
 
 
 def trace_ray_reference(grid, x, y, angle, max_range):
@@ -519,6 +566,90 @@ def test_astar_cells_paths_equal_scalar_reference():
             compared += 1
             found += len(got) > 10
     assert compared > 80 and found > 20
+
+
+def test_optimal_paths_turn_at_most_90_degrees_and_resample_above_the_bound():
+    """The two facts behind generate_episode's search bound, on random floor
+    pairs of 20 floorplans: an A* path turns by at most 90 degrees at every
+    vertex, never 90 degrees between two diagonals, and its resampled length
+    is at least the cell polyline's over sqrt(2)."""
+    rng = np.random.default_rng(13)
+    paths = 0
+    for seed in range(20):
+        plan = generate_floorplan(seed)
+        mask = plan.traversable_mask()
+        floor = np.argwhere(mask)
+        for _ in range(6):
+            ca = tuple(floor[rng.integers(len(floor))])
+            cb = tuple(floor[rng.integers(len(floor))])
+            if ca == cb:
+                continue
+            moves = np.diff(np.array(astar_cells(mask, ca, cb)), axis=0)
+            turns = (moves[:-1] * moves[1:]).sum(axis=1)
+            both_diagonal = (np.abs(moves[:-1]).sum(axis=1) == 2) & (np.abs(moves[1:]).sum(axis=1) == 2)
+            assert np.all(turns >= 0) and not np.any(both_diagonal & (turns == 0)), (seed, ca, cb)
+            cell_length = CELL_SIZE * np.hypot(*moves.T).sum()
+            _, length = shortest_path(plan, cell_center(*ca), cell_center(*cb))
+            assert length >= cell_length / SQRT2, (seed, ca, cb)
+            paths += 1
+    assert paths >= 100
+
+
+def test_episode_search_bound_changes_no_episode(monkeypatch):
+    """generate_split gives byte-identical episodes with the search bound and
+    without it, on gen-data-style floorplans and on the eval pool; each cut
+    search is one whose full path is longer than the bound, and some are."""
+    from mapnav.config import RunConfig
+    from mapnav.train_eval.dataset import generate_split
+    from mapnav.worldsim import episodes as episodes_module
+
+    cfg = RunConfig()
+    bound = episodes_module.MAX_SEARCH_COST
+    cuts = []
+
+    def counted(cost, start, goal, max_cost=math.inf):
+        path = search(cost, start, goal, max_cost)
+        if path is None and max_cost < math.inf:
+            full = search(cost, start, goal)
+            assert full is not None
+            moves = np.diff(np.array(full), axis=0)
+            assert np.hypot(*moves.T).sum() > bound
+            cuts.append((start, goal))
+        return path
+
+    search = episodes_module.grid_astar
+    monkeypatch.setattr(episodes_module, "grid_astar", counted)
+    runs = []
+    for max_cost in (bound, math.inf):
+        monkeypatch.setattr(episodes_module, "MAX_SEARCH_COST", max_cost)
+        pairs = (generate_split(cfg, range(1000, 1020), 0, 10)
+                 + generate_split(cfg, range(200, 205), 2000, 10))
+        runs.append([episode_to_json(ep) for _, ep in pairs])
+    assert runs[0] == runs[1] and len(runs[0]) == 250
+    assert len(cuts) > 0
+
+
+def test_grid_astar_stops_at_the_cost_bound():
+    """A bound 1e-9 below the optimal cost cuts the search; a bound 1e-9
+    above it returns the unbounded path. Exactly at the optimal cost a
+    search can be cut: f = g + h of a cell on the path can round one ulp
+    above the goal's g (floorplan 0, cells (7, 37) to (10, 51)), which is
+    why generate_episode's bound carries a 1e-9 slack."""
+    rng = np.random.default_rng(17)
+    for seed in (0, 1, 2):
+        cost = np.where(generate_floorplan(seed).traversable_mask(), 1.0, np.inf)
+        floor = np.argwhere(np.isfinite(cost))
+        for _ in range(10):
+            ca = tuple(floor[rng.integers(len(floor))])
+            cb = tuple(floor[rng.integers(len(floor))])
+            if ca == cb:
+                continue
+            path = grid_astar(cost, ca, cb)
+            optimal = 0.0
+            for p, q in zip(path, path[1:]):
+                optimal += SQRT2 if (p[0] != q[0] and p[1] != q[1]) else 1.0
+            assert grid_astar(cost, ca, cb, optimal + 1e-9) == path
+            assert grid_astar(cost, ca, cb, optimal - 1e-9) is None
 
 
 def test_resample_polyline_spacing_and_endpoints():
