@@ -1,0 +1,3 @@
+# The environment variables that set the BLAS library's thread count, which
+# it reads once, when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

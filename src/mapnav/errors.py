@@ -27,3 +27,7 @@ class GenerationError(MapnavError):
 
 class NoPathError(MapnavError):
     """No traversable path exists between the requested points."""
+
+
+class WorkerError(MapnavError):
+    """A worker process died before it replied."""

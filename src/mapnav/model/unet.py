@@ -70,7 +70,8 @@ def init_unet(rng: np.random.Generator, spec: UNetSpec, prefix: str,
         cin = ch
     _conv_param(rng, p, f"{prefix}head", cin, spec.out_ch, k=1)
     if head_bias:
-        p[f"{prefix}head.w"].data *= 0.1
+        head = p[f"{prefix}head.w"]
+        head.data = head.data * 0.1   # a new array: CM2Model.load's init draws read-only zeros
         p[f"{prefix}head.b"].data += head_bias
     return p
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError, UsageError
-from .parallel import over_images
 from .tensor import Tensor, accumulate, make_op, unbroadcast
 
 _EPS = 1e-12
@@ -210,7 +209,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, *,
 
     def factory(out):
         def bw():
-            g = _pre_activation_grad(out.grad, out.data, slope)
+            g = _pre_activation_grad(out, slope)
             _matmul_grads(x, w, g)
             if b is not None:
                 accumulate(b, unbroadcast(g, b.shape))
@@ -347,51 +346,18 @@ def _correlate_rows(src: np.ndarray, w_rows: np.ndarray, wp: int, n: int) -> np.
     return out
 
 
-def _join(blocks) -> np.ndarray:
-    """The per-image results of :func:`over_images` calls as one batch: the
-    one result itself, not a copy, when the images ran as one block, as at
-    B=1. A block allocates its result after its padded copy is freed, which
-    lets the allocator hand that memory on instead of fresh pages."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def _kernel_grad_rows(src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int,
-                      gw: np.ndarray):
-    """Add the (kh, co, kw*C) gradient of the ``w_rows`` of
-    ``_correlate_rows(src, w_rows, wp, n)``, given its (B, co, n) output
-    gradient ``g``, into ``gw`` image by image, in image order; into
-    ``gw[b]`` for a (B, kh, co, kw*C) ``gw``. Per image, one GEMM per kernel
-    row with the row stack of ``src``. ``g`` must be zero in the wrap-around
-    columns."""
+def _kernel_grad_rows(src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int) -> np.ndarray:
+    """(kh, co, kw*C) gradient of the ``w_rows`` of ``_correlate_rows(src,
+    w_rows, wp, n)``, given its (B, co, n) output gradient ``g``: per image,
+    one GEMM per kernel row with the row stack of ``src``. ``g`` must be zero
+    in the wrap-around columns."""
     n = g.shape[2]
-    tmp = np.empty(gw.shape[-2:])
-    for b, (stack, gf) in enumerate(zip(_row_stacks(src, kw, n + (kh - 1) * wp), g)):
-        dest = gw if gw.ndim == 3 else gw[b]
+    gw = np.zeros((kh, g.shape[1], kw * src.shape[1]))
+    tmp = np.empty(gw.shape[1:])
+    for stack, gf in zip(_row_stacks(src, kw, n + (kh - 1) * wp), g):
         for i in range(kh):
-            dest[i] += np.matmul(gf, stack[:, i * wp : i * wp + n].T, out=tmp)
-
-
-def _kernel_grad_part(lo: int, src: np.ndarray, g: np.ndarray, kh: int, kw: int, wp: int,
-                      gw: np.ndarray):
-    """The kernel gradient of one :func:`over_images` call on the images from
-    ``lo``: the call from image 0 adds it into ``gw`` image by image; a later
-    one returns one per image, for :func:`_add_in_image_order`."""
-    if lo == 0:
-        _kernel_grad_rows(src, g, kh, kw, wp, gw)
-        return ()
-    parts = np.zeros((src.shape[0],) + gw.shape)
-    _kernel_grad_rows(src, g, kh, kw, wp, parts)
-    return parts
-
-
-def _add_in_image_order(gw: np.ndarray, results: list):
-    """Add the per-image parts that the later :func:`over_images` calls of
-    :func:`_kernel_grad_part` returned into ``gw``, which holds the first
-    call's: the images' gradients are then summed in image order, as one
-    serial loop sums them, however the images were shared out."""
-    for parts in results[1:]:
-        for part in parts:
-            gw += part
+            gw[i] += np.matmul(gf, stack[:, i * wp : i * wp + n].T, out=tmp)
+    return gw
 
 
 def _pad_rows(parts, padding: int, tail: int) -> np.ndarray:
@@ -422,15 +388,13 @@ def _leaky_relu_(data: np.ndarray, slope: float | None):
         np.maximum(data, slope * data, out=data)
 
 
-def _pre_activation_grad(grad: np.ndarray, data: np.ndarray, slope: float | None,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient at the pre-activation of an op output ``data`` made by
-    :func:`_leaky_relu_`, given the output's gradient ``grad``; into ``out``
-    if given. For a slope in [0, 1] the output is positive exactly where the
-    pre-activation is, so the derivative is read off the output."""
+def _pre_activation_grad(out: Tensor, slope: float | None) -> np.ndarray:
+    """Gradient at the pre-activation of an op output ``out`` made by
+    :func:`_leaky_relu_`. For a slope in [0, 1] the output is positive exactly
+    where the pre-activation is, so the derivative is read off the output."""
     if slope is None:
-        return grad
-    return np.multiply(grad, np.where(data > 0, 1.0, slope), out=out)
+        return out.grad
+    return out.grad * np.where(out.data > 0, 1.0, slope)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
@@ -461,15 +425,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
     stack of ``xp``, rebuilt from ``x`` and ``cat``. The tape holds the
     inputs, parents already, and the output: no padded or joined copy or
     pre-activation. A pooled conv with a slope also keeps that sign, one bool
-    per unpooled element, made only when a backward is recorded.
-
-    The forward and the backward each run their per-image work, from the
-    padding to the pooled activation and from the derivative to both
-    gradients, through :func:`~mapnav.numerics.parallel.over_images`, which
-    may share the images out over threads, each with its own padded copies.
-    The bias gradient is summed over the whole batch after them, and the
-    kernel gradient in image order (:func:`_add_in_image_order`), so every
-    byte is that of one serial loop over the images."""
+    per unpooled element, made only when a backward is recorded."""
     parts = (x,) if cat is None else (x, cat)
     lead = (1,) if x.ndim == 3 else ()
     arrays = [p.data.reshape(lead + p.shape) for p in parts]
@@ -500,19 +456,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
     _check_pool("conv2d", ho, wo, pool)
 
     n = ho * wp
-    macs = kh * kw * ci * co * n  # per image
     w_rows = w.data.transpose(2, 0, 3, 1).reshape(kh, co, kw * ci)  # [i, o, j*ci + c]
+    acc = _correlate_rows(_pad_rows(arrays, padding, kw - 1), w_rows, wp, n)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
-
-    def forward(lo, hi):
-        acc = _correlate_rows(_pad_rows([a[lo:hi] for a in arrays], padding, kw - 1),
-                              w_rows, wp, n)
-        act = acc.reshape(hi - lo, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
-        _leaky_relu_(act, slope)
-        return act, (act if pool == 1 else _block_means(act, pool))
-
-    acts, outs = zip(*over_images(bsz, forward, macs))
-    out_data = _join(outs)
+    act = acc.reshape(bsz, co, ho, wp)[:, :, :, :wo] + bias  # a contiguous copy
+    _leaky_relu_(act, slope)
+    out_data = act if pool == 1 else _block_means(act, pool)
     if x.ndim == 3:
         out_data = out_data[0]
 
@@ -521,56 +470,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0, *,
     def factory(out):
         # the tape keeps the pooled output, so the unpooled pre-activation's
         # sign is kept for the LeakyReLU's derivative
-        pos = _join([a > 0 for a in acts]) if pool > 1 and slope is not None else None
+        pos = act > 0 if pool > 1 and slope is not None else None
 
         def bw():
-            gout = out.grad.reshape(bsz, co, ho // pool, wo // pool)
-            odata = out.data.reshape(gout.shape)
-            g4 = gout if pool == 1 and slope is None else np.empty((bsz, co, ho, wo))
+            if pool == 1:
+                g4 = _pre_activation_grad(out, slope).reshape(bsz, co, ho, wo)
+            else:
+                g4 = _spread(out.grad.reshape(bsz, co, ho // pool, wo // pool), pool)
+                if pos is not None:
+                    g4 *= np.where(pos, 1.0, slope)
+            if b is not None:
+                accumulate(b, g4.sum(axis=(0, 2, 3)))
+            # gpad from offset ``top`` is also the flat (B, co, n) output
+            # gradient, zero in the wrap-around columns, that gw needs
             ph, pw = kh - 1 - padding, kw - 1 - padding
-            top = ph * wp + pw
-            gw = np.zeros((kh, co, kw * ci)) if w.requires_grad else None
+            gpad = np.zeros((bsz, co, (h + kh - 1) * wp + kw - 1))
+            gpad[:, :, : (h + kh - 1) * wp].reshape(bsz, co, h + kh - 1, wp)[
+                :, :, ph : ph + ho, pw : pw + wo] = g4
+            if w.requires_grad:
+                top = ph * wp + pw
+                xp = _pad_rows([p.data.reshape((bsz, -1, h, ww)) for p in parts],
+                               padding, kw - 1)
+                gw = _kernel_grad_rows(xp, gpad[:, :, top : top + n], kh, kw, wp)
+                del xp  # before the input gradient's buffers
+                accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
             want = [k for k, p in enumerate(parts) if p.requires_grad]
             if want:
                 # the channels from the first to the last input that wants a gradient
-                c0, c1 = bounds[want[0]], bounds[want[-1] + 1]
-                w_flip = w.data[:, c0:c1, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(
-                    kh, c1 - c0, kw * co)
-                gx = np.empty((bsz, c1 - c0, h, wp))
-
-            def backward(lo, hi):
-                if pool > 1:
-                    g4[lo:hi] = _spread(gout[lo:hi], pool)
-                    if pos is not None:
-                        g4[lo:hi] *= np.where(pos[lo:hi], 1.0, slope)
-                elif slope is not None:
-                    _pre_activation_grad(gout[lo:hi], odata[lo:hi], slope, out=g4[lo:hi])
-                # gpad from offset ``top`` is also the flat output gradient,
-                # zero in the wrap-around columns, that the kernel gradient needs
-                gpad = np.zeros((hi - lo, co, (h + kh - 1) * wp + kw - 1))
-                gpad[:, :, : (h + kh - 1) * wp].reshape(hi - lo, co, h + kh - 1, wp)[
-                    :, :, ph : ph + ho, pw : pw + wo] = g4[lo:hi]
-                parts_w = ()
-                if gw is not None:
-                    xp = _pad_rows([p.data.reshape((bsz, -1, h, ww))[lo:hi] for p in parts],
-                                   padding, kw - 1)
-                    parts_w = _kernel_grad_part(lo, xp, gpad[:, :, top : top + n], kh, kw, wp,
-                                                 gw)
-                    del xp  # before the input gradient's buffers
-                if want:
-                    gx[lo:hi] = _correlate_rows(gpad, w_flip, wp, h * wp).reshape(
-                        hi - lo, c1 - c0, h, wp)
-                return parts_w
-
-            results = over_images(bsz, backward, macs)
-            if b is not None:
-                accumulate(b, g4.sum(axis=(0, 2, 3)))
-            if gw is not None:
-                _add_in_image_order(gw, results)
-                accumulate(w, gw.reshape(kh, co, kw, ci).transpose(1, 3, 0, 2))
-            for k in want:
-                accumulate(parts[k], gx[:, bounds[k] - c0 : bounds[k + 1] - c0, :, :ww]
-                           .reshape(parts[k].shape))
+                lo, hi = bounds[want[0]], bounds[want[-1] + 1]
+                w_flip = w.data[:, lo:hi, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(
+                    kh, hi - lo, kw * co)
+                gx = _correlate_rows(gpad, w_flip, wp, h * wp).reshape(bsz, hi - lo, h, wp)
+                for k in want:
+                    accumulate(parts[k], gx[:, bounds[k] - lo : bounds[k + 1] - lo, :, :ww]
+                               .reshape(parts[k].shape))
 
         return bw
 
@@ -609,7 +542,7 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     the kernel gradient is :func:`_kernel_grad_rows` of it with ``xp``,
     rebuilt from ``x``, folded back through ``_TAPS.T``. The tape holds the
     input, a parent already, the folded kernel and the output: no padded
-    copy, pre-activation or mask. Images are shared out as in :func:`conv2d`."""
+    copy, pre-activation or mask."""
     if x.ndim != 4:
         raise ShapeError(f"upconv2d: expected (B,C,H,W), got {x.shape}")
     if w.ndim != 4:
@@ -624,62 +557,43 @@ def upconv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
 
     wp = ww + 2
     n = (h + 1) * wp
-    macs = 16 * ci * co * n  # per image
     folded = (w.data.reshape(co * ci, 9) @ _TAPS).reshape(co, ci, 2, 2, 2, 2)  # [o, c, a, i, e, j]
     w_rows = folded.transpose(3, 2, 4, 0, 5, 1).reshape(2, 4 * co, 2 * ci)  # [i, (a,e,o), j*ci + c]
+    grid = _correlate_rows(_pad_rows([x.data], 1, 1), w_rows, wp, n).reshape(
+        bsz, 2, 2, co, h + 1, wp)
     bias = 0.0 if b is None else b.data.reshape(1, co, 1, 1)
+    out6 = np.empty((bsz, co, h, 2, ww, 2))
+    for a in range(2):
+        for e in range(2):
+            np.add(grid[:, a, e, :, a : a + h, e : e + ww], bias, out=out6[:, :, :, a, :, e])
+    out_data = out6.reshape(bsz, co, 2 * h, 2 * ww)
+    _leaky_relu_(out_data, slope)
 
-    def forward(lo, hi):
-        grid = _correlate_rows(_pad_rows([x.data[lo:hi]], 1, 1), w_rows, wp, n).reshape(
-            hi - lo, 2, 2, co, h + 1, wp)
-        out6 = np.empty((hi - lo, co, h, 2, ww, 2))
-        for a in range(2):
-            for e in range(2):
-                np.add(grid[:, a, e, :, a : a + h, e : e + ww], bias, out=out6[:, :, :, a, :, e])
-        out = out6.reshape(hi - lo, co, 2 * h, 2 * ww)
-        _leaky_relu_(out, slope)
-        return out
-
-    out_data = _join(over_images(bsz, forward, macs))
     parents = (x, w) if b is None else (x, w, b)
 
     def factory(out):
         def bw():
-            g = out.grad if slope is None else np.empty_like(out.grad)
-            gw = np.zeros((2, 4 * co, 2 * ci)) if w.requires_grad else None  # [i, (a,e,o), j*ci + c]
+            g = _pre_activation_grad(out, slope)
+            g6 = g.reshape(bsz, co, h, 2, ww, 2)
+            if b is not None:
+                accumulate(b, g.sum(axis=(0, 2, 3)))
+            gflat = np.zeros((bsz, 2, 2, co, n + 1))
+            ggrid = gflat[..., :n].reshape(bsz, 2, 2, co, h + 1, wp)
+            for a in range(2):
+                for e in range(2):
+                    ggrid[:, a, e, :, a : a + h, e : e + ww] = g6[:, :, :, a, :, e]
+            gflat = gflat.reshape(bsz, 4 * co, n + 1)
+            if w.requires_grad:
+                xp = _pad_rows([x.data], 1, 1)
+                gw = _kernel_grad_rows(xp, gflat[:, :, :n], 2, 2, wp)  # [i, (a,e,o), j*ci + c]
+                del xp  # before the input gradient's buffers
+                gfold = gw.reshape(2, 2, 2, co, 2, ci).transpose(3, 5, 1, 0, 2, 4)
+                accumulate(w, (gfold.reshape(co * ci, 16) @ _TAPS.T).reshape(co, ci, 3, 3))
             if x.requires_grad:
                 # w_flip[i', c, j'*4co + (a,e,o)] = folded[o, c, a, 1-i', e, 1-j']
                 w_flip = folded[:, :, :, ::-1, :, ::-1].transpose(3, 1, 5, 2, 4, 0).reshape(
                     2, ci, 8 * co)
-                gx = np.empty((bsz, ci, h * wp))
-
-            def backward(lo, hi):
-                if slope is not None:
-                    _pre_activation_grad(out.grad[lo:hi], out.data[lo:hi], slope, out=g[lo:hi])
-                g6 = g[lo:hi].reshape(hi - lo, co, h, 2, ww, 2)
-                gflat = np.zeros((hi - lo, 2, 2, co, n + 1))
-                ggrid = gflat[..., :n].reshape(hi - lo, 2, 2, co, h + 1, wp)
-                for a in range(2):
-                    for e in range(2):
-                        ggrid[:, a, e, :, a : a + h, e : e + ww] = g6[:, :, :, a, :, e]
-                gflat = gflat.reshape(hi - lo, 4 * co, n + 1)
-                parts_w = ()
-                if gw is not None:
-                    xp = _pad_rows([x.data[lo:hi]], 1, 1)
-                    parts_w = _kernel_grad_part(lo, xp, gflat[:, :, :n], 2, 2, wp, gw)
-                    del xp  # before the input gradient's buffers
-                if x.requires_grad:
-                    gx[lo:hi] = _correlate_rows(gflat, w_flip, wp, h * wp)
-                return parts_w
-
-            results = over_images(bsz, backward, macs)
-            if b is not None:
-                accumulate(b, g.sum(axis=(0, 2, 3)))
-            if gw is not None:
-                _add_in_image_order(gw, results)
-                gfold = gw.reshape(2, 2, 2, co, 2, ci).transpose(3, 5, 1, 0, 2, 4)
-                accumulate(w, (gfold.reshape(co * ci, 16) @ _TAPS.T).reshape(co, ci, 3, 3))
-            if x.requires_grad:
+                gx = _correlate_rows(gflat, w_flip, wp, h * wp)
                 accumulate(x, gx.reshape(bsz, ci, h, wp)[..., :ww])
 
         return bw

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import UsageError
 
 _GRAD_ENABLED = True
+_FINISHERS: list[list] = []   # one list per running backward(), innermost last
 
 
 @contextlib.contextmanager
@@ -29,6 +30,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph here (outside :func:`no_grad`)."""
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -63,6 +69,9 @@ class Tensor:
         parent links once the closure has run, so the activations and buffers
         the closures held are freed as soon as the caller drops the loss. To
         backpropagate again, run the forward pass again.
+
+        Once every closure has run, the callables that closures passed to
+        :func:`after_backward` run in turn; none runs if a closure raised.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar, got shape {self.shape}")
@@ -82,15 +91,29 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        while topo:
-            node = topo.pop()
-            if node._backward is not None:
-                node._backward()
-                node._backward = None
-                node._parents = ()
+        finishers = []
+        _FINISHERS.append(finishers)
+        try:
+            while topo:
+                node = topo.pop()
+                if node._backward is not None:
+                    node._backward()
+                    node._backward = None
+                    node._parents = ()
+        finally:
+            _FINISHERS.pop()
+        for fn in finishers:
+            fn()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def after_backward(fn):
+    """Call ``fn()`` when the running :meth:`Tensor.backward` has run its
+    whole graph; for a backward closure whose work ends after the others'.
+    A backward started inside a closure runs its own."""
+    _FINISHERS[-1].append(fn)
 
 
 def make_op(data: np.ndarray, parents, backward_factory) -> Tensor:

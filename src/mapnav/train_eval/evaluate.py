@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 
+from .. import BLAS_THREAD_VARS as _BLAS_THREAD_VARS
 from .. import numerics as nm
 from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
@@ -62,9 +63,6 @@ def evaluate_episode(model: CM2Model, config: RunConfig, plan, episode,
                            config.success_radius)
 
 
-# Each pool process runs one episode at a time, so BLAS threads in it would
-# only compete with the other processes for the same CPUs.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _WORKER: dict = {}
 
 
@@ -81,7 +79,9 @@ def _eval_pair(pair):
 def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
     """A ``spawn`` pool of min(usable CPUs, ``n_episodes``) processes, each
     given ``model`` and ``config`` once and started with single-threaded
-    BLAS. The caller's environment is restored on exit."""
+    BLAS: each runs one episode at a time, so BLAS threads in it would only
+    compete with the other processes for the same CPUs. The caller's
+    environment is restored on exit."""
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

@@ -11,6 +11,7 @@ from .. import numerics as nm
 from ..config import RunConfig
 from ..errors import NumericError, UsageError
 from ..model import CM2Model, loss_map, loss_total, loss_waypoint, make_gt_heatmaps
+from . import shards
 from .dataset import TrainingRecord
 
 
@@ -32,18 +33,19 @@ def assemble_batch(records: list[TrainingRecord], sigma: float):
 
 
 def batch_loss(model: CM2Model, batch, config: RunConfig):
-    """Forward pass and combined loss for one minibatch.
+    """Forward pass and combined loss for one minibatch. In grad mode at
+    B >= 2 the forward and backward run over two batch shards, one in a
+    worker process (:mod:`.shards`); the loss is the same, byte for byte.
 
     Returns (total loss tensor, waypoint-loss value, map-loss value)."""
     occ, chi, sem, hm, vis, p0, xi, tokens = batch
-    instr = [model.encode_instruction(np.stack(tokens), config.mode)]
-    out = model.forward(config.mode, instr, p0, occ, chi, sem)
-    l_wp = loss_waypoint(out.heatmaps, hm, vis, out.traversed, xi,
-                         lambda_aux=config.lambda_xi)
-    if out.occ_hat is None:
+    heatmaps, traversed, occ_hat, sem_hat = shards.forward(model, config.mode,
+                                                           (occ, chi, sem, p0, tokens))
+    l_wp = loss_waypoint(heatmaps, hm, vis, traversed, xi, lambda_aux=config.lambda_xi)
+    if occ_hat is None:
         # path prediction on ground-truth semantic maps; no map heads
         return l_wp, float(l_wp.item()), 0.0
-    l_m = loss_map(out.occ_hat, out.sem, occ, sem)
+    l_m = loss_map(occ_hat, sem_hat, occ, sem)
     total = loss_total(l_wp, l_m, config.lambda_wp, config.lambda_m)
     return total, float(l_wp.item()), float(l_m.item())
 

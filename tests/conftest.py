@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from mapnav.train_eval import shards
 from mapnav.worldsim import generate_floorplan, generate_episode
+
+
+@pytest.fixture(autouse=True)
+def _stop_the_shard_worker():
+    """Training's shard worker is forked with the monkeypatches of the test
+    that started it; stop it after each test, so that none outlives its test."""
+    yield
+    shards.close()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from mapnav.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mapnav.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WORKER, main
 from mapnav.config import RunConfig
 
 
@@ -76,6 +76,36 @@ def test_train_outputs(workdir):
     curve = (workdir["run"] / "loss_curve.csv").read_text().splitlines()
     assert curve[0] == "step,loss,loss_wp,loss_m"
     assert len(curve) == 1 + 6  # header + train_steps rows
+
+
+def test_killed_shard_worker_exits_4_and_the_next_step_forks_another(workdir, tmp_path,
+                                                                     monkeypatch, capsys):
+    """A shard worker killed between two steps fails the run with a
+    WorkerError naming its exit status, at once; the next run's first step
+    forks a new worker."""
+    import signal
+    import time
+    from mapnav.train_eval import shards, training
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    assemble, calls, killed = training.assemble_batch, [], []
+
+    def killing(records, sigma):
+        calls.append(len(records))
+        if len(calls) == 2:   # after the first step
+            killed.append(shards._SIDE.pid)
+            os.kill(killed[0], signal.SIGKILL)
+        return assemble(records, sigma)
+
+    args = ["train", "--config", str(workdir["config"]), "--data", str(workdir["data"])]
+    monkeypatch.setattr(training, "assemble_batch", killing)
+    t0 = time.monotonic()
+    assert main(args + ["--out", str(tmp_path / "killed")]) == EXIT_WORKER
+    assert time.monotonic() - t0 < 30
+    assert len(calls) == 2 and shards._SIDE is None
+    assert f"(pid {killed[0]}) died with exit status -9 (signal 9)" in capsys.readouterr().err
+    monkeypatch.setattr(training, "assemble_batch", assemble)
+    assert main(args + ["--out", str(tmp_path / "again")]) == EXIT_OK
+    assert shards._SIDE.pid != killed[0]
 
 
 def test_train_missing_data(workdir, tmp_path):
@@ -367,4 +397,25 @@ def test_ablate_rejects_bad_arguments(workdir, tmp_path, capsys, argv):
 
 
 def test_exit_code_constants():
-    assert (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC) == (0, 2, 3)
+    assert (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_WORKER) == (0, 2, 3, 4)
+
+
+def test_the_cli_runs_one_blas_thread_unless_told_otherwise():
+    """Run before numpy loads, ``main`` sets each BLAS thread-count variable
+    the caller left unset to 1, and keeps one the caller set."""
+    import subprocess
+    import sys
+    import mapnav
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapnav.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in mapnav.BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=src, OMP_NUM_THREADS="3")
+    code = ("import os, sys\n"
+            "from mapnav.cli import EXIT_USAGE, main\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert main(['train', '--data', 'none', '--out', 'none']) == EXIT_USAGE\n"
+            "print(*(os.environ[k] for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',"
+            " 'MKL_NUM_THREADS')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "3", "1"]

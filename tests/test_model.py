@@ -501,6 +501,30 @@ def test_load_rejects_mismatched_config(mini, tmp_path):
             CM2Model.load(path)
 
 
+def test_load_builds_no_second_model(mini, tmp_path, monkeypatch):
+    """``load`` checks the names and shapes against an init that draws
+    nothing: it makes no rng, and at its peak it holds the checkpoint's
+    weights once, not beside a second, randomly initialised copy (2.1x)."""
+    import tracemalloc
+    path = tmp_path / "model.ckpt"
+    mini.save(path)
+    weights = sum(p.data.nbytes for p in mini.params.values())
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load made an rng")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    tracemalloc.start()
+    try:
+        clone = CM2Model.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * weights, peak / weights
+    for name, p in mini.params.items():
+        assert clone.params[name].data.tobytes() == p.data.tobytes(), name
+
+
 # ------------------------------------------------------ instruction encoding
 def test_batched_instruction_encoding_equals_single_encodings(mini):
     """Encoding a (B,M) token batch gives, byte for byte, the B encodings of

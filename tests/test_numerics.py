@@ -382,7 +382,6 @@ def test_conv2d_input_gradient_skips_an_input_without_grad(rng, monkeypatch):
     """The input gradient is one correlation whose output channels are those
     of the inputs that require a gradient, and only those."""
     from mapnav.numerics import ops
-    _cpus(monkeypatch, 1)   # one image block, so one correlation per pass
     rows = []
     correlate = ops._correlate_rows
 
@@ -461,7 +460,6 @@ def test_pooled_conv2d_tape_holds_its_output_and_a_sign_mask(rng):
     x = P(rng, 4, 16, 32, 32)
     w, b = P(rng, 16, 16, 3, 3), P(rng, 16)
     unpooled = 4 * 16 * 32 * 32
-    nm.conv2d(x, w, b, padding=1, pool=2)   # the image threads' pool is built here, not counted
     for slope, mask in ((0.01, unpooled), (None, 0)):
         out, held = held_by(lambda: nm.conv2d(x, w, b, padding=1, slope=slope, pool=2))
         assert out.requires_grad and out.shape == (4, 16, 16, 16)
@@ -477,8 +475,7 @@ def test_no_grad_pooled_conv2d_builds_no_sign_mask(rng, monkeypatch):
     """Under no_grad a pooled conv with a slope builds no sign mask, not even
     for a moment: when it hands its output to ``make_op`` it holds what the
     same conv without a slope holds, and its peak is the unpooled conv's
-    (whose largest transient is the LeakyReLU's ``slope * data``). The convs
-    run inline, below ``MIN_IMAGE_MACS``, so the peaks are deterministic."""
+    (whose largest transient is the LeakyReLU's ``slope * data``)."""
     x = nm.Tensor(rng.normal(size=(4, 8, 32, 32)))
     w, b = nm.Tensor(rng.normal(size=(16, 8, 3, 3))), nm.Tensor(rng.normal(size=16))
     mask = 4 * 16 * 32 * 32    # one bool per unpooled element
@@ -615,156 +612,6 @@ def test_upconv2d_tape_holds_no_upsampled_input(rng):
         # would add 4x, a zero-padded low-res copy of the input about 1.13x
         # and a pre-activation 4x
         assert held <= out.data.nbytes + 0.25 * x.data.nbytes, (slope, held / x.data.nbytes)
-
-
-# B=5 is odd and exceeds the CPU count, so the image blocks differ in size
-_SPLIT_CASES = [("conv2d", (5, 3, 6, 6), None, (4, 3, 3, 3), {"padding": 1, "slope": 0.01}),
-                ("conv2d", (5, 3, 6, 6), 2, (4, 5, 3, 3), {"padding": 1, "slope": 0.01}),
-                ("conv2d", (5, 3, 6, 6), None, (4, 3, 3, 3), {"padding": 1, "slope": 0.01,
-                                                              "pool": 2}),
-                ("upconv2d", (5, 3, 4, 5), None, (4, 3, 3, 3), {"slope": 0.01})]
-
-
-def _conv_run(op, x, cat, w, b, g, kw):
-    """The output of ``op`` on copies of the arrays, and the grads of x,
-    cat, w and b after a backward of ``g``."""
-    ts = [None if a is None else nm.Tensor(a.copy(), requires_grad=True) for a in (x, cat, w, b)]
-    out = op(ts[0], ts[2], ts[3], **kw, **({} if cat is None else {"cat": ts[1]}))
-    nm.tsum(nm.mul(out, nm.Tensor(g))).backward()
-    return [out.data] + [None if t is None else t.grad for t in ts]
-
-
-def _split_case(rng, name, xs, cc, ws, kw):
-    op = getattr(nm, name)
-    x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
-    cat = None if cc is None else rng.normal(size=(xs[0], cc) + xs[2:])
-    with nm.no_grad():
-        shape = op(nm.Tensor(x), nm.Tensor(w), **kw,
-                   **({} if cat is None else {"cat": nm.Tensor(cat)})).shape
-    return op, x, cat, w, b, rng.normal(size=shape)
-
-
-def _cpus(monkeypatch, n):
-    """``n`` usable CPUs, and image blocks for any work per image."""
-    from mapnav.numerics import parallel
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
-    monkeypatch.setattr(parallel, "MIN_IMAGE_MACS", 0)
-
-
-def test_conv_threads_equal_per_image_calls(rng, monkeypatch):
-    """Split over two threads, a batch gives the per-image calls' outputs
-    and input grads stacked, byte for byte, and the bias grad is one sum of
-    the whole batch's pre-activation grad. conv2d's kernel grad is the
-    running sum of the per-image ones in image order; upconv2d folds its
-    summed grad through a GEMM, whose sums per image would round otherwise,
-    so the running sum is checked on the parts that it sums."""
-    from mapnav.numerics import ops, parallel
-    _cpus(monkeypatch, 2)
-    for name, xs, cc, ws, kw in _SPLIT_CASES:
-        op, x, cat, w, b, g = _split_case(rng, name, xs, cc, ws, kw)
-        batch = _conv_run(op, x, cat, w, b, g, kw)
-        images = [_conv_run(op, x[i:i + 1], None if cat is None else cat[i:i + 1], w, b,
-                            g[i:i + 1], kw) for i in range(xs[0])]
-        for k in (0, 1, 2):   # the output, the x and cat grads
-            if batch[k] is not None:
-                stacked = np.concatenate([im[k] for im in images])
-                assert batch[k].tobytes() == stacked.tobytes(), (name, cc, kw, k)
-        if name == "conv2d":
-            gw = np.zeros(ws)
-            for im in images:
-                gw += im[3]
-            assert batch[3].tobytes() == gw.tobytes(), (name, cc, kw)
-        if "pool" not in kw:   # the bias grad is one sum over the whole batch
-            pre = g * np.where(batch[0] > 0, 1.0, kw["slope"])
-            assert batch[4].tobytes() == pre.sum(axis=(0, 2, 3)).tobytes(), (name, cc, kw)
-    b, c, wp, n, co = 5, 3, 7, 35, 4
-    src, g = rng.normal(size=(b, c, n + 2 * wp + 2)), rng.normal(size=(b, co, n))
-    rows = np.zeros((3, co, 3 * c))
-    ops._add_in_image_order(rows, parallel.over_images(b, lambda lo, hi: ops._kernel_grad_part(
-        lo, src[lo:hi], g[lo:hi], 3, 3, wp, rows), 0))
-    running = np.zeros_like(rows)
-    for i in range(b):
-        one = np.zeros_like(rows)
-        ops._kernel_grad_rows(src[i:i + 1], g[i:i + 1], 3, 3, wp, one)
-        running += one
-    assert rows.tobytes() == running.tobytes()
-
-
-def test_conv_outputs_do_not_depend_on_the_cpu_count(rng, monkeypatch):
-    """One, three or two image blocks give the same output and grads, byte
-    for byte, also with a fresh pool of two threads beside the calling one
-    and the interpreter switching threads as often as it can."""
-    import sys
-    from mapnav.numerics import parallel
-    monkeypatch.setattr(parallel, "_POOL", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for name, xs, cc, ws, kw in _SPLIT_CASES:
-            case = _split_case(rng, name, xs, cc, ws, kw)
-            runs = []
-            for cpus in (1, 3, 2):
-                _cpus(monkeypatch, cpus)
-                runs.append(_conv_run(*case, kw))
-            for k, arrays in enumerate(zip(*runs)):
-                if arrays[0] is not None:
-                    assert all(a.tobytes() == arrays[0].tobytes() for a in arrays), \
-                        (name, cc, kw, k)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_one_image_one_cpu_or_little_work_starts_no_thread(rng, monkeypatch):
-    """A conv runs inline, without asking for the thread pool, on one image,
-    on one CPU, or below ``MIN_IMAGE_MACS`` multiply-adds per image."""
-    from mapnav.numerics import parallel
-    pool, asked = parallel._pool, []
-    monkeypatch.setattr(parallel, "_pool", lambda workers: asked.append(workers) or pool(workers))
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    for name, xs, cc, ws, kw in _SPLIT_CASES:   # below 10k multiply-adds per image
-        _conv_run(*_split_case(rng, name, xs, cc, ws, kw), kw)
-    assert asked == []
-    kw = {"padding": 1}   # 9 * 32 * 32 * 24 * 26 = 5.75M multiply-adds per image
-    _conv_run(*_split_case(rng, "conv2d", (2, 32, 24, 24), None, (32, 32, 3, 3), kw), kw)
-    assert asked and set(asked) == {1}   # one thread beside the calling one
-    split = len(asked)
-    _cpus(monkeypatch, 2)
-    for name, xs, cc, ws, kw in _SPLIT_CASES:
-        _conv_run(*_split_case(rng, name, (1,) + xs[1:], cc, ws, kw), kw)
-    _cpus(monkeypatch, 1)
-    for name, xs, cc, ws, kw in _SPLIT_CASES:
-        _conv_run(*_split_case(rng, name, xs, cc, ws, kw), kw)
-    assert len(asked) == split
-
-
-def _conv_in_child(conn, case, kw):
-    conn.send([None if a is None else a.tobytes() for a in _conv_run(*case, kw)])
-    conn.close()
-
-
-def test_forked_child_builds_its_own_threads(rng, monkeypatch):
-    """A child forked after the parent's threads ran a conv gets the same
-    bytes from a B=4 conv, and exits, rather than waiting on threads it
-    does not have."""
-    import multiprocessing
-    _cpus(monkeypatch, 2)
-    kw = {"padding": 1, "slope": 0.01}
-    case = _split_case(rng, "conv2d", (4, 3, 6, 6), None, (4, 3, 3, 3), kw)
-    want = [None if a is None else a.tobytes() for a in _conv_run(*case, kw)]
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_conv_in_child, args=(send, case, kw))
-    child.start()
-    send.close()
-    try:
-        assert recv.poll(60), "the forked child sent nothing"
-        assert recv.recv() == want
-        child.join(60)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join()
 
 
 def test_avg_pool2d_matches_block_means(rng):

@@ -608,27 +608,39 @@ def test_rollout_runs_per_episode_work_once(plan, episode, monkeypatch):
 
 
 def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
+    """One forward encodes its batch once; in grad mode each of the two
+    batch shards, here both in this process, encodes its half once."""
     import collections
 
     import mapnav.model.cm2 as cm2
     from mapnav.model import CM2Model
+    from mapnav.train_eval import shards
     calls = collections.Counter()
     _counting(monkeypatch, calls, cm2, "encode_instruction", lambda *a: ("encoder", a[0].shape))
     _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: ("text", a[2]))
     config = tiny_config()
     model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
-    batch_loss(model, assemble_batch(train_records[:4], config.sigma), config)
-    assert calls == {("encoder", (4, len(train_records[0].tokens))): 1,
-                     ("text", "attn_o."): 1, ("text", "attn_s."): 1}
+    batch = assemble_batch(train_records[:4], config.sigma)
+    m = len(train_records[0].tokens)
+    with nm.no_grad():
+        batch_loss(model, batch, config)
+    assert calls == {("encoder", (4, m)): 1, ("text", "attn_o."): 1, ("text", "attn_s."): 1}
+    calls.clear()
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+    batch_loss(model, batch, config)
+    assert calls == {("encoder", (2, m)): 2, ("text", "attn_o."): 2, ("text", "attn_s."): 2}
 
 
 def test_ground_truth_map_batch_encodes_only_the_path_block(train_records, monkeypatch):
     """In mode cm2-gt no map head runs, so a batch's encoding runs only the
-    path block's text branch and holds no occupancy block."""
+    path block's text branch and holds no occupancy block; so does each of
+    the two batch shards', here both in this process."""
     import collections
 
     import mapnav.model.cm2 as cm2
     from mapnav.model import CM2Model
+    from mapnav.train_eval import shards
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
     calls = collections.Counter()
     _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: a[2])
     config = tiny_config(mode="cm2-gt")
@@ -642,6 +654,6 @@ def test_ground_truth_map_batch_encodes_only_the_path_block(train_records, monke
 
     monkeypatch.setattr(model, "encode_instruction", recording)
     batch_loss(model, assemble_batch(train_records[:4], config.sigma), config)
-    assert calls == {"attn_s.": 1}
-    (enc,) = encodings
+    assert calls == {"attn_s.": 2}
+    (enc,) = encodings   # the first shard's; the second shard's model is another
     assert set(enc.kv) == {"attn_s."}
