@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import BLAS_THREAD_VARS
-from .errors import MapnavError, NumericError, UsageError, WorkerError
+from .errors import ConfigError, MapnavError, NumericError, UsageError, WorkerError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -19,12 +19,20 @@ EXIT_WORKER = 4
 
 
 def _load_config(path):
+    """The run config of ``--config`` (defaults without it), with its seed
+    taken from CM2_SEED when that is set."""
+    from dataclasses import replace
     from .config import RunConfig
-    if path is None:
-        return RunConfig().validate()
-    if not os.path.exists(path):
+    if path is not None and not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    return RunConfig.load(path)
+    config = RunConfig().validate() if path is None else RunConfig.load(path)
+    env = os.environ.get("CM2_SEED")
+    if env is None:
+        return config
+    try:
+        return replace(config, seed=int(env))
+    except ValueError as e:
+        raise ConfigError(f"CM2_SEED must be an integer, got {env!r}") from e
 
 
 def _load_model(args, config):
@@ -86,19 +94,16 @@ def cmd_gen_data(args) -> int:
     for name in ("train", "seen", "unseen"):
         save_episodes(os.path.join(out, f"{name}_episodes.jsonl"),
                       [ep for _, ep in splits[name]])
-    records = build_dataset(splits["train"], config.samples_per_episode,
-                            config.k, config.ego_size, config.seed,
-                            num_rays=config.num_rays, max_range=config.max_range,
-                            p_noise=config.p_noise)
-    save_records(os.path.join(out, "train_records.bin"), records)
-    eval_records = build_dataset(splits["unseen"], config.samples_per_episode,
-                                 config.k, config.ego_size, config.seed + 1,
-                                 num_rays=config.num_rays, max_range=config.max_range,
-                                 p_noise=config.p_noise)
-    save_records(os.path.join(out, "unseen_records.bin"), eval_records)
+    written = {}
+    for name, seed in (("train", config.seed), ("unseen", config.seed + 1)):
+        records = build_dataset(splits[name], config.samples_per_episode, config.k,
+                                config.ego_size, seed, num_rays=config.num_rays,
+                                max_range=config.max_range, p_noise=config.p_noise)
+        save_records(os.path.join(out, f"{name}_records.bin"), records)
+        written[name] = len(records)
     config.save(os.path.join(out, "config.json"))
     os.remove(tmp_marker)
-    print(f"wrote {len(records)} training records, "
+    print(f"wrote {written['train']} training records, "
           f"{sum(len(v) for v in splits.values())} episodes to {out}")
     return EXIT_OK
 

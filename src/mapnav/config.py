@@ -1,10 +1,10 @@
 """Single experiment configuration: every tunable with its default, JSON
-round-trip, validation, and the CM2_SEED environment override."""
+round-trip and validation. The ``mapnav`` CLI applies the CM2_SEED
+environment override to the config it loads."""
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -58,14 +58,6 @@ class RunConfig:
     success_radius: float = 1.0   # metrics only; desk scale (3.0 paper-comparable)
     unknown_cost: float = 2.0     # planner cost of an unknown cell (>= 1)
     eval_episodes: int = 50
-
-    def __post_init__(self):
-        env = os.environ.get("CM2_SEED")
-        if env is not None:
-            try:
-                self.seed = int(env)
-            except ValueError as e:
-                raise ConfigError(f"CM2_SEED must be an integer, got {env!r}") from e
 
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:

@@ -62,20 +62,13 @@ def evaluate_checkpoint(base: RunConfig, name: str, seed: int, ckpt,
 
 def run_suite(base: RunConfig, checkpoints: dict, eval_pairs, eval_records,
               out_dir, seeds=(0, 1, 2), tau_checkpoint=None) -> list[dict]:
-    """Evaluate all variants plus the tau sweep; writes ablations.csv and a
-    readable ablations.txt into ``out_dir``. Missing checkpoints are
-    reported and skipped."""
+    """Evaluate every checkpoint (``checkpoints``: name -> seed -> path, as
+    ``train_variants`` returns) plus the tau sweep on ``tau_checkpoint``;
+    writes ablations.csv and a readable ablations.txt into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    rows: list[dict] = []
-    for name in checkpoints:
-        for seed in seeds:
-            ckpt = checkpoints.get(name, {}).get(seed)
-            if ckpt is None or not os.path.exists(ckpt):
-                rows.append({"variant": name, "seed": seed, "missing": True})
-                continue
-            rows.append(evaluate_checkpoint(base, name, seed, ckpt,
-                                            eval_pairs, eval_records))
-    if tau_checkpoint is not None and os.path.exists(tau_checkpoint):
+    rows = [evaluate_checkpoint(base, name, seed, ckpt, eval_pairs, eval_records)
+            for name, by_seed in checkpoints.items() for seed, ckpt in by_seed.items()]
+    if tau_checkpoint is not None:
         for tau in TAU_SWEEP:
             rows.append(evaluate_checkpoint(base, f"tau-{tau}", seeds[0],
                                             tau_checkpoint, eval_pairs,
@@ -93,22 +86,17 @@ def write_report(rows: list[dict], out_dir):
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed"] + list(METRIC_COLUMNS))
         for r in rows:
-            if r.get("missing"):
-                writer.writerow([r["variant"], r["seed"]] + ["absent"] * len(METRIC_COLUMNS))
-            else:
-                writer.writerow([r["variant"], r["seed"]]
-                                + [f"{r.get(c, float('nan')):.3f}" for c in METRIC_COLUMNS])
+            writer.writerow([r["variant"], r["seed"]]
+                            + [f"{r.get(c, float('nan')):.3f}" for c in METRIC_COLUMNS])
     txt_path = os.path.join(out_dir, "ablations.txt")
     with open(txt_path, "w") as fh:
         fh.write(format_table(rows) + "\n")
 
 
 def summarize(rows: list[dict]) -> dict:
-    """variant -> column -> (mean, std) over seeds, skipping absent runs."""
+    """variant -> column -> (mean, std) over seeds."""
     out: dict = {}
     for r in rows:
-        if r.get("missing"):
-            continue
         out.setdefault(r["variant"], []).append(r)
     summary = {}
     for name, rs in out.items():
@@ -122,7 +110,6 @@ def summarize(rows: list[dict]) -> dict:
 
 def format_table(rows: list[dict]) -> str:
     summary = summarize(rows)
-    missing = sorted({(r["variant"], r["seed"]) for r in rows if r.get("missing")})
     header = f"{'variant':<14}" + "".join(f"{c:>16}" for c in METRIC_COLUMNS)
     lines = [header, "-" * len(header)]
     for name, cols in summary.items():
@@ -134,6 +121,4 @@ def format_table(rows: list[dict]) -> str:
             else:
                 cells.append(" " * 15)
         lines.append(f"{name:<14}" + "".join(f"{cell:>16}" for cell in cells))
-    for name, seed in missing:
-        lines.append(f"{name:<14}  seed {seed}: checkpoint absent")
     return "\n".join(lines)

@@ -35,6 +35,7 @@ from ..worldsim.episodes import generate_episode
 from ..worldsim.floorplan import generate_floorplan
 
 MAGIC = b"CM2DATA1"
+_HEADER = struct.Struct("<IHHH")   # count, ego size s, k, tokens per record
 HEADING_JITTER = np.deg2rad(30.0)
 HISTORY_SPACING = 0.5      # meters between simulated sensor poses on the path
 
@@ -66,9 +67,8 @@ def _path_heading(path: np.ndarray, arcs: np.ndarray, s: float) -> float:
 
 
 def build_episode_records(plan, episode, samples_per_episode: int, k: int,
-                          ego_size: int, rng: np.random.Generator,
-                          num_rays: int = 64, max_range: float = 4.8,
-                          p_noise: float = 0.0) -> list[TrainingRecord]:
+                          ego_size: int, rng: np.random.Generator, *, num_rays: int,
+                          max_range: float, p_noise: float) -> list[TrainingRecord]:
     """Sample poses along the ground-truth path and snapshot the accumulated
     sensor map at each, walking the path once in order (see the module
     docstring)."""
@@ -127,9 +127,11 @@ def episode_rng(seed: int, episode) -> np.random.Generator:
 
 
 def build_dataset(plans_episodes, samples_per_episode: int, k: int,
-                  ego_size: int, seed: int, num_rays: int = 64,
-                  max_range: float = 4.8, p_noise: float = 0.0) -> list[TrainingRecord]:
-    """``plans_episodes``: iterable of (Floorplan, Episode) pairs."""
+                  ego_size: int, seed: int, *, num_rays: int, max_range: float,
+                  p_noise: float) -> list[TrainingRecord]:
+    """``plans_episodes``: iterable of (Floorplan, Episode) pairs. The
+    sensing settings are the run config's ``num_rays``, ``max_range`` and
+    ``p_noise``."""
     records = []
     for plan, episode in plans_episodes:
         rng = episode_rng(seed, episode)
@@ -182,10 +184,21 @@ def generate_splits(config) -> dict[str, list]:
     }
 
 
+def _record_dtype(s: int, k: int, m: int) -> np.dtype:
+    """One record as stored: packed little-endian fields, ``s``x``s`` label
+    maps, ``k`` waypoints and ``m`` tokens."""
+    return np.dtype([("episode_id", "<u4"), ("t", "<u2"), ("pose", "<f8", (3,)),
+                     ("tokens", "<u2", (m,)), ("occ_labels", "u1", (s, s)),
+                     ("chi_labels", "u1", (s, s)), ("sem_labels", "u1", (s, s)),
+                     ("waypoints_ego", "<f8", (k, 2)), ("traversed", "u1", (k,))])
+
+
 def save_records(path, records: list[TrainingRecord]):
-    """Write records that share the first record's ego size and ``k``."""
-    s = records[0].occ_labels.shape[0] if records else 0
-    k = len(records[0].waypoints_ego) if records else 0
+    """Write ``MAGIC``, the header (count, s, k, tokens per record) and one
+    fixed-size row per record. Records share the first record's ego size
+    and ``k``."""
+    s, k, m = ((records[0].occ_labels.shape[0], len(records[0].waypoints_ego), MAX_TOKENS)
+               if records else (0, 0, 0))
     for r in records:
         if not (0 <= r.episode_id < 2**32 and 0 <= r.t < 2**16):
             raise UsageError(f"{path}: record (episode {r.episode_id}, t {r.t}) does not fit "
@@ -196,56 +209,35 @@ def save_records(path, records: list[TrainingRecord]):
             raise UsageError(f"{path}: record (episode {r.episode_id}, t {r.t}) has field "
                              f"shapes {shapes}; the file holds {MAX_TOKENS} tokens, "
                              f"{s}x{s} label maps and k={k} waypoints, as its first record")
+    rows = np.empty(len(records), _record_dtype(s, k, m))
+    for f in rows.dtype.names if records else ():  # each names a TrainingRecord field
+        rows[f] = [(r.pose.x, r.pose.y, r.pose.theta) if f == "pose" else getattr(r, f)
+                   for r in records]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        if not records:
-            fh.write(struct.pack("<IHHH", 0, 0, 0, 0))
-            return
-        fh.write(struct.pack("<IHHH", len(records), s, k, MAX_TOKENS))
-        for r in records:
-            fh.write(struct.pack("<IH", r.episode_id, r.t))
-            fh.write(struct.pack("<3d", r.pose.x, r.pose.y, r.pose.theta))
-            fh.write(np.asarray(r.tokens, dtype="<u2").tobytes())
-            fh.write(r.occ_labels.astype(np.uint8).tobytes())
-            fh.write(r.chi_labels.astype(np.uint8).tobytes())
-            fh.write(r.sem_labels.astype(np.uint8).tobytes())
-            fh.write(r.waypoints_ego.astype("<f8").tobytes())
-            fh.write(r.traversed.astype(np.uint8).tobytes())
+        fh.write(MAGIC + _HEADER.pack(len(records), s, k, m))
+        fh.write(rows.tobytes())
 
 
 def load_records(path) -> list[TrainingRecord]:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != MAGIC:
+    if data[:len(MAGIC)] != MAGIC:
         raise UsageError(f"{path}: not a training-record file")
-    try:  # a field or array that runs past the end raises here
-        off = 8
-        count, s, k, m = struct.unpack_from("<IHHH", data, off)
-        off += 10
-        records = []
-        for _ in range(count):
-            episode_id, t = struct.unpack_from("<IH", data, off)
-            off += 6
-            x, y, theta = struct.unpack_from("<3d", data, off)
-            off += 24
-            tokens = np.frombuffer(data, "<u2", m, off).astype(np.int64)
-            off += 2 * m
-            occ = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-            off += s * s
-            chi = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-            off += s * s
-            sem = np.frombuffer(data, np.uint8, s * s, off).reshape(s, s).copy()
-            off += s * s
-            wps = np.frombuffer(data, "<f8", k * 2, off).reshape(k, 2).copy()
-            off += 16 * k
-            xi = np.frombuffer(data, np.uint8, k, off).copy()
-            off += k
-            records.append(TrainingRecord(
-                episode_id=episode_id, t=t, pose=Pose(x, y, theta), tokens=tokens,
-                occ_labels=occ, chi_labels=chi, sem_labels=sem,
-                waypoints_ego=wps, traversed=xi))
-    except (struct.error, ValueError) as e:
-        raise UsageError(f"{path}: truncated or corrupt record file ({e})") from e
-    if off != len(data):
-        raise UsageError(f"{path}: corrupt record file ({len(data) - off} bytes after the end)")
-    return records
+    start = len(MAGIC) + _HEADER.size
+    if len(data) < start:
+        raise UsageError(f"{path}: truncated or corrupt record file "
+                         f"({len(data)} bytes, shorter than its header)")
+    count, s, k, m = _HEADER.unpack_from(data, len(MAGIC))
+    dtype = _record_dtype(s, k, m)
+    end = start + count * dtype.itemsize
+    if len(data) < end:
+        raise UsageError(f"{path}: truncated or corrupt record file ({len(data)} bytes; "
+                         f"its header gives {count} records of {dtype.itemsize} bytes)")
+    if len(data) > end:
+        raise UsageError(f"{path}: corrupt record file ({len(data) - end} bytes after the end)")
+    rows = np.frombuffer(data, dtype, count, start)
+    fields = {f: rows[f].copy() for f in dtype.names}
+    fields.update(episode_id=rows["episode_id"].tolist(), t=rows["t"].tolist(),
+                  pose=[Pose(*p) for p in rows["pose"].tolist()],
+                  tokens=rows["tokens"].astype(np.int64))
+    return [TrainingRecord(**{f: c[i] for f, c in fields.items()}) for i in range(count)]

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from .. import BLAS_THREAD_VARS as _BLAS_THREAD_VARS
+from .. import BLAS_THREAD_VARS
 from .. import numerics as nm
 from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
@@ -82,8 +82,8 @@ def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
     BLAS: each runs one episode at a time, so BLAS threads in it would only
     compete with the other processes for the same CPUs. The caller's
     environment is restored on exit."""
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         with multiprocessing.get_context("spawn").Pool(
                 max(1, min(usable_cpus(), n_episodes)), initializer=_init_worker,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
+from sensing import sensing
 from mapnav import numerics as nm
 from mapnav.cli import EXIT_OK, main
 from mapnav.config import RunConfig
@@ -181,7 +182,7 @@ def test_gradcheck_full_losses_within_time_budget():
                     episodes_per_floorplan=1, samples_per_episode=2,
                     seed=0).validate()
     pairs = generate_split(cfg, range(cfg.num_floorplans), 0, cfg.episodes_per_floorplan)
-    records = build_dataset(pairs, 2, cfg.k, cfg.ego_size, 0)[:2]
+    records = build_dataset(pairs, 2, cfg.k, cfg.ego_size, 0, **sensing(cfg))[:2]
     batch = assemble_batch(records, cfg.sigma)
     model = CM2Model(cfg.model_config(), rng=np.random.default_rng(0))
     rng = np.random.default_rng(3)
@@ -250,7 +251,7 @@ def test_heatmap_codec_on_dataset_waypoints():
                     seed=0).validate()
     pairs = generate_split(cfg, range(cfg.num_floorplans), 0, cfg.episodes_per_floorplan)
     records = build_dataset(pairs, cfg.samples_per_episode, cfg.k,
-                            cfg.ego_size, cfg.seed)
+                            cfg.ego_size, cfg.seed, **sensing(cfg))
     total = hits = 0
     for rec in records:
         hm, vis = make_gt_heatmaps(rec.waypoints_ego, 24, 24, sigma=1.0)

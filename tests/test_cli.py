@@ -151,15 +151,16 @@ def test_eval_worker_pool_equals_serial_eval(workdir):
 def test_eval_pool_runs_single_threaded_blas(monkeypatch):
     """Pool processes start with one BLAS thread; the caller's environment
     is as it was, whether a variable was set or not."""
+    from mapnav import BLAS_THREAD_VARS
     from mapnav.model import CM2Model
-    from mapnav.train_eval.evaluate import _BLAS_THREAD_VARS, _episode_pool
+    from mapnav.train_eval.evaluate import _episode_pool
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     before = dict(os.environ)
     config = tiny_config()
     model = CM2Model(config.model_config())
     with _episode_pool(model, config, 2) as pool:
-        seen = pool.map(os.getenv, _BLAS_THREAD_VARS * 2)
+        seen = pool.map(os.getenv, BLAS_THREAD_VARS * 2)
     assert seen == ["1"] * len(seen)
     assert dict(os.environ) == before
 
@@ -323,9 +324,24 @@ def test_config_round_trip(tmp_path):
     assert RunConfig.load(path) == cfg
 
 
-def test_config_seed_env_override(tmp_path, monkeypatch):
+def test_config_seed_env_override(tmp_path, monkeypatch, capsys):
+    """The CLI applies CM2_SEED to the config it loads, with or without
+    ``--config``; a RunConfig itself reads no environment."""
+    from mapnav.cli import _load_config
+    path = tmp_path / "c.json"
+    tiny_config(seed=3).save(path)
     monkeypatch.setenv("CM2_SEED", "77")
-    assert RunConfig().seed == 77
+    assert RunConfig().seed == 0
+    assert _load_config(None).seed == 77
+    assert _load_config(str(path)) == dataclasses.replace(tiny_config(), seed=77)
+    out = tmp_path / "data"
+    small = tiny_config(num_floorplans=1, episodes_per_floorplan=1, eval_episodes=1)
+    small.save(path)
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert RunConfig.load(out / "config.json") == dataclasses.replace(small, seed=77)
+    monkeypatch.setenv("CM2_SEED", "seven")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "CM2_SEED must be an integer, got 'seven'" in capsys.readouterr().err
 
 
 def test_config_rejects_invalid():

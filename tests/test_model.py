@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
+from sensing import sensing
 import mapnav.numerics as nm
 from mapnav.errors import ConfigError, UsageError
 from mapnav.language import MAX_TOKENS, tokenize
@@ -212,7 +213,8 @@ def test_traversed_prefix_monotone(plan, episode):
     """The traversal labels of training records: per record a prefix of
     ones, growing along the path, from the first waypoint alone at the start
     to all of them at the goal."""
-    records = build_episode_records(plan, episode, 5, 10, 24, np.random.default_rng(0))
+    records = build_episode_records(plan, episode, 5, 10, 24, np.random.default_rng(0),
+                                    **sensing())
     flags = np.stack([r.traversed for r in records]).astype(np.int64)
     assert np.all(np.diff(flags, axis=1) <= 0)
     assert np.all(np.diff(flags.sum(axis=1)) >= 0)

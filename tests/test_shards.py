@@ -10,6 +10,7 @@ import pytest
 
 import mapnav
 from gradcheck import grad_check
+from sensing import sensing
 from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import UsageError
@@ -31,7 +32,7 @@ def small_config(**over):
 @pytest.fixture(scope="module")
 def records(plan):
     eps = [generate_episode(plan, s, episode_id=s) for s in range(2)]
-    return build_dataset([(plan, ep) for ep in eps], 4, 5, 24, seed=1)
+    return build_dataset([(plan, ep) for ep in eps], 4, 5, 24, seed=1, **sensing())
 
 
 def _cpus(monkeypatch, n):
@@ -81,7 +82,8 @@ def test_joined_outputs_equal_one_forward_at_the_default_config(plan):
     those of its two halves joined, byte for byte."""
     config = RunConfig().validate()
     eps = [generate_episode(plan, s, episode_id=s) for s in range(2)]
-    recs = build_dataset([(plan, ep) for ep in eps], 4, config.k, config.ego_size, seed=1)
+    recs = build_dataset([(plan, ep) for ep in eps], 4, config.k, config.ego_size, seed=1,
+                         **sensing(config))
     occ, chi, sem, _, _, p0, _, tokens = assemble_batch(recs[:8], config.sigma)
     model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
     inputs = (occ, chi, sem, p0, tokens)
@@ -212,9 +214,11 @@ def test_a_process_that_exits_leaves_no_worker_running():
         "from mapnav.worldsim import generate_episode, generate_floorplan\n"
         "shards.usable_cpus = lambda: 2\n"
         "plan = generate_floorplan(3)\n"
-        "recs = build_dataset([(plan, generate_episode(plan, 0, episode_id=0))], 4, 5, 24, 1)\n"
         "cfg = RunConfig(ego_size=24, d=16, k=5, unet_base=8, unet_depth=3,\n"
         "                n_instr_layers=1, batch_size=4).validate()\n"
+        "recs = build_dataset([(plan, generate_episode(plan, 0, episode_id=0))], 4, 5, 24, 1,\n"
+        "                     num_rays=cfg.num_rays, max_range=cfg.max_range,\n"
+        "                     p_noise=cfg.p_noise)\n"
         "model = CM2Model(cfg.model_config())\n"
         "pids = []\n"
         "for _ in range(2):\n"

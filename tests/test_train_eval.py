@@ -1,14 +1,17 @@
 import math
 import os
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sensing import sensing
 from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import NumericError, UsageError
+from mapnav.language import MAX_TOKENS
 from mapnav.mapping import (FREE, OCC, OCC_THRESHOLD, UNK, crop_ego_occupancy,
                             crop_ego_semantic, new_global_occupancy, sense, update_global,
                             world_to_ego)
@@ -18,11 +21,12 @@ from mapnav.train_eval import (
     METRIC_COLUMNS, TAU_SWEEP, VARIANTS, NavMetrics, aggregate_nav,
     assemble_batch, batch_loss, build_dataset, build_episode_records,
     compute_map_metrics, compute_pcw, episode_metrics, evaluate_map_quality,
-    format_table, generate_split, generate_splits, load_records, run_suite, save_records,
+    format_table, generate_split, generate_splits, load_records, save_records,
     summarize, train, variant_config, write_report,
 )
 from mapnav.train_eval.dataset import (
-    HEADING_JITTER, HISTORY_SPACING, TrainingRecord, _path_heading, _path_point, episode_rng,
+    HEADING_JITTER, HISTORY_SPACING, MAGIC, TrainingRecord, _path_heading, _path_point,
+    episode_rng,
 )
 from mapnav.worldsim import (
     FLOOR, NUM_CLASSES, WALL, Floorplan, Pose, generate_episode, generate_floorplan,
@@ -55,7 +59,7 @@ def fake_episode(goal, length):
 @pytest.fixture(scope="module")
 def records(plan, episode):
     rng = np.random.default_rng(0)
-    return build_episode_records(plan, episode, 6, 5, 24, rng)
+    return build_episode_records(plan, episode, 6, 5, 24, rng, **sensing())
 
 
 def test_record_supervision_invariants(records):
@@ -115,7 +119,7 @@ def test_model_one_hots_of_batch_equal_per_record_expansion():
     pairs = generate_split(RunConfig(), range(20, 23), 0, 2)
     for p_noise in (0.0, 0.3):
         for ego in (24, 48):
-            records = build_dataset(pairs, 4, 5, ego, seed=7, p_noise=p_noise)
+            records = build_dataset(pairs, 4, 5, ego, seed=7, **sensing(p_noise=p_noise))
             occ, chi, sem, hm, vis, p0, xi, _ = assemble_batch(records, sigma=1.0)
             assert len(np.unique(occ)) == 3 and len(np.unique(chi)) > 3
             got = (one_hot(occ, 3), one_hot(chi, NUM_CLASSES), one_hot(sem, NUM_CLASSES),
@@ -128,8 +132,8 @@ def test_model_one_hots_of_batch_equal_per_record_expansion():
 
 
 def test_dataset_deterministic_and_serializable(plan, episode, tmp_path):
-    a = build_dataset([(plan, episode)], 3, 5, 24, seed=7)
-    b = build_dataset([(plan, episode)], 3, 5, 24, seed=7)
+    a = build_dataset([(plan, episode)], 3, 5, 24, seed=7, **sensing())
+    b = build_dataset([(plan, episode)], 3, 5, 24, seed=7, **sensing())
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
     save_records(pa, a)
     save_records(pb, b)
@@ -151,18 +155,67 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_truncated_or_corrupt_files(records, tmp_path):
+    """A one-record file cut at every byte, and one with bytes after its end."""
     good = tmp_path / "r.bin"
-    save_records(good, records[:2])
+    save_records(good, records[:1])
     blob = good.read_bytes()
     bad = tmp_path / "bad.bin"
-    # inside the header, the first record's pose, its label maps, the last byte
-    for cut in (12, 30, 100, len(blob) // 2, len(blob) - 1):
+    for cut in range(len(blob)):
         bad.write_bytes(blob[:cut])
-        with pytest.raises(UsageError, match="truncated or corrupt"):
+        want = "truncated or corrupt" if cut >= len(MAGIC) else "not a training-record file"
+        with pytest.raises(UsageError, match=want):
             load_records(bad)
     bad.write_bytes(blob + b"\x00" * 3)
     with pytest.raises(UsageError, match="3 bytes after the end"):
         load_records(bad)
+
+
+def save_records_reference(path, records):
+    """The record format written field by field with ``struct``: ``MAGIC``,
+    the header (count, ego size s, k, tokens per record), then per record
+    episode id, t, pose, tokens, the three s x s label maps, the k waypoints
+    and the k traversal flags, packed little-endian."""
+    s = records[0].occ_labels.shape[0] if records else 0
+    k = len(records[0].waypoints_ego) if records else 0
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        if not records:
+            fh.write(struct.pack("<IHHH", 0, 0, 0, 0))
+            return
+        fh.write(struct.pack("<IHHH", len(records), s, k, MAX_TOKENS))
+        for r in records:
+            fh.write(struct.pack("<IH", r.episode_id, r.t))
+            fh.write(struct.pack("<3d", r.pose.x, r.pose.y, r.pose.theta))
+            fh.write(np.asarray(r.tokens, dtype="<u2").tobytes())
+            fh.write(r.occ_labels.astype(np.uint8).tobytes())
+            fh.write(r.chi_labels.astype(np.uint8).tobytes())
+            fh.write(r.sem_labels.astype(np.uint8).tobytes())
+            fh.write(r.waypoints_ego.astype("<f8").tobytes())
+            fh.write(r.traversed.astype(np.uint8).tobytes())
+
+
+@pytest.mark.parametrize("ego, k", [(24, 5), (48, 10), (None, None)],
+                         ids=["ego24-k5", "ego48-k10", "empty"])
+def test_saved_records_equal_the_reference_writer_and_load_back(plan, tmp_path, ego, k):
+    recs = []
+    if ego is not None:
+        eps = [generate_episode(plan, s, episode_id=42949 * 100000 + s) for s in range(2)]
+        recs = build_dataset([(plan, ep) for ep in eps], 3, k, ego, seed=7,
+                             **sensing(p_noise=0.3))
+    got, want = tmp_path / "got.bin", tmp_path / "want.bin"
+    save_records(got, recs)
+    save_records_reference(want, recs)
+    assert got.read_bytes() == want.read_bytes()
+    loaded = load_records(got)
+    assert len(loaded) == len(recs)
+    dtypes = {"tokens": np.int64, "occ_labels": np.uint8, "chi_labels": np.uint8,
+              "sem_labels": np.uint8, "waypoints_ego": np.float64, "traversed": np.uint8}
+    for x, y in zip(loaded, recs):
+        assert (x.episode_id, x.t, x.pose) == (y.episode_id, y.t, y.pose)
+        for name, dtype in dtypes.items():
+            a, b = getattr(x, name), getattr(y, name)
+            assert a.dtype == dtype and a.flags.writeable, name
+            assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 def test_save_rejects_fields_the_format_cannot_hold(records, tmp_path):
@@ -180,7 +233,8 @@ def test_save_rejects_fields_the_format_cannot_hold(records, tmp_path):
 def test_save_rejects_records_of_another_shape(plan, episode, records, tmp_path):
     """A record file holds the ego size and k of its first record; a record
     of another shape is refused before anything is written."""
-    ego_48 = build_episode_records(plan, episode, 1, 5, 48, np.random.default_rng(0))[0]
+    ego_48 = build_episode_records(plan, episode, 1, 5, 48, np.random.default_rng(0),
+                                   **sensing())[0]
     k_3 = replace(records[1], waypoints_ego=records[1].waypoints_ego[:3],
                   traversed=records[1].traversed[:3])
     for i, rec in enumerate((ego_48, k_3)):
@@ -191,7 +245,7 @@ def test_save_rejects_records_of_another_shape(plan, episode, records, tmp_path)
 
 
 def build_episode_records_reference(plan, episode, samples_per_episode, k, ego_size, rng,
-                                    num_rays=64, max_range=4.8, p_noise=0.0):
+                                    num_rays, max_range, p_noise):
     """The per-pose record builder: one ``sense`` per sensor pose, one pair
     of crops per sample."""
     path = np.asarray(episode.gt_path)
@@ -238,9 +292,10 @@ def test_records_equal_per_pose_reference(tmp_path):
                 got, want = [], []
                 for plan, ep in pairs:
                     got += build_episode_records(plan, ep, samples, 5, ego, episode_rng(7, ep),
-                                                 p_noise=p_noise)
+                                                 **sensing(p_noise=p_noise))
                     want += build_episode_records_reference(plan, ep, samples, 5, ego,
-                                                            episode_rng(7, ep), p_noise=p_noise)
+                                                            episode_rng(7, ep),
+                                                            **sensing(p_noise=p_noise))
                 save_records(got_path, got)
                 save_records(want_path, want)
                 assert got_path.read_bytes() == want_path.read_bytes(), (p_noise, ego, samples)
@@ -261,7 +316,7 @@ def test_record_maps_hold_no_false_walls(monkeypatch):
     assert len(pairs) == 9
     occupied = 0
     for plan, ep in pairs:
-        build_episode_records(plan, ep, 10, 5, 48, episode_rng(0, ep))
+        build_episode_records(plan, ep, 10, 5, 48, episode_rng(0, ep), **sensing())
         gmap, traversable = maps[-1], plan.traversable_mask()
         assert not (gmap[traversable] > OCC_THRESHOLD).any(), ep.episode_id
         assert not (gmap[~traversable] < -OCC_THRESHOLD).any(), ep.episode_id
@@ -383,7 +438,7 @@ def test_pcw_cases():
 @pytest.fixture(scope="module")
 def train_records(plan):
     eps = [generate_episode(plan, s, episode_id=s) for s in range(2)]
-    return build_dataset([(plan, ep) for ep in eps], 4, 5, 24, seed=1)
+    return build_dataset([(plan, ep) for ep in eps], 4, 5, 24, seed=1, **sensing())
 
 
 def test_training_deterministic(train_records, tmp_path):
@@ -452,17 +507,20 @@ def test_variant_config_overrides():
     assert TAU_SWEEP == (0.5, 1.0, 1.5)
 
 
-def test_run_suite_reports_missing_checkpoints(tmp_path):
+def test_each_variant_run_keeps_its_seed_under_cm2_seed(monkeypatch, tmp_path):
+    """CM2_SEED is the CLI's, applied once to the config it loads; a variant
+    config and every run that ``train_variants`` starts carry their own seed."""
+    import mapnav.train_eval.ablations as ablations_mod
+    monkeypatch.setenv("CM2_SEED", "5")
     base = tiny_config()
-    checkpoints = {name: {0: str(tmp_path / "nope.ckpt")} for name in VARIANTS}
-    rows = run_suite(base, checkpoints, [], [], tmp_path, seeds=(0,))
-    assert all(r.get("missing") for r in rows)
-    assert len(rows) == len(VARIANTS)
-    text = (tmp_path / "ablations.txt").read_text()
-    for name in VARIANTS:
-        assert name in text
-    csv_text = (tmp_path / "ablations.csv").read_text()
-    assert "absent" in csv_text
+    assert [variant_config(base, "full", s).seed for s in (5, 6, 7)] == [5, 6, 7]
+    trained = []
+    monkeypatch.setattr(ablations_mod, "train",
+                        lambda cfg, records, out: trained.append((cfg.seed, os.path.basename(out))))
+    paths = ablations_mod.train_variants(base, [], tmp_path, seeds=(5, 6, 7),
+                                         names=("full", "no-p0"))
+    assert trained == [(s, f"{n}-s{s}") for n in ("full", "no-p0") for s in (5, 6, 7)]
+    assert list(paths["no-p0"]) == [5, 6, 7]
 
 
 def test_summarize_and_table():
@@ -471,13 +529,12 @@ def test_summarize_and_table():
         row = {"variant": "full", "seed": seed}
         row.update({c: sr for c in METRIC_COLUMNS})
         rows.append(row)
-    rows.append({"variant": "no-p0", "seed": 0, "missing": True})
     summary = summarize(rows)
     mean, std = summary["full"]["SR"]
     assert mean == pytest.approx(60.0)
     assert std == pytest.approx(np.std([50.0, 60.0, 70.0]))
     table = format_table(rows)
-    assert "full" in table and "checkpoint absent" in table
+    assert "full" in table and "60.00" in table
 
 
 def test_write_report_columns(tmp_path):
