@@ -60,7 +60,7 @@ def _load_model(args, config):
     return model, config
 
 
-def _load_pairs(path, world_size=64):
+def _load_pairs(path, world_size: int):
     """Episodes JSONL -> (Floorplan, Episode) pairs, regenerating worlds
     from their recorded seeds."""
     from .worldsim.episodes import load_episodes

@@ -1,6 +1,8 @@
-"""Single experiment configuration: every tunable with its default, JSON
-round-trip and validation. The ``mapnav`` CLI applies the CM2_SEED
-environment override to the config it loads."""
+"""Single experiment configuration: every run setting with its default, JSON
+round-trip and validation. This is the one home of those defaults: the
+library functions take the settings they read as arguments, without
+defaults of their own. The ``mapnav`` CLI applies the CM2_SEED environment
+override to the config it loads."""
 from __future__ import annotations
 
 import dataclasses
@@ -62,8 +64,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.ego_size % 8 != 0 or self.ego_size <= 0:
-            raise ConfigError(f"ego_size must be a positive multiple of 8, got {self.ego_size}")
         if self.world_size <= 0:
             raise ConfigError(f"world_size must be positive, got {self.world_size}")
         if not self.max_range > 0:

@@ -110,8 +110,7 @@ def _forward_blocked(gmap: np.ndarray, pose: Pose) -> bool:
     return gmap[r, c] > OCC_THRESHOLD
 
 
-def plan_local(gmap: np.ndarray, pose: Pose, goal_xy,
-               unknown_cost: float = 2.0) -> str:
+def plan_local(gmap: np.ndarray, pose: Pose, goal_xy, unknown_cost: float) -> str:
     """One action toward a world-frame goal using A* on the global map.
 
     The first path cell at least 0.3 m away serves as the carrot; the agent

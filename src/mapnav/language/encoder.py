@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics as nm
-from .vocab import PAD_ID, VOCAB_SIZE
+from .vocab import PAD_ID
+
+PREFIX = "instr."   # the encoder's parameter-name prefix
 
 
 def positional_encoding(length: int, d: int) -> np.ndarray:
@@ -20,34 +22,33 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
     return enc
 
 
-def init_instruction_params(rng: np.random.Generator, d: int,
-                            vocab_size: int = VOCAB_SIZE, n_layers: int = 2,
-                            prefix: str = "instr.") -> dict[str, nm.Tensor]:
+def init_instruction_params(rng: np.random.Generator, d: int, vocab_size: int,
+                            n_layers: int) -> dict[str, nm.Tensor]:
     from ..model.attention import init_self_attention  # mapnav.model imports this module
 
     p = {}
-    p[prefix + "embed"] = nm.Tensor(rng.normal(0.0, 0.02, size=(vocab_size, d)),
+    p[PREFIX + "embed"] = nm.Tensor(rng.normal(0.0, 0.02, size=(vocab_size, d)),
                                     requires_grad=True)
     for l in range(n_layers):
-        p.update(init_self_attention(rng, d, f"{prefix}l{l}."))
-    p[prefix + "final.w"] = nm.glorot_uniform(rng, (d, d), d, d)
-    p[prefix + "final.b"] = nm.zeros_param((d,))
+        p.update(init_self_attention(rng, d, f"{PREFIX}l{l}."))
+    p[PREFIX + "final.w"] = nm.glorot_uniform(rng, (d, d), d, d)
+    p[PREFIX + "final.b"] = nm.zeros_param((d,))
     return p
 
 
 def encode_instruction(tokens, params: dict[str, nm.Tensor], d: int,
-                       n_layers: int = 2, prefix: str = "instr.") -> nm.Tensor:
+                       n_layers: int) -> nm.Tensor:
     """Token ids (..., M) -> instruction features X of shape (..., M, d);
     leading axes are a batch."""
     from ..model.attention import apply_self_attention  # mapnav.model imports this module
 
     ids = np.asarray(tokens, dtype=np.int64)
-    table = params[prefix + "embed"]
+    table = params[PREFIX + "embed"]
     real = pad_mask(ids)
     x = nm.add(nm.embedding_lookup(table, ids), nm.Tensor(positional_encoding(ids.shape[-1], d)))
     for l in range(n_layers):
-        x = apply_self_attention(x, params, f"{prefix}l{l}.", key_mask=real)
-    x = nm.linear(x, params[prefix + "final.w"], params[prefix + "final.b"])
+        x = apply_self_attention(x, params, f"{PREFIX}l{l}.", key_mask=real)
+    x = nm.linear(x, params[PREFIX + "final.w"], params[PREFIX + "final.b"])
     return nm.mul(x, nm.Tensor(real[..., None]))
 
 

@@ -30,7 +30,6 @@ from .worldsim.agent import DepthScan, Pose, raycast
 from .worldsim.floorplan import CELL_SIZE, FLOOR, Floorplan, VOID
 
 OCC, FREE, UNK = 0, 1, 2
-DEFAULT_EGO_SIZE = 48
 
 LOGODDS_OCC = float(np.log(0.8 / 0.2))
 LOGODDS_FREE = float(np.log(0.3 / 0.7))
@@ -95,7 +94,7 @@ def _ray_samples(scans) -> tuple[np.ndarray, ...]:
     return frame, angles, ranges, classes, ray, j * step
 
 
-def ground_project(scans, size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
+def ground_project(scans, size: int) -> np.ndarray:
     """Project scans into single-frame ego semantic label maps.
 
     ``scans`` is one DepthScan, or a sequence of n scans projected together.
@@ -221,24 +220,24 @@ def _crop_values(grids: np.ndarray, poses, size: int, fill) -> np.ndarray:
     of their :class:`EgoCells`; ``fill`` where a center lies off the grid."""
     g = grids.shape[-1]
     cells = poses if isinstance(poses, EgoCells) else ego_cells(poses, size, g)
-    if cells.g != g:
-        raise UsageError(f"ego cells of a {cells.g}x{cells.g} grid cropped from a {g}x{g} one")
+    if (cells.g, cells.size) != (g, size):
+        raise UsageError(f"ego cells of {cells.size}x{cells.size} crops of a {cells.g}x{cells.g} "
+                         f"grid used for {size}x{size} crops of a {g}x{g} one")
     n = len(cells.flat)
     inside = cells.flat < g * g
     fi = np.broadcast_to(np.arange(n)[:, None], inside.shape)
     vals = np.full(inside.shape, fill, dtype=grids.dtype)
     vals[inside] = np.broadcast_to(grids, (n, g, g)).reshape(n, g * g)[fi[inside],
                                                                       cells.flat[inside]]
-    return vals.reshape(n, cells.size, cells.size)
+    return vals.reshape(n, size, size)
 
 
-def crop_ego_occupancy(gmap: np.ndarray, poses,
-                       size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
+def crop_ego_occupancy(gmap: np.ndarray, poses, size: int) -> np.ndarray:
     """Agent-centered, heading-up crop of the global log-odds map as a
     (size,size) uint8 ``OCC``/``FREE``/``UNK`` label map.
 
-    For a sequence of n poses, or their :class:`EgoCells` (whose size is
-    then the crops'), the crops come back as (n,size,size), and ``gmap`` is
+    For a sequence of n poses, or their :class:`EgoCells` (made for crops
+    of ``size``), the crops come back as (n,size,size), and ``gmap`` is
     either one (g,g) map or (n,g,g), one map per pose."""
     one = isinstance(poses, Pose)
     vals = _crop_values(gmap, [poses] if one else poses, size, 0.0)
@@ -248,8 +247,7 @@ def crop_ego_occupancy(gmap: np.ndarray, poses,
     return labels[0] if one else labels
 
 
-def crop_ego_semantic(plan: Floorplan, poses,
-                      size: int = DEFAULT_EGO_SIZE) -> np.ndarray:
+def crop_ego_semantic(plan: Floorplan, poses, size: int) -> np.ndarray:
     """Ground-truth semantic crop of the floorplan, a (size,size) uint8
     label map, or (n,size,size) for a sequence of n poses or their
     :class:`EgoCells`. Out-of-world cells are void."""

@@ -10,7 +10,7 @@ in, so repeated calls with identical inputs are bit-identical.
 from __future__ import annotations
 
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,17 +38,19 @@ def one_hot(labels, num: int) -> np.ndarray:
 
 @dataclass
 class ModelConfig:
-    ego_size: int = 48
-    d: int = 128
-    k: int = 10
+    """The network's shape and switches. The run settings among them have no
+    default here: :meth:`mapnav.config.RunConfig.model_config` fills them."""
+    ego_size: int
+    d: int
+    k: int
+    n_instr_layers: int
+    unet_base: int
+    unet_depth: int
+    sigma: float
+    use_map_attention: bool
+    use_start_heatmap: bool
     num_classes: int = NUM_CLASSES
     vocab_size: int = VOCAB_SIZE
-    n_instr_layers: int = 2
-    unet_base: int = 16
-    unet_depth: int = 4
-    sigma: float = 1.0
-    use_map_attention: bool = True
-    use_start_heatmap: bool = True
 
     @property
     def heatmap_size(self) -> int:
@@ -63,8 +65,9 @@ class ModelConfig:
         return self.token_grid**2
 
     def validate(self):
-        if self.ego_size % ENCODER_DOWNSAMPLE != 0:
-            raise ConfigError(f"ego_size {self.ego_size} must be divisible by {ENCODER_DOWNSAMPLE}")
+        if self.ego_size <= 0 or self.ego_size % ENCODER_DOWNSAMPLE != 0:
+            raise ConfigError(f"ego_size must be a positive multiple of {ENCODER_DOWNSAMPLE}, "
+                              f"got {self.ego_size}")
         if self.d < 8 or self.k < 2:
             raise ConfigError(f"invalid model dims d={self.d} k={self.k}")
         for name, low in (("unet_depth", 1), ("unet_base", 1), ("n_instr_layers", 0)):
@@ -74,12 +77,17 @@ class ModelConfig:
 
 def config_from_dict(cls, data: dict):
     """``cls(**data)`` for a config dataclass such as :class:`ModelConfig`,
-    raising ConfigError for a key it lacks or a value not of its field's
-    type. An int is taken, as a float, where a float is expected."""
+    raising ConfigError for a key it lacks, a field without a default that
+    ``data`` lacks, or a value not of its field's type. An int is taken, as
+    a float, where a float is expected."""
     types = typing.get_type_hints(cls)
     unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing config keys: {sorted(missing)}")
     for key, value in data.items():
         want = types[key]
         if (not isinstance(value, (int, float) if want is float else want)
@@ -152,12 +160,9 @@ class CM2Model:
                                     spatial=c.ego_size, bneck_extra=c.d)
         self.unet_f_spec = UNetSpec(in_ch=c.d + 1, out_ch=c.k, base=c.unet_base,
                                     depth=c.unet_depth, spatial=c.heatmap_size)
-        if params is not None:
-            self.params = params
-        else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            self.params = self._init_params(rng)
+        if params is None and rng is None:
+            raise UsageError("CM2Model needs an rng to initialise its parameters, or params")
+        self.params = params if params is not None else self._init_params(rng)
 
     def _init_params(self, rng) -> dict[str, nm.Tensor]:
         c = self.config

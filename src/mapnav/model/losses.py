@@ -10,7 +10,7 @@ from .cm2 import one_hot
 
 def loss_waypoint(pred_heatmaps: nm.Tensor, gt_heatmaps, visibility,
                   pred_traversed: nm.Tensor, gt_traversed,
-                  lambda_aux: float = 1.0) -> nm.Tensor:
+                  lambda_aux: float) -> nm.Tensor:
     """Visibility-masked squared heatmap error plus traversal BCE.
 
     Heatmap term: sum_i b_i * ||pred_i - gt_i||^2 (summed over cells).
@@ -38,6 +38,6 @@ def loss_map(pred_occ: nm.Tensor, pred_sem: nm.Tensor, gt_occ, gt_sem) -> nm.Ten
     return nm.add(occ, sem)
 
 
-def loss_total(l_wp: nm.Tensor, l_m: nm.Tensor,
-               lambda_wp: float = 1.0, lambda_m: float = 1.0) -> nm.Tensor:
+def loss_total(l_wp: nm.Tensor, l_m: nm.Tensor, lambda_wp: float,
+               lambda_m: float) -> nm.Tensor:
     return nm.add(nm.scale(l_wp, lambda_wp), nm.scale(l_m, lambda_m))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..worldsim.episodes import arc_lengths
 from ..worldsim.floorplan import CELL_SIZE
 
 HEATMAP_CELL = 2.0 * CELL_SIZE
@@ -21,8 +22,7 @@ def sample_waypoints(gt_path: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     pts = np.asarray(gt_path, dtype=np.float64)
     if len(pts) == 1:
         return np.repeat(pts, k, axis=0), np.zeros(k)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = arc_lengths(pts)
     targets = np.linspace(0.0, s[-1], k)
     out = np.empty((k, 2))
     out[:, 0] = np.interp(targets, s, pts[:, 0])
@@ -40,7 +40,7 @@ def heatmap_cell_to_ego(row: int, col: int, u: int, v: int) -> tuple[float, floa
 
 
 def make_gt_heatmaps(waypoints_ego: np.ndarray, u: int, v: int,
-                     sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                     sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian heatmap stack and visibility mask for ego-frame waypoints."""
     k = len(waypoints_ego)
     stack = np.zeros((k, u, v))

@@ -9,5 +9,5 @@ from .ops import (
     binary_cross_entropy, pixelwise_cross_entropy,
     glorot_uniform, zeros_param, ones_param,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam, adam_step
 from .checkpoint import save_checkpoint, load_checkpoint

@@ -36,7 +36,7 @@ def variant_config(base: RunConfig, name: str, seed: int, **extra) -> RunConfig:
     return cfg.validate()
 
 
-def train_variants(base: RunConfig, records, out_dir, seeds=(0, 1, 2),
+def train_variants(base: RunConfig, records, out_dir, seeds,
                    names=tuple(VARIANTS)) -> dict:
     """Train every (variant, seed) pair; returns name -> seed -> ckpt path."""
     paths: dict = {}
@@ -61,7 +61,7 @@ def evaluate_checkpoint(base: RunConfig, name: str, seed: int, ckpt,
 
 
 def run_suite(base: RunConfig, checkpoints: dict, eval_pairs, eval_records,
-              out_dir, seeds=(0, 1, 2), tau_checkpoint=None) -> list[dict]:
+              out_dir, seeds, tau_checkpoint=None) -> list[dict]:
     """Evaluate every checkpoint (``checkpoints``: name -> seed -> path, as
     ``train_variants`` returns) plus the tau sweep on ``tau_checkpoint``;
     writes ablations.csv and a readable ablations.txt into ``out_dir``."""

@@ -31,7 +31,7 @@ from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ego_cells, ground_
                        new_global_occupancy, update_global, world_to_ego)
 from ..model.supervision import sample_waypoints
 from ..worldsim.agent import Pose, raycast, wrap_angle
-from ..worldsim.episodes import generate_episode
+from ..worldsim.episodes import arc_lengths, generate_episode
 from ..worldsim.floorplan import generate_floorplan
 
 MAGIC = b"CM2DATA1"
@@ -73,8 +73,7 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
     sensor map at each, walking the path once in order (see the module
     docstring)."""
     path = np.asarray(episode.gt_path)
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    arcs = np.concatenate([[0.0], np.cumsum(seg)])
+    arcs = arc_lengths(path)
     total = arcs[-1]
     sample_arcs = np.linspace(0.0, total, samples_per_episode)
     wps, wp_arcs = sample_waypoints(path, k)
@@ -109,8 +108,8 @@ def build_episode_records(plan, episode, samples_per_episode: int, k: int,
         return []
     chi_labels = ground_project(sample_scans, ego_size)
     cells = ego_cells(sample_poses, ego_size, gmap.shape[0])
-    occ_labels = crop_ego_occupancy(np.stack(maps), cells)
-    sem_labels = crop_ego_semantic(plan, cells)
+    occ_labels = crop_ego_occupancy(np.stack(maps), cells, ego_size)
+    sem_labels = crop_ego_semantic(plan, cells, ego_size)
     return [TrainingRecord(
         episode_id=episode.episode_id, t=t, pose=pose,
         tokens=np.asarray(episode.tokens, dtype=np.int64),

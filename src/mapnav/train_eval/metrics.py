@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..worldsim.episodes import shortest_path
+from ..worldsim.episodes import polyline_length, shortest_path
 from ..errors import NoPathError
 from ..worldsim.floorplan import VOID
 
@@ -42,7 +42,7 @@ def episode_metrics(plan, episode, trajectory, stopped: bool,
                     success_radius: float) -> NavMetrics:
     """Metrics for one rollout; ``trajectory`` is the visited pose list."""
     xy = np.asarray([(p[0], p[1]) for p in trajectory], dtype=np.float64)
-    tl = float(np.sum(np.linalg.norm(np.diff(xy, axis=0), axis=1))) if len(xy) > 1 else 0.0
+    tl = polyline_length(xy)
     goal = np.asarray(episode.goal, dtype=np.float64)
     # one search per distinct position: a rollout revisits positions as it turns
     positions = [(x, y) for x, y in xy]

@@ -50,14 +50,14 @@ def batch_loss(model: CM2Model, batch, config: RunConfig):
     return total, float(l_wp.item()), float(l_m.item())
 
 
-def train(config: RunConfig, records: list[TrainingRecord], out_dir,
-          steps: int | None = None) -> tuple[CM2Model, list[dict]]:
-    """Train a model on the given records; writes checkpoint(s) and a loss
-    curve CSV into ``out_dir``. Returns (model, loss history)."""
+def train(config: RunConfig, records: list[TrainingRecord],
+          out_dir) -> tuple[CM2Model, list[dict]]:
+    """Train a model on the given records for ``config.train_steps`` steps;
+    writes checkpoint(s) and a loss curve CSV into ``out_dir``. Returns
+    (model, loss history)."""
     if not records:
         raise UsageError("training requires a non-empty dataset")
     config.validate()
-    steps = config.train_steps if steps is None else steps
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     model = CM2Model(config.model_config(), rng=rng)
@@ -69,7 +69,7 @@ def train(config: RunConfig, records: list[TrainingRecord], out_dir,
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss", "loss_wp", "loss_m"])
-        for step in range(steps):
+        for step in range(config.train_steps):
             idx = rng.integers(0, len(records), size=min(config.batch_size, len(records)))
             batch = assemble_batch([records[i] for i in idx], config.sigma)
             model.zero_grad()

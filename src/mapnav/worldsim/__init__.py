@@ -6,7 +6,7 @@ from .floorplan import (
 )
 from .agent import (
     Pose, DepthScan, step_agent, raycast, wrap_angle,
-    FORWARD_STEP, TURN_STEP, FOV, DEFAULT_NUM_RAYS, DEFAULT_MAX_RANGE, ACTIONS,
+    FORWARD_STEP, TURN_STEP, FOV, ACTIONS,
 )
 from .episodes import (
     Episode, shortest_path, astar_cells, generate_episode,

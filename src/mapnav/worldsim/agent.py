@@ -11,9 +11,6 @@ from .floorplan import CELL_SIZE, FLOOR, Floorplan, OBJECT_CLASS_IDS, pos_to_cel
 FORWARD_STEP = 0.25
 TURN_STEP = np.deg2rad(15.0)
 FOV = np.deg2rad(90.0)
-DEFAULT_NUM_RAYS = 64
-DEFAULT_MAX_RANGE = 4.8
-
 ACTIONS = ("forward", "left", "right")
 
 
@@ -116,8 +113,7 @@ def _trace_rays(plan: Floorplan, x: float, y: float, angles: np.ndarray,
     return ranges, classes
 
 
-def raycast(plan: Floorplan, pose: Pose, num_rays: int = DEFAULT_NUM_RAYS,
-            max_range: float = DEFAULT_MAX_RANGE, p_noise: float = 0.0,
+def raycast(plan: Floorplan, pose: Pose, *, num_rays: int, max_range: float, p_noise: float,
             rng: np.random.Generator | None = None) -> DepthScan:
     """Cast rays over a 90-degree FOV centered on the heading.
 

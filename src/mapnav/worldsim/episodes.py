@@ -43,17 +43,21 @@ def polyline_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
+def arc_lengths(points: np.ndarray) -> np.ndarray:
+    """(n,) arc length along a polyline of n points at each of its points."""
+    return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+
+
 def resample_polyline(points: np.ndarray, spacing: float = PATH_SPACING) -> np.ndarray:
     """Resample at uniform arc length <= spacing, keeping exact endpoints."""
     points = np.asarray(points, dtype=np.float64)
     if len(points) < 2:
         return points.copy()
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    total = seg.sum()
+    total = polyline_length(points)
     if total < 1e-12:
         return points[:1].copy()
     n = max(1, int(np.ceil(total / spacing)))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = arc_lengths(points)
     targets = np.linspace(0.0, total, n + 1)
     out = np.empty((n + 1, 2))
     out[:, 0] = np.interp(targets, s, points[:, 0])

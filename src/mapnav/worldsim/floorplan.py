@@ -36,6 +36,7 @@ ROOM_OBJECTS = {
 
 OBJECT_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 MIN_ROOM_SPAN = 5  # interior cells per side after a split
+MIN_OBJECTS, MAX_OBJECTS = 4, 16   # objects placed per floorplan
 
 
 @dataclass
@@ -172,21 +173,20 @@ def _split_rooms(rng: np.random.Generator, g: int, target: int) -> tuple[list[Ro
     return rooms, walls
 
 
-def _place_objects(rng: np.random.Generator, grid: np.ndarray, rooms: list[Room],
-                   min_objects: int, max_objects: int) -> int:
+def _place_objects(rng: np.random.Generator, grid: np.ndarray, rooms: list[Room]) -> int:
     placed = 0
     room_order = list(range(len(rooms)))
     rng.shuffle(room_order)
     # two passes: one quota per room, then top up until min count reached
     for attempt_round in range(3):
         for ri in room_order:
-            if placed >= max_objects:
+            if placed >= MAX_OBJECTS:
                 return placed
             rm = rooms[ri]
             quota = int(rng.integers(1, 3)) if attempt_round == 0 else 1
             names = ROOM_OBJECTS[rm.kind]
             for _ in range(quota):
-                if placed >= max_objects:
+                if placed >= MAX_OBJECTS:
                     break
                 cls = CLASS_ID[names[int(rng.integers(0, len(names)))]]
                 sh, sw = OBJECT_SHAPES[int(rng.integers(0, len(OBJECT_SHAPES)))]
@@ -201,13 +201,12 @@ def _place_objects(rng: np.random.Generator, grid: np.ndarray, rooms: list[Room]
                         placed += 1
                         break
                     grid[r : r + sh, c : c + sw] = FLOOR
-        if placed >= min_objects:
+        if placed >= MIN_OBJECTS:
             break
     return placed
 
 
-def generate_floorplan(seed: int, size: int = 64, min_objects: int = 4,
-                       max_objects: int = 16) -> Floorplan:
+def generate_floorplan(seed: int, size: int) -> Floorplan:
     """Deterministic floorplan for a seed; raises GenerationError after 100
     failed attempts to satisfy the connectivity/object-count invariants."""
     if size < 32:
@@ -230,8 +229,8 @@ def generate_floorplan(seed: int, size: int = 64, min_objects: int = 4,
             continue
         for rm in rooms:
             rm.kind = ROOM_TYPES[int(rng.integers(0, len(ROOM_TYPES)))]
-        placed = _place_objects(rng, grid, rooms, min_objects, max_objects)
-        if placed >= min_objects:
+        placed = _place_objects(rng, grid, rooms)
+        if placed >= MIN_OBJECTS:
             return Floorplan(grid=grid, rooms=rooms, seed=seed, n_objects=placed)
     raise GenerationError(f"floorplan generation failed for seed {seed}")
 

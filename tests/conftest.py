@@ -15,7 +15,7 @@ def _stop_the_shard_worker():
 
 @pytest.fixture(scope="session")
 def plan():
-    return generate_floorplan(3)
+    return generate_floorplan(3, 64)
 
 
 @pytest.fixture(scope="session")

@@ -299,13 +299,13 @@ def test_closed_loop_with_gt_maps_and_heatmaps():
     config = RunConfig()
     successes = runs = 0
     for fp_seed in range(10):
-        plan = generate_floorplan(fp_seed)
+        plan = generate_floorplan(fp_seed, 64)
         for s in range(10):
             ep = generate_episode(plan, s, episode_id=s)
 
             def predict(pose, gmap, occ_frame, sem_frame,
                         _wps=sample_waypoints(ep.gt_path, 10)[0]):
-                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24)[0]
+                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24, 1.0)[0]
 
             result = run_rollout(plan, ep, predict, config, use_gt_map=True)
             runs += 1
@@ -327,13 +327,13 @@ def test_closed_loop_with_sensed_maps_and_perfect_heatmaps():
     config = RunConfig()
     successes = runs = 0
     for fp_seed in range(10):
-        plan = generate_floorplan(fp_seed)
+        plan = generate_floorplan(fp_seed, 64)
         for s in range(10):
             ep = generate_episode(plan, s, episode_id=s)
 
             def predict(pose, gmap, occ_frame, sem_frame,
                         _wps=sample_waypoints(ep.gt_path, 10)[0]):
-                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24)[0]
+                return make_gt_heatmaps(world_to_ego(pose, _wps), 24, 24, 1.0)[0]
 
             result = run_rollout(plan, ep, predict, config, use_gt_map=False)
             runs += 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mapnav.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WORKER, main
@@ -158,7 +159,7 @@ def test_eval_pool_runs_single_threaded_blas(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     before = dict(os.environ)
     config = tiny_config()
-    model = CM2Model(config.model_config())
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
     with _episode_pool(model, config, 2) as pool:
         seen = pool.map(os.getenv, BLAS_THREAD_VARS * 2)
     assert seen == ["1"] * len(seen)
@@ -171,7 +172,7 @@ def test_eval_pool_has_one_process_per_usable_cpu(monkeypatch):
     from mapnav.model import CM2Model
     from mapnav.train_eval import evaluate
     config = tiny_config()
-    model = CM2Model(config.model_config())
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
     for cpus, episodes, size in ((1, 3, 1), (3, 2, 2)):
         monkeypatch.setattr(evaluate, "usable_cpus", lambda: cpus)
         with evaluate._episode_pool(model, config, episodes) as pool:
@@ -207,13 +208,15 @@ def test_eval_checkpoint_with_extra_tensor(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("bad, message", [({"bogus": 1}, "unknown config keys: ['bogus']"),
                                           ({"d": "16"}, "d must be int"),
-                                          ({"k": True}, "k must be int")],
-                         ids=["unknown-key", "str-for-int", "bool-for-int"])
+                                          ({"k": True}, "k must be int"),
+                                          ({"d": None}, "missing config keys: ['d']")],
+                         ids=["unknown-key", "str-for-int", "bool-for-int", "missing-key"])
 def test_eval_checkpoint_with_bad_model_config(workdir, tmp_path, capsys, bad, message):
     from mapnav.numerics import load_checkpoint, save_checkpoint
     params, cfg = load_checkpoint(workdir["run"] / "model.ckpt")
     ckpt = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, params, config=dict(cfg, **bad))
+    config = {k: v for k, v in dict(cfg, **bad).items() if v is not None}   # None drops a key
+    save_checkpoint(ckpt, params, config=config)
     assert main(["eval", "--config", str(workdir["config"]), "--ckpt", str(ckpt),
                  "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")]) == EXIT_USAGE
     assert message in capsys.readouterr().err
@@ -378,10 +381,53 @@ def test_model_config_carries_every_shared_field():
     shared = ({f.name for f in dataclasses.fields(RunConfig)}
               & {f.name for f in dataclasses.fields(ModelConfig)})
     assert set(changed) == shared
-    defaults = dataclasses.asdict(ModelConfig())
+    defaults = dataclasses.asdict(RunConfig().model_config())
     assert all(defaults[name] != value for name, value in changed.items())
     got = RunConfig(**changed).validate().model_config()
     assert dataclasses.asdict(got) == {**defaults, **changed}
+
+
+def test_run_settings_have_one_default():
+    """RunConfig holds the only default of every run setting: each library
+    function, and ModelConfig, that takes one requires it."""
+    import inspect
+    from mapnav import cli, controller, mapping
+    from mapnav.language import encoder
+    from mapnav.model import ModelConfig, losses, supervision
+    from mapnav.numerics import optim
+    from mapnav.train_eval import ablations, training
+    from mapnav.worldsim import agent, floorplan
+    required = {
+        agent.raycast: ("num_rays", "max_range", "p_noise"),
+        mapping.ground_project: ("size",),
+        mapping.crop_ego_occupancy: ("size",),
+        mapping.crop_ego_semantic: ("size",),
+        optim.Adam: ("lr",),
+        supervision.make_gt_heatmaps: ("sigma",),
+        losses.loss_waypoint: ("lambda_aux",),
+        losses.loss_total: ("lambda_wp", "lambda_m"),
+        controller.plan_local: ("unknown_cost",),
+        encoder.init_instruction_params: ("n_layers",),
+        encoder.encode_instruction: ("n_layers",),
+        floorplan.generate_floorplan: ("size",),
+        cli._load_pairs: ("world_size",),
+        ablations.train_variants: ("seeds",),
+        ablations.run_suite: ("seeds",),
+    }
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn.__qualname__, name)
+    assert "steps" not in inspect.signature(training.train).parameters
+    shared = ({f.name for f in dataclasses.fields(RunConfig)}
+              & {f.name for f in dataclasses.fields(ModelConfig)})
+    assert len(shared) == 9
+    for f in dataclasses.fields(ModelConfig):
+        if f.name in shared:
+            assert f.default is dataclasses.MISSING, f.name
+    for module, name in ((agent, "DEFAULT_NUM_RAYS"), (agent, "DEFAULT_MAX_RANGE"),
+                         (mapping, "DEFAULT_EGO_SIZE"), (optim, "AdamState")):
+        assert not hasattr(module, name), name
 
 
 @pytest.mark.parametrize("field, value", [("episodes_per_floorplan", 0),

@@ -27,7 +27,7 @@ def free_map(size=64):
 
 # ------------------------------------------------------------- heatmap mode
 def test_heatmap_mode_gaussian_round_trip():
-    hm, _ = make_gt_heatmaps(np.array([[1.2, 0.0]]), 24, 24)
+    hm, _ = make_gt_heatmaps(np.array([[1.2, 0.0]]), 24, 24, 1.0)
     f, r = heatmap_mode(hm[0])
     assert math.hypot(f - 1.2, r - 0.0) <= 0.4
 
@@ -102,12 +102,12 @@ def test_select_min_distance_skips_reached():
 def test_plan_forward_to_goal_ahead():
     gmap = free_map()
     pose = Pose(3.1, 3.1, 0.0)
-    assert plan_local(gmap, pose, (4.1, 3.1)) == "forward"
+    assert plan_local(gmap, pose, (4.1, 3.1), 2.0) == "forward"
 
 
 def test_plan_turns_when_goal_behind():
     gmap = free_map()
-    assert plan_local(gmap, Pose(3.1, 3.1, 0.0), (1.1, 3.1)) in ("left", "right")
+    assert plan_local(gmap, Pose(3.1, 3.1, 0.0), (1.1, 3.1), 2.0) in ("left", "right")
 
 
 def test_plan_turns_toward_side_opening():
@@ -116,7 +116,7 @@ def test_plan_turns_toward_side_opening():
     pose = Pose(3.1, 3.1, 0.0)
     wall_col = int(4.0 / CELL_SIZE)
     gmap[0:int(4.0 / CELL_SIZE), wall_col] = LOGODDS_CLAMP  # opening above (left)
-    action = plan_local(gmap, pose, (5.1, 3.1))
+    action = plan_local(gmap, pose, (5.1, 3.1), 2.0)
     assert action == "left"
 
 
@@ -125,7 +125,7 @@ def test_plan_failure_rotates():
     # goal cell sealed behind occupied ring
     gr, gc = pos_to_cell(9.1, 9.1)
     gmap[gr - 1:gr + 2, gc - 1:gc + 2] = LOGODDS_CLAMP
-    assert plan_local(gmap, Pose(3.1, 3.1, 0.0), (9.1, 9.1)) == "left"
+    assert plan_local(gmap, Pose(3.1, 3.1, 0.0), (9.1, 9.1), 2.0) == "left"
 
 
 def test_plan_never_forward_into_occupied(rng):
@@ -137,7 +137,7 @@ def test_plan_never_forward_into_occupied(rng):
         gmap[r, c] = -LOGODDS_CLAMP
         pose = Pose(*cell_center(r, c), float(rng.uniform(-np.pi, np.pi)))
         goal = cell_center(*rng.integers(1, 31, size=2))
-        action = plan_local(gmap, pose, goal)
+        action = plan_local(gmap, pose, goal, 2.0)
         if action == "forward":
             nx = pose.x + 0.25 * math.cos(pose.theta)
             ny = pose.y + 0.25 * math.sin(pose.theta)
@@ -249,7 +249,7 @@ def test_astar_paths_equal_scalar_reference(rng):
             cost = np.where(rng.random(shape) < 0.5, 1.0, 2.0)
             cost[rng.random(shape) < rng.uniform(0.0, 0.35)] = np.inf
             grids.append(cost)
-    plan = generate_floorplan(7)
+    plan = generate_floorplan(7, 64)
     grids.append(_cost_grid(gt_global_map(plan), 2.0))
     found = 0
     for cost in grids:
@@ -293,7 +293,7 @@ def gt_predictor(episode):
     wps = sample_waypoints(episode.gt_path, 10)[0]
 
     def predict(pose, gmap, occ_frame, sem_frame):
-        return make_gt_heatmaps(world_to_ego(pose, wps), 24, 24)[0]
+        return make_gt_heatmaps(world_to_ego(pose, wps), 24, 24, 1.0)[0]
     return predict
 
 
@@ -303,7 +303,7 @@ def test_rollout_soundness_gt_maps_and_heatmaps():
     successes = 0
     runs = 0
     for fp_seed in (0, 1, 2):
-        plan = generate_floorplan(fp_seed)
+        plan = generate_floorplan(fp_seed, 64)
         for s in range(4):
             ep = generate_episode(plan, s, episode_id=s)
             result = run_rollout(plan, ep, gt_predictor(ep), config,
@@ -318,7 +318,7 @@ def test_rollout_soundness_gt_maps_and_heatmaps():
 
 
 def test_rollout_trace_contract(tmp_path):
-    plan = generate_floorplan(1)
+    plan = generate_floorplan(1, 64)
     ep = generate_episode(plan, 0, episode_id=0)
     trace_path = tmp_path / "trace.jsonl"
     result = run_rollout(plan, ep, gt_predictor(ep), RunConfig(),
@@ -334,7 +334,7 @@ def test_rollout_trace_contract(tmp_path):
 
 
 def test_rollout_budget_exhaustion():
-    plan = generate_floorplan(1)
+    plan = generate_floorplan(1, 64)
     ep = generate_episode(plan, 0, episode_id=0)
 
     def never_stop(pose, gmap, occ_frame, sem_frame):
@@ -351,7 +351,7 @@ def test_rollout_senses_with_the_config_settings():
     """The rollout's sensor takes ego_size, num_rays, max_range and p_noise
     from the config: each frame the predictor gets equals one ``sense`` at
     those settings, drawing label noise from a twin of the rollout's rng."""
-    plan = generate_floorplan(1)
+    plan = generate_floorplan(1, 64)
     ep = generate_episode(plan, 0, episode_id=0)
     config = RunConfig(ego_size=24, num_rays=8, max_range=2.0, p_noise=0.3, budget=3)
     twin = np.random.default_rng(5)

@@ -111,7 +111,7 @@ def test_grammar_tokenize_round_trip():
     (grammar vocabulary is a subset of the tokenizer vocabulary)."""
     n = 0
     for fp_seed in range(10):
-        plan = generate_floorplan(fp_seed)
+        plan = generate_floorplan(fp_seed, 64)
         for s in range(20):
             ep = generate_episode(plan, s)
             rec = tokenize(ep.instruction_text)
@@ -124,11 +124,12 @@ def test_grammar_tokenize_round_trip():
 
 # ------------------------------------------------------------------- encoder
 D = 16
+LAYERS = 2
 
 
 @pytest.fixture(scope="module")
 def instr_params():
-    return init_instruction_params(np.random.default_rng(0), D)
+    return init_instruction_params(np.random.default_rng(0), D, VOCAB_SIZE, LAYERS)
 
 
 def toks(text):
@@ -169,30 +170,31 @@ def test_encoder_matches_numpy_reference(instr_params):
     raw = {k: np.asarray(v.data) for k, v in instr_params.items()}
     for text in ("walk straight then stop near the bed", "turn", "go " * 40):
         ids = toks(text)
-        x = encode_instruction(ids, instr_params, D)
-        np.testing.assert_allclose(x.data, np_encoder(ids, raw, D), rtol=0, atol=1e-12)
-    one = init_instruction_params(np.random.default_rng(1), D, n_layers=1)
+        x = encode_instruction(ids, instr_params, D, LAYERS)
+        np.testing.assert_allclose(x.data, np_encoder(ids, raw, D, n_layers=LAYERS),
+                                   rtol=0, atol=1e-12)
+    one = init_instruction_params(np.random.default_rng(1), D, VOCAB_SIZE, 1)
     raw = {k: np.asarray(v.data) for k, v in one.items()}
     ids = toks("turn left near the table")
-    x = encode_instruction(ids, one, D, n_layers=1)
+    x = encode_instruction(ids, one, D, 1)
     np.testing.assert_allclose(x.data, np_encoder(ids, raw, D, n_layers=1), rtol=0, atol=1e-12)
 
 
 def test_encoder_shape_and_determinism(instr_params):
-    x = encode_instruction(toks("walk straight then stop"), instr_params, D)
+    x = encode_instruction(toks("walk straight then stop"), instr_params, D, LAYERS)
     assert x.shape == (MAX_TOKENS, D)
-    y = encode_instruction(toks("walk straight then stop"), instr_params, D)
+    y = encode_instruction(toks("walk straight then stop"), instr_params, D, LAYERS)
     assert np.array_equal(np.asarray(x.data), np.asarray(y.data))
 
 
 def test_encoder_all_pad_is_zero(instr_params):
-    x = encode_instruction(np.zeros(MAX_TOKENS, dtype=np.int64), instr_params, D)
+    x = encode_instruction(np.zeros(MAX_TOKENS, dtype=np.int64), instr_params, D, LAYERS)
     assert np.all(np.asarray(x.data) == 0.0)
 
 
 def test_encoder_pad_rows_zero(instr_params):
     rec = tokenize("turn left near the table")
-    x = np.asarray(encode_instruction(np.asarray(rec.tokens), instr_params, D).data)
+    x = np.asarray(encode_instruction(np.asarray(rec.tokens), instr_params, D, LAYERS).data)
     assert np.all(x[rec.length:] == 0.0)
     assert np.any(x[:rec.length] != 0.0)
 
@@ -200,19 +202,19 @@ def test_encoder_pad_rows_zero(instr_params):
 def test_encoder_position_sensitivity(instr_params):
     a = toks("turn left then right")
     b = toks("turn right then left")
-    xa = np.asarray(encode_instruction(a, instr_params, D).data)
-    xb = np.asarray(encode_instruction(b, instr_params, D).data)
+    xa = np.asarray(encode_instruction(a, instr_params, D, LAYERS).data)
+    xb = np.asarray(encode_instruction(b, instr_params, D, LAYERS).data)
     assert not np.allclose(xa, xb)
 
 
 def test_encoder_pad_embedding_irrelevant(instr_params):
     ids = toks("walk to the sofa")
-    before = np.asarray(encode_instruction(ids, instr_params, D).data).copy()
+    before = np.asarray(encode_instruction(ids, instr_params, D, LAYERS).data).copy()
     embed = instr_params["instr.embed"]
     old = embed.data[PAD_ID].copy()
     embed.data[PAD_ID] = 123.0
     try:
-        after = np.asarray(encode_instruction(ids, instr_params, D).data)
+        after = np.asarray(encode_instruction(ids, instr_params, D, LAYERS).data)
     finally:
         embed.data[PAD_ID] = old
     n = tokenize("walk to the sofa").length
@@ -223,14 +225,14 @@ def test_encoder_rejects_out_of_vocab_id(instr_params):
     bad = np.zeros(MAX_TOKENS, dtype=np.int64)
     bad[0] = VOCAB_SIZE + 5
     with pytest.raises(UsageError):
-        encode_instruction(bad, instr_params, D)
+        encode_instruction(bad, instr_params, D, LAYERS)
 
 
 def test_encoder_gradcheck(instr_params):
     ids = toks("turn left near the bed then stop")
 
     def loss():
-        return nm.tsum(encode_instruction(ids, instr_params, D))
+        return nm.tsum(encode_instruction(ids, instr_params, D, LAYERS))
 
     report = grad_check(loss, instr_params, eps=1e-5, max_entries=4,
                         rng=np.random.default_rng(3))

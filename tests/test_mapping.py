@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sensing import sensing
 from mapnav.mapping import (
     FREE, OCC, UNK, LOGODDS_CLAMP, LOGODDS_FREE, LOGODDS_OCC, OCC_THRESHOLD,
     crop_ego_occupancy, crop_ego_semantic, ego_cells, ego_to_cell,
@@ -67,9 +68,9 @@ def test_ground_project_perpendicular_ray():
 
 
 def test_ground_project_behind_is_void():
-    plan = generate_floorplan(0)
+    plan = generate_floorplan(0, 64)
     pose = Pose(6.4, 6.4, 1.1)
-    sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
+    sem = ground_project(raycast(plan, pose, **sensing(p_noise=0.0)), size=48)
     assert np.all(sem[26:, :] == VOID)  # rows behind the agent untouched
 
 
@@ -80,9 +81,9 @@ def test_ground_project_no_hit_free_only():
 
 
 def test_ground_project_one_hot():
-    plan = generate_floorplan(1)
+    plan = generate_floorplan(1, 64)
     pose = Pose(6.4, 6.4, -0.4)
-    sem = ground_project(raycast(plan, pose, p_noise=0.0), size=48)
+    sem = ground_project(raycast(plan, pose, **sensing(p_noise=0.0)), size=48)
     assert sem.dtype == np.uint8 and sem.max() < NUM_CLASSES
     # the model's one-hot of the label map is one class per cell
     assert np.array_equal(one_hot(sem, NUM_CLASSES).sum(axis=0), np.ones((48, 48)))
@@ -118,7 +119,7 @@ def ground_project_reference(scan, size):
 def test_ground_project_matches_per_ray_oracle():
     """The one-pass projection equals the per-ray sweep byte for byte at ego
     24 and 48, on raycast scans and on scans with a zero range or no hit."""
-    plans = [generate_floorplan(s) for s in (0, 1)]
+    plans = [generate_floorplan(s, 64) for s in (0, 1)]
     rng = np.random.default_rng(5)
     angles = np.linspace(-np.pi / 4, np.pi / 4, 5)
     scans = [
@@ -150,7 +151,7 @@ def test_ground_project_stack_equals_per_scan_oracle():
     scans = [DepthScan(angles, np.array([0.0, 1.3, 0.0, 4.8, 0.05]),
                        np.array([WALL, 4, -1, -1, WALL]), 4.8)]
     for seed in (0, 1):
-        plan = generate_floorplan(seed)
+        plan = generate_floorplan(seed, 64)
         floor = np.argwhere(plan.traversable_mask())
         for i in range(12):
             pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
@@ -210,7 +211,7 @@ def test_update_global_stack_equals_per_frame_loop(plan):
         pose = Pose(*cell_center(*floor[rng.integers(len(floor))]),
                     float(rng.uniform(-np.pi, np.pi)))
         poses.append(pose)
-        scans.append(raycast(plan, pose, num_rays=(64, 17)[i % 2], p_noise=0.3,
+        scans.append(raycast(plan, pose, **sensing(num_rays=(64, 17)[i % 2], p_noise=0.3),
                              rng=np.random.default_rng(i)))
     # the same scan again and again drives its cells to the clamps; the
     # same rays cut short by hits, and then without hits, pull them back
@@ -243,7 +244,7 @@ def test_update_global_stack_equals_per_frame_loop(plan):
     assert math.floor((edge.x + 0.9 + 1e-6) / CELL_SIZE) == plan.size
     border = Pose(*cell_center(*floor[np.argmax(floor[:, 1])]), 0.0)
     poses.append(border)
-    scans.append(raycast(plan, border, num_rays=9))
+    scans.append(raycast(plan, border, **sensing(num_rays=9)))
     assert (scans[-1].classes >= 0).all()
     # no-hit rays, one of them leaving the grid
     poses += [poses[2], Pose(w - 0.3, 0.5 * w, 0.3)]
@@ -344,9 +345,9 @@ def test_crop_deterministic(plan):
     b = crop_ego_semantic(plan, pose, 48)
     assert np.array_equal(a, b)
     gmap = new_global_occupancy(64)
-    update_global(gmap, raycast(plan, pose, p_noise=0.0), pose)
-    assert np.array_equal(crop_ego_occupancy(gmap, pose),
-                          crop_ego_occupancy(gmap, pose))
+    update_global(gmap, raycast(plan, pose, **sensing(p_noise=0.0)), pose)
+    assert np.array_equal(crop_ego_occupancy(gmap, pose, 48),
+                          crop_ego_occupancy(gmap, pose, 48))
 
 
 def crop_occupancy_reference(gmap, pose, size):
@@ -387,7 +388,7 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
               Pose(0.5 * w, w, -np.pi), Pose(0.1, w - 0.1, 2.3), Pose(w, w, -0.7)]
     maps, gmap = [], new_global_occupancy(plan.size)
     for pose in poses[:8] * 2:
-        update_global(gmap, raycast(plan, pose), pose)
+        update_global(gmap, raycast(plan, pose, **sensing()), pose)
         maps.append(gmap.copy())
     maps = np.stack(maps[-len(poses):])
     for size in (24, 48):
@@ -396,9 +397,9 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
         sem = crop_ego_semantic(plan, poses, size)
         assert shared.shape == each.shape == sem.shape == (len(poses), size, size)
         cells = ego_cells(poses, size, plan.size)
-        assert crop_ego_occupancy(gmap, cells).tobytes() == shared.tobytes()
-        assert crop_ego_occupancy(maps, cells).tobytes() == each.tobytes()
-        assert crop_ego_semantic(plan, cells).tobytes() == sem.tobytes()
+        assert crop_ego_occupancy(gmap, cells, size).tobytes() == shared.tobytes()
+        assert crop_ego_occupancy(maps, cells, size).tobytes() == each.tobytes()
+        assert crop_ego_semantic(plan, cells, size).tobytes() == sem.tobytes()
         for i, pose in enumerate(poses):
             assert shared[i].tobytes() == crop_occupancy_reference(gmap, pose, size)[0].tobytes()
             assert each[i].tobytes() == crop_occupancy_reference(maps[i], pose, size)[0].tobytes()
@@ -408,7 +409,9 @@ def test_crops_of_many_poses_equal_per_pose_crops(plan):
     # border poses see void beyond the world
     assert (sem[8:] == VOID).any(axis=(1, 2)).all()
     with pytest.raises(UsageError):   # cells of another grid size
-        crop_ego_occupancy(new_global_occupancy(plan.size + 1), cells)
+        crop_ego_occupancy(new_global_occupancy(plan.size + 1), cells, 48)
+    with pytest.raises(UsageError):   # cells of another crop size
+        crop_ego_semantic(plan, cells, 24)
 
 
 def test_crop_out_of_world_is_void():
@@ -429,13 +432,13 @@ def test_round_trip_occupied_within_one_cell():
     rotated nearest-cell crop can skip a hit cell.)"""
     total, hits = 0, 0
     for seed in range(5):
-        plan = generate_floorplan(seed)
+        plan = generate_floorplan(seed, 64)
         floor = np.argwhere(plan.traversable_mask())
         for k in (7, len(floor) // 2, -9):
             pose = Pose(*cell_center(*floor[k]), 0.9 * seed - 1.0)
-            scan = raycast(plan, pose, p_noise=0.0)
+            scan = raycast(plan, pose, **sensing(p_noise=0.0))
             gmap = update_global(new_global_occupancy(64), scan, pose)
-            crop = crop_ego_occupancy(gmap, pose)
+            crop = crop_ego_occupancy(gmap, pose, 48)
             for i in np.flatnonzero(scan.classes >= 0):
                 t, a = scan.ranges[i], scan.angles[i]
                 world = [math.floor((pose.y + (t + 1e-6) * math.sin(pose.theta + a)) / CELL_SIZE),
@@ -458,7 +461,7 @@ def test_ground_project_agrees_with_gt_crop(plan):
     """Observed labels match the floorplan crop within one cell at zero noise."""
     floor = np.argwhere(plan.traversable_mask())
     pose = Pose(*cell_center(*floor[len(floor) // 3]), 0.4)
-    sem = ground_project(raycast(plan, pose, p_noise=0.0))
+    sem = ground_project(raycast(plan, pose, **sensing(p_noise=0.0)), 48)
     gt = crop_ego_semantic(plan, pose, 48)
     for r, c in np.argwhere((sem != VOID) & (sem != FLOOR)):
         assert np.any(neighborhood(gt, r, c) >= WALL)
@@ -469,7 +472,8 @@ def test_ground_project_agrees_with_gt_crop(plan):
 
 def test_sense_is_raycast_project_update(plan):
     pose = Pose(*cell_center(*np.argwhere(plan.traversable_mask())[30]), 1.1)
-    scan = raycast(plan, pose, 32, 4.0, p_noise=0.3, rng=np.random.default_rng(2))
+    scan = raycast(plan, pose, num_rays=32, max_range=4.0, p_noise=0.3,
+                   rng=np.random.default_rng(2))
     ref = update_global(new_global_occupancy(plan.grid.shape[0]), scan, pose)
     sem_ref = ground_project(scan, 24)
     gmap = new_global_occupancy(plan.grid.shape[0])

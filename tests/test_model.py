@@ -6,10 +6,11 @@ import pytest
 from gradcheck import grad_check
 from sensing import sensing
 import mapnav.numerics as nm
+from mapnav.config import RunConfig
 from mapnav.errors import ConfigError, UsageError
 from mapnav.language import MAX_TOKENS, tokenize
 from mapnav.model import (
-    CM2Model, HEATMAP_CELL, ModelConfig, cross_modal_attend,
+    CM2Model, HEATMAP_CELL, cross_modal_attend,
     ego_to_heatmap_cell, heatmap_cell_to_ego, init_cross_modal,
     loss_map, loss_total, loss_waypoint, make_gt_heatmaps, sample_waypoints,
     text_keys_values,
@@ -161,20 +162,20 @@ def test_text_branch_gradcheck_on_a_batch(attn_params):
 
 # ------------------------------------------------------------ heatmap codec
 def test_heatmap_center_peak():
-    hm, vis = make_gt_heatmaps(np.array([[0.0, 0.0]]), 24, 24)
+    hm, vis = make_gt_heatmaps(np.array([[0.0, 0.0]]), 24, 24, 1.0)
     assert vis[0]
     assert hm[0, 12, 12] == 1.0
     assert hm[0].max() == 1.0
 
 
 def test_heatmap_unit_offset_value():
-    hm, _ = make_gt_heatmaps(np.array([[0.0, 0.0]]), 24, 24)
+    hm, _ = make_gt_heatmaps(np.array([[0.0, 0.0]]), 24, 24, 1.0)
     assert abs(hm[0, 12, 13] - math.exp(-0.5)) < 1e-12
     assert abs(hm[0, 11, 12] - math.exp(-0.5)) < 1e-12
 
 
 def test_heatmap_off_map_zero():
-    hm, vis = make_gt_heatmaps(np.array([[30.0, 0.0]]), 24, 24)
+    hm, vis = make_gt_heatmaps(np.array([[30.0, 0.0]]), 24, 24, 1.0)
     assert not vis[0]
     assert np.all(hm[0] == 0.0)
 
@@ -192,7 +193,7 @@ def test_heatmap_codec_quantization(rng):
     ok = 0
     for _ in range(500):
         f, r = rng.uniform(-half, half, size=2)
-        hm, vis = make_gt_heatmaps(np.array([[f, r]]), 24, 24)
+        hm, vis = make_gt_heatmaps(np.array([[f, r]]), 24, 24, 1.0)
         assert vis[0]
         idx = np.argmax(hm[0])
         df, dr = heatmap_cell_to_ego(idx // 24, idx % 24, 24, 24)
@@ -225,8 +226,8 @@ def test_traversed_prefix_monotone(plan, episode):
 # -------------------------------------------------------------------- model
 @pytest.fixture(scope="module")
 def mini():
-    config = ModelConfig(ego_size=24, d=D, k=3, unet_base=8, unet_depth=3,
-                         n_instr_layers=1)
+    config = RunConfig(ego_size=24, d=D, k=3, unet_base=8, unet_depth=3,
+                       n_instr_layers=1).model_config()
     return CM2Model(config, rng=np.random.default_rng(0))
 
 
@@ -316,8 +317,8 @@ def test_model_rejects_bad_shapes(mini, mini_inputs):
 
 def test_no_map_attention_ignores_instruction(mini_inputs, monkeypatch):
     import mapnav.model.cm2 as cm2
-    config = ModelConfig(ego_size=24, d=D, k=3, unet_base=8, unet_depth=3,
-                         n_instr_layers=1, use_map_attention=False)
+    config = RunConfig(ego_size=24, d=D, k=3, unet_base=8, unet_depth=3,
+                       n_instr_layers=1, use_map_attention=False).model_config()
     model = CM2Model(config, rng=np.random.default_rng(0))
     occ, sem, instr, _ = mini_inputs
     other = [model.encode_instruction(np.asarray(tokenize("go to the tv").tokens))
@@ -361,11 +362,11 @@ def test_forward_chains_map_and_path_heads(mini, mini_inputs):
 
 # ------------------------------------------------------------------- losses
 def test_loss_waypoint_perfect():
-    gt, _ = make_gt_heatmaps(np.array([[0.0, 0.0], [1.0, 1.0]]), 12, 12)
+    gt, _ = make_gt_heatmaps(np.array([[0.0, 0.0], [1.0, 1.0]]), 12, 12, 1.0)
     eps = 1e-6
     pred = nm.Tensor(gt.copy())
     trav = nm.Tensor(np.array([1.0 - eps, eps]))
-    loss = loss_waypoint(pred, gt, np.ones(2), trav, np.array([1.0, 0.0]))
+    loss = loss_waypoint(pred, gt, np.ones(2), trav, np.array([1.0, 0.0]), lambda_aux=1.0)
     assert float(loss.data) <= 10 * -math.log(1 - eps) + 1e-9
 
 
@@ -425,7 +426,7 @@ def test_loss_total_gradient_linearity(mini, mini_inputs):
     gt_occ = occ
     gt_sem = sem
     gt_hm, vis = make_gt_heatmaps(np.array([[0.0, 0.0], [1.0, 0.4], [2.0, -1.0]]),
-                                  12, 12)
+                                  12, 12, 1.0)
     gt_hm = np.stack([gt_hm, gt_hm])
     vis = np.stack([vis, vis]).astype(float)
     trav_gt = np.ones((2, 3))
@@ -439,7 +440,7 @@ def test_loss_total_gradient_linearity(mini, mini_inputs):
                  for t in texts]
         occ_p, sem_p, _, _ = mini.predict_maps(occ, sem, instr)
         heat, trav, _, _ = mini.predict_path(sem_p, instr, p0)
-        l_wp = loss_waypoint(heat, gt_hm, vis, trav, trav_gt)
+        l_wp = loss_waypoint(heat, gt_hm, vis, trav, trav_gt, lambda_aux=1.0)
         l_m = loss_map(occ_p, sem_p, gt_occ, gt_sem)
         return l_wp, l_m
 
@@ -448,7 +449,7 @@ def test_loss_total_gradient_linearity(mini, mini_inputs):
         mini.zero_grad()
         l_wp, l_m = forward()
         loss = {"wp": l_wp, "m": l_m,
-                "total": loss_total(l_wp, l_m)}[which]
+                "total": loss_total(l_wp, l_m, 1.0, 1.0)}[which]
         loss.backward()
         grads[which] = {k: (p.grad.copy() if p.grad is not None else 0.0)
                         for k, p in mini.params.items()}
@@ -492,8 +493,8 @@ def test_load_rejects_checkpoint_names_that_differ(mini, tmp_path):
 def test_load_rejects_mismatched_config(mini, tmp_path):
     from dataclasses import asdict
     path = tmp_path / "bad.ckpt"
-    wrong = asdict(ModelConfig(ego_size=24, d=32, k=3, unet_base=8,
-                               unet_depth=3, n_instr_layers=1))
+    wrong = asdict(RunConfig(ego_size=24, d=32, k=3, unet_base=8,
+                             unet_depth=3, n_instr_layers=1).model_config())
     nm.save_checkpoint(path, mini.params, config=wrong)
     with pytest.raises(ConfigError):
         CM2Model.load(path)
@@ -501,6 +502,20 @@ def test_load_rejects_mismatched_config(mini, tmp_path):
         nm.save_checkpoint(path, mini.params, config=dict(asdict(mini.config), **{field: value}))
         with pytest.raises(ConfigError, match=field):
             CM2Model.load(path)
+
+
+@pytest.mark.parametrize("ego_size", [0, -8])
+def test_load_rejects_a_non_positive_ego_size(mini, tmp_path, ego_size):
+    from dataclasses import asdict
+    path = tmp_path / "bad.ckpt"
+    nm.save_checkpoint(path, mini.params, config=dict(asdict(mini.config), ego_size=ego_size))
+    with pytest.raises(ConfigError, match="ego_size must be a positive multiple of 8"):
+        CM2Model.load(path)
+
+
+def test_a_new_model_needs_an_rng(mini):
+    with pytest.raises(UsageError, match="rng"):
+        CM2Model(mini.config)
 
 
 def test_load_builds_no_second_model(mini, tmp_path, monkeypatch):

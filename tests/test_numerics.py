@@ -735,8 +735,7 @@ def test_adam_first_step_magnitude(rng):
     # with bias correction the first step is lr * g/|g| elementwise (up to eps)
     p = nm.Tensor(np.zeros(4), requires_grad=True)
     p.grad = np.array([1.0, -2.0, 0.5, 3.0])
-    state = nm.AdamState(lr=0.0002)
-    nm.adam_step({"p": p}, state)
+    nm.Adam({"p": p}, lr=0.0002).step()
     assert np.allclose(np.abs(p.data), 0.0002, rtol=1e-6)
     assert np.sign(p.data[1]) == 1.0  # moves against the gradient
 
@@ -745,11 +744,11 @@ def test_adam_matches_reference_updates(rng):
     # two steps against an independently coded reference
     g1, g2 = rng.normal(size=3), rng.normal(size=3)
     p = nm.Tensor(np.zeros(3), requires_grad=True)
-    state = nm.AdamState(lr=0.01)
+    opt = nm.Adam({"p": p}, lr=0.01)
     p.grad = g1.copy()
-    nm.adam_step({"p": p}, state)
+    opt.step()
     p.grad = g2.copy()
-    nm.adam_step({"p": p}, state)
+    opt.step()
 
     m = np.zeros(3)
     v = np.zeros(3)
@@ -764,7 +763,7 @@ def test_adam_matches_reference_updates(rng):
 def test_adam_missing_grad_raises(rng):
     p = nm.Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(UsageError):
-        nm.adam_step({"p": p}, nm.AdamState())
+        nm.Adam({"p": p}, lr=0.0002).step()
 
 
 # ----------------------------------------------------------------------

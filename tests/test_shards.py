@@ -213,13 +213,13 @@ def test_a_process_that_exits_leaves_no_worker_running():
         "from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, shards\n"
         "from mapnav.worldsim import generate_episode, generate_floorplan\n"
         "shards.usable_cpus = lambda: 2\n"
-        "plan = generate_floorplan(3)\n"
+        "plan = generate_floorplan(3, 64)\n"
         "cfg = RunConfig(ego_size=24, d=16, k=5, unet_base=8, unet_depth=3,\n"
         "                n_instr_layers=1, batch_size=4).validate()\n"
         "recs = build_dataset([(plan, generate_episode(plan, 0, episode_id=0))], 4, 5, 24, 1,\n"
         "                     num_rays=cfg.num_rays, max_range=cfg.max_range,\n"
         "                     p_noise=cfg.p_noise)\n"
-        "model = CM2Model(cfg.model_config())\n"
+        "model = CM2Model(cfg.model_config(), rng=np.random.default_rng(0))\n"
         "pids = []\n"
         "for _ in range(2):\n"
         "    batch_loss(model, assemble_batch(recs, cfg.sigma), cfg)[0].backward()\n"

@@ -459,7 +459,7 @@ def test_training_loss_decreases(train_records, tmp_path):
     # fixed batch with the starting model and with the trained one.
     config = tiny_config(mode="cm2-gt", train_steps=60)
     batch = assemble_batch(train_records, config.sigma)
-    start, _ = train(config, train_records, tmp_path / "init", steps=0)
+    start, _ = train(replace(config, train_steps=0), train_records, tmp_path / "init")
     trained, _ = train(config, train_records, tmp_path / "gt")
     with nm.no_grad():
         before = batch_loss(start, batch, config)[1]

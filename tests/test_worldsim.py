@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sensing import sensing
 from mapnav.errors import GenerationError, NoPathError, UsageError
 from mapnav.worldsim import floorplan as floorplan_module
 from mapnav.worldsim.episodes import grid_astar
@@ -146,8 +147,8 @@ def box_room(size=32):
 
 # ----------------------------------------------------------------- floorplans
 def test_floorplan_deterministic():
-    a = generate_floorplan(42)
-    b = generate_floorplan(42)
+    a = generate_floorplan(42, 64)
+    b = generate_floorplan(42, 64)
     assert np.array_equal(a.grid, b.grid)
     assert a.n_objects == b.n_objects
     assert [(r.r0, r.c0, r.r1, r.c1, r.kind) for r in a.rooms] == \
@@ -157,7 +158,7 @@ def test_floorplan_deterministic():
 @pytest.mark.slow
 def test_floorplan_invariants_100_seeds():
     for seed in range(100):
-        plan = generate_floorplan(seed)
+        plan = generate_floorplan(seed, 64)
         grid = plan.grid
         assert np.all(grid[0, :] == WALL) and np.all(grid[-1, :] == WALL)
         assert np.all(grid[:, 0] == WALL) and np.all(grid[:, -1] == WALL)
@@ -185,7 +186,7 @@ def test_floor_connected_matches_scalar_dfs_on_generator_grids(monkeypatch):
     for name in answers:
         monkeypatch.setattr(floorplan_module, name, checked(name))
     for seed in range(1000, 1030):
-        generate_floorplan(seed)
+        generate_floorplan(seed, 64)
     assert len(answers["_border_connected"]) > 200
     for got in answers.values():
         assert True in got and False in got
@@ -232,7 +233,7 @@ def test_floor_connected_at_grid_border():
 @pytest.mark.slow
 def test_floorplan_object_counts():
     for seed in range(100):
-        plan = generate_floorplan(seed)
+        plan = generate_floorplan(seed, 64)
         assert 4 <= plan.n_objects <= 16
         # every object block is 1-4 cells and sits on non-wall territory
         cells = object_cells(plan)
@@ -278,7 +279,7 @@ def test_turn_steps_exact():
 
 
 def test_random_walk_stays_traversable():
-    plan = generate_floorplan(7)
+    plan = generate_floorplan(7, 64)
     rng = np.random.default_rng(1)
     floor = np.argwhere(plan.traversable_mask())
     r, c = floor[len(floor) // 2]
@@ -298,7 +299,7 @@ def test_raycast_perpendicular_wall():
     plan = box_room()
     # east wall starts at x = 31 * 0.2 = 6.2; stand 1.0 m away facing +x
     pose = Pose(5.2, 3.0, 0.0)
-    scan = raycast(plan, pose, num_rays=3, p_noise=0.0)
+    scan = raycast(plan, pose, **sensing(num_rays=3, p_noise=0.0))
     assert scan.ranges[1] == pytest.approx(1.0, abs=CELL_SIZE / 2)
     assert scan.classes[1] == WALL
 
@@ -306,13 +307,14 @@ def test_raycast_perpendicular_wall():
 def test_raycast_45_degree_wall():
     plan = box_room()
     pose = Pose(5.2, 3.0, 0.0)
-    scan = raycast(plan, pose, num_rays=3, p_noise=0.0)  # rays at -45, 0, +45 deg
+    # rays at -45, 0, +45 deg
+    scan = raycast(plan, pose, **sensing(num_rays=3, p_noise=0.0))
     assert scan.ranges[0] == pytest.approx(SQRT2, abs=CELL_SIZE)
     assert scan.ranges[2] == pytest.approx(SQRT2, abs=CELL_SIZE)
 
 
 def test_raycast_fov_and_angles():
-    scan = raycast(box_room(), Pose(3.0, 3.0, 0.5), num_rays=64, p_noise=0.0)
+    scan = raycast(box_room(), Pose(3.0, 3.0, 0.5), **sensing(num_rays=64, p_noise=0.0))
     assert np.all(np.diff(scan.angles) > 0)
     assert scan.angles[-1] - scan.angles[0] == pytest.approx(FOV)
     assert scan.angles[0] == pytest.approx(-FOV / 2)
@@ -330,7 +332,7 @@ def test_raycast_noise_free_classes_match_plan(plan):
     """Re-tracing each hit analytically lands in a cell of the reported class."""
     floor = np.argwhere(plan.traversable_mask())
     pose = Pose(*cell_center(*floor[10]), 0.7)
-    scan = raycast(plan, pose, p_noise=0.0)
+    scan = raycast(plan, pose, **sensing(p_noise=0.0))
     for a, rng_m, cls in zip(scan.angles, scan.ranges, scan.classes):
         if cls < 0:
             continue
@@ -348,21 +350,24 @@ def test_raycast_noise_free_classes_match_plan(plan):
 def test_raycast_noise_flips_some_classes(plan):
     floor = np.argwhere(plan.traversable_mask())
     pose = Pose(*cell_center(*floor[10]), 0.7)
-    clean = raycast(plan, pose, p_noise=0.0)
-    noisy = raycast(plan, pose, p_noise=1.0, rng=np.random.default_rng(0))
+    clean = raycast(plan, pose, **sensing(p_noise=0.0))
+    noisy = raycast(plan, pose, **sensing(p_noise=1.0), rng=np.random.default_rng(0))
     hit = clean.classes >= 0
     assert np.array_equal(clean.ranges, noisy.ranges)
     assert np.any(clean.classes[hit] != noisy.classes[hit])
     # the noise is the rng's: the same seed draws the same labels
-    again = raycast(plan, pose, p_noise=1.0, rng=np.random.default_rng(0))
+    again = raycast(plan, pose, **sensing(p_noise=1.0), rng=np.random.default_rng(0))
     assert np.array_equal(noisy.classes, again.classes)
 
 
 def test_raycast_noise_needs_an_rng(plan):
     pose = Pose(*cell_center(*np.argwhere(plan.traversable_mask())[10]), 0.7)
     with pytest.raises(UsageError):
-        raycast(plan, pose, p_noise=0.2)
-    assert np.array_equal(raycast(plan, pose).classes, raycast(plan, pose, p_noise=0.0).classes)
+        raycast(plan, pose, **sensing(p_noise=0.2))
+    # without noise an rng is neither needed nor drawn from
+    assert np.array_equal(raycast(plan, pose, **sensing(p_noise=0.0)).classes,
+                          raycast(plan, pose, **sensing(p_noise=0.0),
+                                  rng=np.random.default_rng(0)).classes)
 
 
 def test_raycast_sees_an_in_place_grid_edit():
@@ -370,12 +375,12 @@ def test_raycast_sees_an_in_place_grid_edit():
     ``plan.grid`` in place, and a grid replaced by another one."""
     plan = box_room(32)
     pose = Pose(3.0, 3.0, 0.0)
-    assert raycast(plan, pose, num_rays=3).classes[1] == WALL
+    assert raycast(plan, pose, **sensing(num_rays=3)).classes[1] == WALL
     plan.grid[15, 20] = OBJECT_CLASS_IDS[0]       # on the middle ray, 1 m ahead
-    scan = raycast(plan, pose, num_rays=3)
+    scan = raycast(plan, pose, **sensing(num_rays=3))
     assert scan.classes[1] == OBJECT_CLASS_IDS[0] and scan.ranges[1] == pytest.approx(1.0)
     plan.grid = box_room(32).grid
-    assert raycast(plan, pose, num_rays=3).classes[1] == WALL
+    assert raycast(plan, pose, **sensing(num_rays=3)).classes[1] == WALL
 
 
 def trace_ray_reference(grid, x, y, angle, max_range):
@@ -427,7 +432,7 @@ def test_raycast_matches_scalar_dda_oracle():
     axis-aligned and random headings, odd and even ray counts, two ranges,
     and a wall-less grid where rays leave the world."""
     open_grid = np.full((40, 40), FLOOR, dtype=np.uint8)
-    plans = [generate_floorplan(s) for s in (0, 1, 2)]
+    plans = [generate_floorplan(s, 64) for s in (0, 1, 2)]
     plans.append(Floorplan(grid=open_grid, seed=0))
     headings = (0.0, np.pi / 2, -np.pi / 2, -np.pi, np.pi, np.pi / 4)
     rng = np.random.default_rng(7)
@@ -484,7 +489,7 @@ def test_shortest_path_octile_distance():
 
 def test_shortest_path_matches_dijkstra_oracle():
     rng = np.random.default_rng(5)
-    plans = [generate_floorplan(s) for s in (0, 1, 2, 3, 4)]
+    plans = [generate_floorplan(s, 64) for s in (0, 1, 2, 3, 4)]
     checked = 0
     while checked < 50:
         plan = plans[rng.integers(len(plans))]
@@ -545,7 +550,7 @@ def test_astar_cells_paths_equal_scalar_reference():
     """Same cells in the same order as the reference, or the same error, on
     seeded floorplans and on random masks of several shapes."""
     rng = np.random.default_rng(21)
-    masks = [generate_floorplan(s).traversable_mask() for s in (5, 77, 201)]
+    masks = [generate_floorplan(s, 64).traversable_mask() for s in (5, 77, 201)]
     masks += [rng.random(shape) > p for shape, p in
               [((15, 15), 0.3), ((9, 23), 0.2), ((23, 9), 0.35), ((1, 12), 0.1)]
               for _ in range(8)]
@@ -576,7 +581,7 @@ def test_optimal_paths_turn_at_most_90_degrees_and_resample_above_the_bound():
     rng = np.random.default_rng(13)
     paths = 0
     for seed in range(20):
-        plan = generate_floorplan(seed)
+        plan = generate_floorplan(seed, 64)
         mask = plan.traversable_mask()
         floor = np.argwhere(mask)
         for _ in range(6):
@@ -637,7 +642,7 @@ def test_grid_astar_stops_at_the_cost_bound():
     why generate_episode's bound carries a 1e-9 slack."""
     rng = np.random.default_rng(17)
     for seed in (0, 1, 2):
-        cost = np.where(generate_floorplan(seed).traversable_mask(), 1.0, np.inf)
+        cost = np.where(generate_floorplan(seed, 64).traversable_mask(), 1.0, np.inf)
         floor = np.argwhere(np.isfinite(cost))
         for _ in range(10):
             ca = tuple(floor[rng.integers(len(floor))])
@@ -686,7 +691,7 @@ def test_episode_invariants(plan):
 def test_episode_mean_geodesic_scale():
     lengths = []
     for fp_seed in range(20):
-        plan = generate_floorplan(fp_seed)
+        plan = generate_floorplan(fp_seed, 64)
         for s in range(25):
             lengths.append(generate_episode(plan, s).path_length)
     assert 4.0 <= float(np.mean(lengths)) <= 8.0
