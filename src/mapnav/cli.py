@@ -158,27 +158,26 @@ def cmd_ablate(args) -> int:
     eval_records = load_records(os.path.join(args.data, "unseen_records.bin"))
     seeds = tuple(range(config.seed, config.seed + args.seeds))
     checkpoints = train_variants(config, records, args.out, seeds=seeds, names=names)
-    tau_ckpt = checkpoints.get("full", {}).get(seeds[0])
-    run_suite(config, checkpoints, eval_pairs, eval_records, args.out,
-              seeds=seeds, tau_checkpoint=tau_ckpt)
+    tau = (seeds[0], checkpoints["full"][seeds[0]]) if "full" in checkpoints else None
+    run_suite(config, checkpoints, eval_pairs, eval_records, args.out, tau=tau)
     print(f"ablation report at {os.path.join(args.out, 'ablations.txt')}")
     return EXIT_OK
 
 
-def _find_episode(pairs, episode_id):
-    for plan, ep in pairs:
-        if ep.episode_id == episode_id:
-            return plan, ep
-    raise UsageError(f"episode id {episode_id} not found")
+def _load_episode(args):
+    """(model, run config, floorplan, episode) of ``--ckpt``, ``--config``,
+    ``--episodes`` and ``--episode``."""
+    model, config = _load_model(args, _load_config(args.config))
+    for plan, ep in _load_pairs(args.episodes, config.world_size):
+        if ep.episode_id == args.episode:
+            return model, config, plan, ep
+    raise UsageError(f"episode id {args.episode} not found")
 
 
 def cmd_rollout(args) -> int:
     from .train_eval.evaluate import evaluate_episode
 
-    config = _load_config(args.config)
-    model, config = _load_model(args, config)
-    pairs = _load_pairs(args.episodes, config.world_size)
-    plan, ep = _find_episode(pairs, args.episode)
+    model, config, plan, ep = _load_episode(args)
     m = evaluate_episode(model, config, plan, ep, trace_path=args.trace)
     print(f"episode {args.episode}: TL={m.tl:.2f} NE={m.ne:.2f} SR={m.sr:.0f}; "
           f"trace at {args.trace}")
@@ -188,14 +187,7 @@ def cmd_rollout(args) -> int:
 def cmd_viz(args) -> int:
     from .viz import export_rollout
 
-    config = _load_config(args.config)
-    for path in (args.trace, args.episodes):
-        if not os.path.exists(path):
-            raise UsageError(f"input not found: {path}")
-    model, config = _load_model(args, config)
-    pairs = _load_pairs(args.episodes, config.world_size)
-    plan, ep = _find_episode(pairs, args.episode)
-    n = export_rollout(args.trace, model, config, plan, ep, args.out)
+    n = export_rollout(*_load_episode(args), args.out)
     print(f"wrote image sets for {n} steps to {args.out}")
     return EXIT_OK
 
@@ -243,12 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", required=True)
     r.set_defaults(func=cmd_rollout)
 
-    v = sub.add_parser("viz", help="render images from a rollout trace")
+    v = sub.add_parser("viz", help="run one episode and render its steps as images")
     v.add_argument("--config", default=None)
     v.add_argument("--ckpt", required=True)
     v.add_argument("--episodes", required=True)
     v.add_argument("--episode", type=int, required=True)
-    v.add_argument("--trace", required=True)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_viz)
     return p

@@ -34,21 +34,29 @@ def _key_bias(key_mask: np.ndarray) -> nm.Tensor:
     return nm.Tensor(np.where(key_mask[..., None, :] > 0, 0.0, NEG_INF))
 
 
+def _attend(q: nm.Tensor, k: nm.Tensor, v: nm.Tensor,
+            key_mask: np.ndarray | None) -> tuple[nm.Tensor, nm.Tensor]:
+    """Scaled dot-product attention of queries ``q`` (..., L, d) over keys
+    ``k`` and values ``v`` (..., M, d); ``key_mask`` (..., M) is 1 at
+    attendable keys. Returns (weighted values (..., L, d), attention
+    (..., L, M))."""
+    scores = nm.scale(nm.matmul(q, _swap_last(k)), 1.0 / np.sqrt(q.shape[-1]))
+    if key_mask is not None:
+        scores = nm.add(scores, _key_bias(key_mask))
+    attn = nm.softmax(scores, axis=-1)
+    return nm.matmul(attn, v), attn
+
+
 def apply_self_attention(x: nm.Tensor, params: dict, prefix: str,
                          key_mask: np.ndarray | None = None) -> nm.Tensor:
     """Pre-LN transformer layer over the rows of ``x`` (..., L, d); leading
     axes are a batch. ``key_mask`` (..., L) is 1 at attendable positions."""
-    d = x.shape[-1]
-    scale = 1.0 / np.sqrt(d)
     h = nm.layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
     q = nm.matmul(h, params[prefix + "wq"])
     k = nm.matmul(h, params[prefix + "wk"])
     v = nm.matmul(h, params[prefix + "wv"])
-    scores = nm.scale(nm.matmul(q, _swap_last(k)), scale)
-    if key_mask is not None:
-        scores = nm.add(scores, _key_bias(key_mask))
-    attn = nm.softmax(scores, axis=-1)
-    x = nm.add(x, nm.matmul(nm.matmul(attn, v), params[prefix + "wo"]))
+    weighted, _ = _attend(q, k, v, key_mask)
+    x = nm.add(x, nm.matmul(weighted, params[prefix + "wo"]))
     h = nm.layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
     h = nm.linear(h, params[prefix + "ff1.w"], params[prefix + "ff1.b"], slope=0.0)  # ReLU
     return nm.add(x, nm.linear(h, params[prefix + "ff2.w"], params[prefix + "ff2.b"]))
@@ -88,12 +96,6 @@ def cross_modal_attend(y: nm.Tensor, keys: nm.Tensor, values: nm.Tensor, params:
     """
     if y.shape[-1] != keys.shape[-1]:
         raise ConfigError(f"feature dims differ: map {y.shape} vs text {keys.shape}")
-    d = y.shape[-1]
     y = apply_self_attention(y, params, prefix + "selfmap.")
-    q = nm.matmul(y, params[prefix + "wq"])
-    scores = nm.scale(nm.matmul(q, _swap_last(keys)), 1.0 / np.sqrt(d))
-    if x_pad_mask is not None:
-        scores = nm.add(scores, _key_bias(x_pad_mask))
-    attn = nm.softmax(scores, axis=-1)
-    h = nm.matmul(attn, values)
+    h, attn = _attend(nm.matmul(y, params[prefix + "wq"]), keys, values, x_pad_mask)
     return h, attn.data.copy()

@@ -61,18 +61,18 @@ def evaluate_checkpoint(base: RunConfig, name: str, seed: int, ckpt,
 
 
 def run_suite(base: RunConfig, checkpoints: dict, eval_pairs, eval_records,
-              out_dir, seeds, tau_checkpoint=None) -> list[dict]:
+              out_dir, tau=None) -> list[dict]:
     """Evaluate every checkpoint (``checkpoints``: name -> seed -> path, as
-    ``train_variants`` returns) plus the tau sweep on ``tau_checkpoint``;
-    writes ablations.csv and a readable ablations.txt into ``out_dir``."""
+    ``train_variants`` returns) plus the tau sweep on ``tau``, a (seed,
+    checkpoint path) pair or None for no sweep; writes ablations.csv and a
+    readable ablations.txt into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     rows = [evaluate_checkpoint(base, name, seed, ckpt, eval_pairs, eval_records)
             for name, by_seed in checkpoints.items() for seed, ckpt in by_seed.items()]
-    if tau_checkpoint is not None:
-        for tau in TAU_SWEEP:
-            rows.append(evaluate_checkpoint(base, f"tau-{tau}", seeds[0],
-                                            tau_checkpoint, eval_pairs,
-                                            eval_records, tau=tau))
+    if tau is not None:
+        seed, ckpt = tau
+        rows += [evaluate_checkpoint(base, f"tau-{t}", seed, ckpt, eval_pairs,
+                                     eval_records, tau=t) for t in TAU_SWEEP]
     write_report(rows, out_dir)
     return rows
 

@@ -15,6 +15,7 @@ from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
 from ..numerics.parallel import usable_cpus
+from ..train_eval import shards
 from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
@@ -115,15 +116,15 @@ def evaluate_map_quality(model: CM2Model, config: RunConfig,
     ious, f1s, pcws = [], [], []
     with nm.no_grad():
         for rec in records:
-            occ, chi, sem, _, vis, p0, _, _ = assemble_batch([rec], config.sigma)
-            instr = [model.encode_instruction(rec.tokens, config.mode)]
-            fwd = model.forward(config.mode, instr, p0, occ, chi, sem)
-            if fwd.occ_hat is not None:
-                pred_labels = np.asarray(fwd.sem.data[0]).argmax(axis=0)
+            occ, chi, sem, _, vis, p0, _, tokens = assemble_batch([rec], config.sigma)
+            heatmaps, _, occ_hat, sem_hat = shards.model_forward(
+                model, config.mode, (occ, chi, sem, p0, tokens))
+            if occ_hat is not None:
+                pred_labels = np.asarray(sem_hat.data[0]).argmax(axis=0)
                 mm = compute_map_metrics(pred_labels, rec.sem_labels)
                 ious.append(mm["IoU"])
                 f1s.append(mm["F1"])
-            decoded = decode_waypoints(np.asarray(fwd.heatmaps.data[0]))
+            decoded = decode_waypoints(np.asarray(heatmaps.data[0]))
             pcws.append(compute_pcw(decoded, rec.waypoints_ego, vis[0]))
     out = {"PCW": float(np.mean(pcws)) if pcws else 0.0}
     out["IoU"] = float(np.mean(ious)) if ious else float("nan")

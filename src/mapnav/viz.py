@@ -6,18 +6,16 @@ instruction-attended feature grid and per-token attention maps.
 """
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from .controller import decode_waypoints
+from .controller import decode_waypoints, run_rollout
 from .errors import UsageError
 from .language.vocab import PAD_ID, WORDS
-from .mapping import ego_to_cell, new_global_occupancy, sense, world_to_ego
+from .mapping import ego_to_cell, world_to_ego
 from .train_eval.dataset import episode_rng
 from .train_eval.evaluate import episode_forward
-from .worldsim.agent import Pose
 
 # fixed class -> RGB color table, indexed by class id
 CLASS_COLORS = np.array([
@@ -104,31 +102,34 @@ def attention_images(attn: np.ndarray, tokens, grid: int) -> list[tuple[str, np.
     return out
 
 
-def export_rollout(trace_path, model, config, plan, episode, out_dir):
-    """Replay a rollout trace and write per-step PPM/PGM image sets.
+def export_rollout(model, config, plan, episode, out_dir):
+    """Roll the episode out and write per-step PPM/PGM image sets.
 
-    The replay senses and runs the model at each traced pose as the rollout
-    did: in ``config.mode``, with its ``p_noise`` and the episode's rng.
+    The rollout is :func:`run_rollout` with the episode's rng, as
+    ``evaluate_episode`` runs it, so the images show the states and model
+    outputs that ``mapnav rollout`` traces for the same config. Each step is
+    rendered as the rollout takes it, so no step's outputs are kept. Returns
+    the number of steps rendered.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(trace_path) as fh:
-        steps = [json.loads(line) for line in fh if line.strip()]
     forward = episode_forward(model, config, plan, episode)
-    rng = episode_rng(config.seed, episode)
-    gmap = new_global_occupancy(plan.grid.shape[0])
-    for row in steps:
-        t = row["t"]
-        pose = Pose(*row["pose"])
-        sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays,
-                          config.max_range, config.p_noise, rng)
+    steps = 0
+
+    def predict(pose, gmap, occ_frame, sem_frame):
+        nonlocal steps
         out = forward(pose, gmap, sem_frame)
+        heatmaps = np.asarray(out.heatmaps.data[0])
+        prefix = os.path.join(out_dir, f"step{steps:04d}")
         sem_labels = np.asarray(out.sem.data[0]).argmax(axis=0)
-        decoded = decode_waypoints(np.asarray(out.heatmaps.data[0]))
-        frame = rollout_frame(plan, pose, tuple(episode.goal), sem_labels, decoded)
-        write_ppm(os.path.join(out_dir, f"step{t:04d}-map.ppm"), frame)
-        pooled = np.asarray(out.h_grid.data[0]).mean(axis=0)
-        write_pgm(os.path.join(out_dir, f"step{t:04d}-features.pgm"), pooled)
+        frame = rollout_frame(plan, pose, tuple(episode.goal), sem_labels,
+                              decode_waypoints(heatmaps))
+        write_ppm(f"{prefix}-map.ppm", frame)
+        write_pgm(f"{prefix}-features.pgm", np.asarray(out.h_grid.data[0]).mean(axis=0))
         for name, amap in attention_images(out.attn[0], episode.tokens,
                                            model.config.token_grid):
-            write_pgm(os.path.join(out_dir, f"step{t:04d}-attn-{name}.pgm"), amap)
-    return len(steps)
+            write_pgm(f"{prefix}-attn-{name}.pgm", amap)
+        steps += 1
+        return heatmaps
+
+    run_rollout(plan, episode, predict, config, rng=episode_rng(config.seed, episode))
+    return steps

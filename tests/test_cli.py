@@ -229,13 +229,11 @@ def test_config_disagreeing_with_checkpoint_is_rejected(workdir, tmp_path, capsy
     ckpt = str(workdir["run"] / "model.ckpt")
     episodes = str(workdir["data"] / "unseen_episodes.jsonl")
     ep_id = str(first_episode_id(workdir))
-    viz_trace = tmp_path / "viz.jsonl"
-    viz_trace.write_text("")  # viz checks its inputs exist before the checkpoint
     for argv in (["eval", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.csv")],
                  ["rollout", "--episodes", episodes, "--episode", ep_id,
                   "--trace", str(tmp_path / "t.jsonl")],
                  ["viz", "--episodes", episodes, "--episode", ep_id,
-                  "--trace", str(viz_trace), "--out", str(tmp_path / "img")]):
+                  "--out", str(tmp_path / "img")]):
         assert main(argv + ["--config", str(other), "--ckpt", ckpt]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "k (config 7, checkpoint 5)" in err and "d (config 32, checkpoint 16)" in err
@@ -280,28 +278,30 @@ def test_rollout_and_viz(workdir, tmp_path):
     assert rows and all("action" in r and "pose" in r for r in rows)
 
     imgdir = tmp_path / "imgs"
-    code = main(["viz", "--config", str(workdir["config"]),
-                 "--ckpt", str(workdir["run"] / "model.ckpt"),
-                 "--episodes", str(episodes), "--episode", str(ep_id),
-                 "--trace", str(trace), "--out", str(imgdir)])
-    assert code == EXIT_OK
+    viz = ["viz", "--config", str(workdir["config"]),
+           "--ckpt", str(workdir["run"] / "model.ckpt"),
+           "--episodes", str(episodes), "--episode", str(ep_id), "--out", str(imgdir)]
+    assert main(viz) == EXIT_OK
     maps = [f for f in os.listdir(imgdir) if f.endswith("-map.ppm")]
     assert len(maps) == len(rows)  # one image set per traced step
     assert any(f.endswith("-features.pgm") for f in os.listdir(imgdir))
+    with pytest.raises(SystemExit) as exc:   # viz takes no trace: it re-runs the rollout
+        main(viz + ["--trace", str(trace)])
+    assert exc.value.code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("over", [{}, {"mode": "cm2-gt"}, {"p_noise": 0.2}],
                          ids=["cm2", "cm2-gt", "p_noise"])
 def test_viz_replay_equals_rollout(workdir, tmp_path, monkeypatch, over):
-    """viz senses and runs the model as the rollout did: at every traced step
-    the replay's final heatmap peaks at the trace's stop confidence."""
+    """viz re-runs the episode through run_rollout: at every traced step the
+    final heatmap it renders peaks at the trace's stop confidence."""
     import mapnav.viz as viz
     config = tmp_path / "config.json"
     tiny_config(**over).save(config)
     common = ["--config", str(config), "--ckpt", str(workdir["run"] / "model.ckpt"),
               "--episodes", str(workdir["data"] / "unseen_episodes.jsonl"),
-              "--episode", str(first_episode_id(workdir)), "--trace", str(tmp_path / "t.jsonl")]
-    assert main(["rollout"] + common) == EXIT_OK
+              "--episode", str(first_episode_id(workdir))]
+    assert main(["rollout"] + common + ["--trace", str(tmp_path / "t.jsonl")]) == EXIT_OK
     peaks = []
     decode = viz.decode_waypoints
     monkeypatch.setattr(viz, "decode_waypoints",
@@ -309,6 +309,65 @@ def test_viz_replay_equals_rollout(workdir, tmp_path, monkeypatch, over):
     assert main(["viz"] + common + ["--out", str(tmp_path / "img")]) == EXIT_OK
     rows = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
     assert peaks == [r["stop_conf"] for r in rows]
+
+
+def export_rollout_reference(trace_path, model, config, plan, episode, out_dir):
+    """The former viz: replay a rollout trace, sensing and running the model
+    again at each traced pose with the episode's rng, and write the same
+    per-step image sets as ``export_rollout``."""
+    from mapnav.controller import decode_waypoints
+    from mapnav.mapping import new_global_occupancy, sense
+    from mapnav.train_eval.dataset import episode_rng
+    from mapnav.train_eval.evaluate import episode_forward
+    from mapnav.viz import attention_images, rollout_frame, write_pgm, write_ppm
+    from mapnav.worldsim.agent import Pose
+    os.makedirs(out_dir, exist_ok=True)
+    with open(trace_path) as fh:
+        steps = [json.loads(line) for line in fh if line.strip()]
+    forward = episode_forward(model, config, plan, episode)
+    rng = episode_rng(config.seed, episode)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    for row in steps:
+        t = row["t"]
+        pose = Pose(*row["pose"])
+        sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays,
+                          config.max_range, config.p_noise, rng)
+        out = forward(pose, gmap, sem_frame)
+        sem_labels = np.asarray(out.sem.data[0]).argmax(axis=0)
+        decoded = decode_waypoints(np.asarray(out.heatmaps.data[0]))
+        frame = rollout_frame(plan, pose, tuple(episode.goal), sem_labels, decoded)
+        write_ppm(os.path.join(out_dir, f"step{t:04d}-map.ppm"), frame)
+        pooled = np.asarray(out.h_grid.data[0]).mean(axis=0)
+        write_pgm(os.path.join(out_dir, f"step{t:04d}-features.pgm"), pooled)
+        for name, amap in attention_images(out.attn[0], episode.tokens,
+                                           model.config.token_grid):
+            write_pgm(os.path.join(out_dir, f"step{t:04d}-attn-{name}.pgm"), amap)
+    return len(steps)
+
+
+@pytest.mark.parametrize("over", [{}, {"mode": "cm2-gt"}, {"p_noise": 0.2}],
+                         ids=["cm2", "cm2-gt", "p_noise"])
+def test_viz_writes_the_reference_replay_of_the_rollout_trace(workdir, tmp_path, over):
+    """export_rollout writes the file names and bytes that replaying the
+    rollout's trace writes."""
+    from mapnav.model import CM2Model
+    from mapnav.train_eval.evaluate import evaluate_episode
+    from mapnav.viz import export_rollout
+    from mapnav.worldsim.episodes import load_episodes
+    from mapnav.worldsim.floorplan import generate_floorplan
+    config = tiny_config(**over)
+    model = CM2Model.load(workdir["run"] / "model.ckpt")
+    episode = load_episodes(workdir["data"] / "unseen_episodes.jsonl")[0]
+    plan = generate_floorplan(episode.floorplan_seed, config.world_size)
+    trace = tmp_path / "t.jsonl"
+    evaluate_episode(model, config, plan, episode, trace_path=trace)   # what `rollout` runs
+    want, got = tmp_path / "reference", tmp_path / "viz"
+    n = export_rollout_reference(trace, model, config, plan, episode, want)
+    assert export_rollout(model, config, plan, episode, got) == n
+    names = sorted(os.listdir(want))
+    assert sorted(os.listdir(got)) == names and len(names) > 2 * n
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_rollout_unknown_episode(workdir, tmp_path):
@@ -412,7 +471,6 @@ def test_run_settings_have_one_default():
         floorplan.generate_floorplan: ("size",),
         cli._load_pairs: ("world_size",),
         ablations.train_variants: ("seeds",),
-        ablations.run_suite: ("seeds",),
     }
     for fn, names in required.items():
         params = inspect.signature(fn).parameters
