@@ -60,17 +60,20 @@ def _load_model(args, config):
     return model, config
 
 
+def _read_episodes(path) -> list:
+    from .worldsim.episodes import load_episodes
+    if not os.path.exists(path):
+        raise UsageError(f"episode file not found: {path}")
+    return load_episodes(path)
+
+
 def _load_pairs(path, world_size: int):
     """Episodes JSONL -> (Floorplan, Episode) pairs, regenerating worlds
     from their recorded seeds."""
-    from .worldsim.episodes import load_episodes
     from .worldsim.floorplan import generate_floorplan
-    if not os.path.exists(path):
-        raise UsageError(f"episode file not found: {path}")
-    episodes = load_episodes(path)
     plans: dict = {}
     pairs = []
-    for ep in episodes:
+    for ep in _read_episodes(path):
         if ep.floorplan_seed not in plans:
             plans[ep.floorplan_seed] = generate_floorplan(ep.floorplan_seed,
                                                           size=world_size)
@@ -166,11 +169,14 @@ def cmd_ablate(args) -> int:
 
 def _load_episode(args):
     """(model, run config, floorplan, episode) of ``--ckpt``, ``--config``,
-    ``--episodes`` and ``--episode``."""
+    ``--episodes`` and ``--episode``; only that episode's floorplan is
+    generated."""
+    from .worldsim.floorplan import generate_floorplan
     model, config = _load_model(args, _load_config(args.config))
-    for plan, ep in _load_pairs(args.episodes, config.world_size):
+    for ep in _read_episodes(args.episodes):
         if ep.episode_id == args.episode:
-            return model, config, plan, ep
+            return model, config, generate_floorplan(ep.floorplan_seed,
+                                                     size=config.world_size), ep
     raise UsageError(f"episode id {args.episode} not found")
 
 

@@ -30,6 +30,7 @@ from ..language.vocab import MAX_TOKENS
 from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ego_cells, ground_project,
                        new_global_occupancy, update_global, world_to_ego)
 from ..model.supervision import sample_waypoints
+from ..numerics.parallel import Helper, forks
 from ..worldsim.agent import Pose, raycast, wrap_angle
 from ..worldsim.episodes import arc_lengths, generate_episode
 from ..worldsim.floorplan import generate_floorplan
@@ -128,16 +129,79 @@ def episode_rng(seed: int, episode) -> np.random.Generator:
 def build_dataset(plans_episodes, samples_per_episode: int, k: int,
                   ego_size: int, seed: int, *, num_rays: int, max_range: float,
                   p_noise: float) -> list[TrainingRecord]:
-    """``plans_episodes``: iterable of (Floorplan, Episode) pairs. The
-    sensing settings are the run config's ``num_rays``, ``max_range`` and
-    ``p_noise``."""
-    records = []
-    for plan, episode in plans_episodes:
-        rng = episode_rng(seed, episode)
-        records.extend(build_episode_records(
-            plan, episode, samples_per_episode, k, ego_size, rng,
-            num_rays=num_rays, max_range=max_range, p_noise=p_noise))
+    """The records of every (Floorplan, Episode) pair of ``plans_episodes``,
+    in order. The sensing settings are the run config's ``num_rays``,
+    ``max_range`` and ``p_noise``.
+
+    Of n >= 2 pairs, the first ⌈n/2⌉ are built here and the rest by the
+    records helper (:mod:`mapnav.numerics.parallel`), a second process
+    where one is forked. The helper sends its records an episode at a time,
+    and they are read between this process's own episodes, so that no
+    message holds the helper's whole half and the helper does not wait long
+    on a full pipe. Each episode draws only from its own
+    :func:`episode_rng`, so the list is the serial loop's, byte for byte,
+    whichever process builds an episode."""
+    pairs = list(plans_episodes)
+    na = -(-len(pairs) // 2)
+    settings = (samples_per_episode, k, ego_size, seed,
+                dict(num_rays=num_rays, max_range=max_range, p_noise=p_noise))
+    ours, theirs = [], []
+    helper = _records_helper() if len(pairs) > na else None
+    try:
+        if helper is not None:
+            helper.send((pairs[na:], settings))
+        for plan, episode in pairs[:na]:
+            ours += _episode_records(plan, episode, settings)
+            while len(theirs) < len(pairs) - na and helper.poll():
+                theirs.append(_take(helper))
+        while len(theirs) < len(pairs) - na:
+            theirs.append(_take(helper))
+    except BaseException:
+        if helper is not None:
+            helper.close()   # its replies to this call may still be coming
+        raise
+    return ours + [r for records in theirs for r in records]
+
+
+def _episode_records(plan, episode, settings) -> list[TrainingRecord]:
+    samples_per_episode, k, ego_size, seed, sensing = settings
+    return build_episode_records(plan, episode, samples_per_episode, k, ego_size,
+                                 episode_rng(seed, episode), **sensing)
+
+
+def _build_records(message, reply):
+    """The records helper's handler: one reply per episode, (records, None),
+    up to the first episode that raises, whose reply is (None, error)."""
+    pairs, settings = message
+    for plan, episode in pairs:
+        try:
+            records = _episode_records(plan, episode, settings)
+        except Exception as e:  # the caller raises it
+            reply((None, e))
+            return
+        reply((records, None))
+
+
+def _take(helper) -> list[TrainingRecord]:
+    records, error = helper.recv()
+    if error is not None:
+        raise error
     return records
+
+
+_HELPER = None   # the records helper
+
+
+def _records_helper() -> Helper:
+    """The records helper, made on first use and again when it was closed
+    or the path changed."""
+    global _HELPER
+    fork = forks()
+    if _HELPER is None or _HELPER.closed or _HELPER.forked != fork:
+        if _HELPER is not None:
+            _HELPER.close()
+        _HELPER = Helper("records helper", lambda: _build_records, fork)
+    return _HELPER
 
 
 # ----------------------------------------------------------------------

@@ -4,17 +4,15 @@ from __future__ import annotations
 import contextlib
 import csv
 import multiprocessing
-import os
 
 import numpy as np
 
-from .. import BLAS_THREAD_VARS
 from .. import numerics as nm
 from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
-from ..numerics.parallel import usable_cpus
+from ..numerics.parallel import single_blas_thread, usable_cpus
 from ..train_eval import shards
 from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
@@ -81,21 +79,11 @@ def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
     """A ``spawn`` pool of min(usable CPUs, ``n_episodes``) processes, each
     given ``model`` and ``config`` once and started with single-threaded
     BLAS: each runs one episode at a time, so BLAS threads in it would only
-    compete with the other processes for the same CPUs. The caller's
-    environment is restored on exit."""
-    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        with multiprocessing.get_context("spawn").Pool(
-                max(1, min(usable_cpus(), n_episodes)), initializer=_init_worker,
-                initargs=(model, config)) as pool:
-            yield pool
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    compete with the other processes for the same CPUs."""
+    with single_blas_thread(), multiprocessing.get_context("spawn").Pool(
+            max(1, min(usable_cpus(), n_episodes)), initializer=_init_worker,
+            initargs=(model, config)) as pool:
+        yield pool
 
 
 def evaluate_navigation(model: CM2Model, config: RunConfig,

@@ -2,12 +2,12 @@
 
 In grad mode a batch of B >= 2 samples is split into shard A, its first
 ⌈B/2⌉ samples, and shard B, the rest. Shard A runs in the calling process.
-Shard B runs on a second model over a copy of the parameters, in one
-persistent worker process forked on first use, so that both shards' forward
-and backward passes run at once. The caller joins the two shards' outputs
-along the batch and computes the losses on them. A sample's outputs do not
-depend on the other samples of its batch, so the losses are those of one
-forward over the whole batch, byte for byte.
+Shard B runs on a second model over a copy of the parameters, in the shard
+worker, a :class:`~mapnav.numerics.parallel.Helper` forked on first use, so
+that both shards' forward and backward passes run at once. The caller joins
+the two shards' outputs along the batch and computes the losses on them. A
+sample's outputs do not depend on the other samples of its batch, so the
+losses are those of one forward over the whole batch, byte for byte.
 
 One step:
 - the caller writes the parameters into the first half of a shared-memory
@@ -28,30 +28,25 @@ forward's shard B graph is kept, so a loss backpropagated after a newer
 sharded forward raises UsageError; a loss dropped without a backward costs
 nothing.
 
-The worker is forked, not spawned: a spawned child takes 0.2-0.3 s to
-import ``mapnav``, and the caller runs no threads of its own. It ignores
-SIGINT, exits on EOF of its pipe and is reaped at exit. A child forked from
-the caller forgets it. A worker that died raises WorkerError, with its exit
-status, at the next message; the step after that forks a new one. The
+The worker's lifecycle is the helper's (:mod:`mapnav.numerics.parallel`):
+it is reaped at exit, a child forked from the caller forgets it, and a
+worker that died raises WorkerError, with its exit status, at the next
+message; the step after that forks a new one. This module keeps only what is
+shard B's: the block, the messages and their handler, :class:`_Shard`. The
 worker is process-wide state, like the grad mode: :func:`close` stops it.
 """
 from __future__ import annotations
 
-import atexit
 import mmap
 import os
-import signal
-import time
 
 import numpy as np
 
 from ..errors import UsageError, WorkerError
 from ..model import CM2Model
 from ..numerics import Tensor
-from ..numerics.parallel import usable_cpus
+from ..numerics.parallel import Helper, forks
 from ..numerics.tensor import accumulate, after_backward, grad_enabled, make_op
-
-REAP_TIMEOUT_S = 10.0   # after this long a closed worker that has not exited is killed
 
 
 def model_forward(model: CM2Model, mode: str, inputs) -> list:
@@ -75,7 +70,7 @@ def forward(model: CM2Model, mode: str, inputs) -> list:
     side.put_params(params)
     side.latest += 1
     step = side.latest
-    _request(side, ("forward", step, (mode, [x[na:] for x in inputs])))
+    side.helper.send(("forward", step, (mode, [x[na:] for x in inputs])))
     outs_a = model_forward(model, mode, [x[:na] for x in inputs])
     return _join(side, step, params, outs_a, _reply(side, step), na)
 
@@ -93,7 +88,7 @@ def _join(side, step: int, params: list, outs_a: list, outs_b: list, na: int) ->
                 raise UsageError("a newer sharded forward dropped this loss's second shard; "
                                  "run the forward again")
             grads = [None if j is None else j.grad for j in joined]
-            _request(side, ("backward", step, [None if g is None else g[na:] for g in grads]))
+            side.helper.send(("backward", step, [None if g is None else g[na:] for g in grads]))
             for a, g in zip(outs_a, grads):
                 if g is not None:
                     accumulate(a, g[:na])
@@ -135,13 +130,15 @@ class _Shard:
                                               for (name, _), v in zip(layout, self.params)})
         self.step, self.root, self.out_grads = None, None, None
 
-    def handle(self, message):
-        """The reply to one message: (step, result, error)."""
+    def handle(self, message, reply):
+        """Reply to one message with (step, result, error)."""
         kind, step, payload = message
         try:
-            return step, getattr(self, kind)(step, payload), None
+            result = getattr(self, kind)(step, payload)
         except Exception as e:  # the caller raises it
-            return step, None, e
+            reply((step, None, e))
+            return
+        reply((step, result, None))
 
     def forward(self, step, payload) -> list:
         """Shard B's output arrays. A root node, made while grad mode is on,
@@ -198,75 +195,46 @@ def _views(layout, block: np.ndarray):
              for o, s in zip(offsets, shapes)])
 
 
-class _InProcess:
-    """Shard B in the calling process, on a block of its own: each message
-    is handled as it is sent, and its reply kept for :meth:`recv`."""
+class _Side:
+    """Shard B's side: a helper that runs a :class:`_Shard`, and the block
+    that carries the parameters to it and its parameter gradients back.
+    Forked, the block is a memfd that the worker maps and the caller writes
+    and reads with ``pwrite``/``pread``, so that it is not in the caller's
+    resident set; in-process, it is the shard's own array."""
 
-    def __init__(self, config, layout):
-        self.key = (config, layout)
-        self.latest = 0   # the step of the latest sharded forward
-        self.shard = _Shard(config, layout, np.empty(2 * _slots(layout)[1]))
-        self.replies = []
-
-    def put_params(self, params):
-        for view, p in zip(self.shard.params, params):
-            view[...] = p.data
-
-    def grads(self, has) -> list:
-        return [g if h else None for g, h in zip(self.shard.grads, has)]
-
-    def send(self, message):
-        self.replies.append(self.shard.handle(message))
-
-    def recv(self):
-        return self.replies.pop(0)
-
-    def close(self):
-        return None
-
-
-class _Worker:
-    """Shard B in a forked worker process, behind a pipe, on a block of
-    shared memory: a memfd that the worker maps and the caller writes and
-    reads with ``pwrite``/``pread``, so that the block is not in the
-    caller's resident set."""
-
-    def __init__(self, config, layout):
-        from multiprocessing import Pipe
+    def __init__(self, config, layout, fork: bool):
         self.key = (config, layout)
         self.latest = 0   # the step of the latest sharded forward
         self.shapes = [shape for _, shape in layout]
         self.offsets, half = _slots(layout)
         self.half = 8 * half
+        self.fd = None
+        if not fork:
+            self.shard = _Shard(config, layout, np.empty(2 * half))
+            self.helper = Helper("shard worker", lambda: self.shard.handle, fork=False)
+            return
         self.fd = os.memfd_create("mapnav-shard-block")
         os.ftruncate(self.fd, 2 * self.half)
-        self.conn, theirs = Pipe()
-        try:
-            self.pid = os.fork()
-        except OSError as e:
-            for end in (self.conn, theirs):
-                end.close()
-            os.close(self.fd)
-            raise WorkerError(f"could not fork the shard worker: {e}") from e
-        if self.pid == 0:
-            code = 1
-            try:
-                self.conn.close()
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                block = np.frombuffer(mmap.mmap(self.fd, 2 * self.half), dtype=np.float64)
-                _serve(theirs, _Shard(config, layout, block))
-                code = 0
-            finally:
-                os._exit(code)
-        theirs.close()
+
+        def start():
+            block = np.frombuffer(mmap.mmap(self.fd, 2 * self.half), dtype=np.float64)
+            return _Shard(config, layout, block).handle
+
+        self.helper = Helper("shard worker", start, fork=True, fds=(self.fd,))
 
     def put_params(self, params):
+        if self.fd is None:
+            for view, p in zip(self.shard.params, params):
+                view[...] = p.data
+            return
         for p, offset in zip(params, self.offsets):
             data = np.ascontiguousarray(p.data)
             if os.pwrite(self.fd, data, 8 * offset) != data.nbytes:
                 raise WorkerError("a short write to the shard block")
 
     def grads(self, has) -> list:
+        if self.fd is None:
+            return [g if h else None for g, h in zip(self.shard.grads, has)]
         out = []
         for shape, offset, h in zip(self.shapes, self.offsets, has):
             g = np.empty(shape) if h else None
@@ -275,97 +243,36 @@ class _Worker:
             out.append(g)
         return out
 
-    def send(self, message):
-        self.conn.send(message)
-
-    def recv(self):
-        return self.conn.recv()
-
-    def close(self):
-        """Close the pipe, so that the worker exits, and reap it; its exit
-        status, or None if it was reaped elsewhere or closed before."""
-        if self.fd < 0:
-            return None
-        self.conn.close()
-        os.close(self.fd)
-        self.fd = -1
-        deadline = time.monotonic() + REAP_TIMEOUT_S
-        try:
-            while True:
-                pid, status = os.waitpid(self.pid, os.WNOHANG)
-                if pid:
-                    return os.waitstatus_to_exitcode(status)
-                if time.monotonic() > deadline:
-                    os.kill(self.pid, signal.SIGKILL)
-                    return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-                time.sleep(0.005)
-        except ChildProcessError:
-            return None
-
-
-def _serve(conn, shard: _Shard):
-    """The worker's loop: one reply per message, until EOF."""
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        conn.send(shard.handle(message))
-
 
 # ----------------------------------------------------------------------
 # the caller's end
 
-_SIDE = None   # shard B's side: an _InProcess or a _Worker
+_SIDE = None   # shard B's side
 
 
 def _side_for(model: CM2Model):
     """Shard B's side for ``model``'s config and parameter layout, built on
-    first use and again when they or the path change."""
+    first use and again when they or the path change, or its worker died."""
     global _SIDE
     key = (model.config, tuple((name, p.shape) for name, p in model.params.items()))
-    local = usable_cpus() < 2 or not _can_fork()
-    if _SIDE is None or _SIDE.key != key or isinstance(_SIDE, _InProcess) != local:
+    fork = forks() and hasattr(os, "memfd_create")
+    if (_SIDE is None or _SIDE.key != key or _SIDE.helper.closed
+            or _SIDE.helper.forked != fork):
         close()
-        _SIDE = (_InProcess if local else _Worker)(*key)
+        _SIDE = _Side(*key, fork)
     return _SIDE
-
-
-def _can_fork() -> bool:
-    import multiprocessing
-    return (hasattr(os, "fork") and hasattr(os, "memfd_create")
-            and not multiprocessing.current_process().daemon)
-
-
-def _request(side, message):
-    try:
-        side.send(message)
-    except OSError:
-        _died(side)
 
 
 def _reply(side, step: int):
     """The result of the reply to ``step``; older replies are dropped. An
     error that the message raised is raised here."""
     while True:
-        try:
-            got, result, error = side.recv()
-        except (EOFError, OSError):
-            _died(side)
+        got, result, error = side.helper.recv()
         if got == step:
             break
     if error is not None:
         raise error
     return result
-
-
-def _died(side):
-    global _SIDE
-    if _SIDE is side:
-        _SIDE = None
-    status = side.close()
-    raise WorkerError(f"the shard worker (pid {side.pid}) died with exit status {status}"
-                      + (f" (signal {-status})" if status is not None and status < 0 else ""))
 
 
 def close():
@@ -374,17 +281,4 @@ def close():
     global _SIDE
     side, _SIDE = _SIDE, None
     if side is not None:
-        side.close()
-
-
-def _forget():
-    """In a forked child: the parent's worker is not the child's to use."""
-    global _SIDE
-    if isinstance(_SIDE, _Worker):
-        _SIDE.conn.close()
-        os.close(_SIDE.fd)
-    _SIDE = None
-
-
-os.register_at_fork(after_in_child=_forget)
-atexit.register(close)
+        side.helper.close()

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from mapnav.train_eval import shards
+from mapnav.numerics import parallel
 from mapnav.worldsim import generate_floorplan, generate_episode
 
 
 @pytest.fixture(autouse=True)
-def _stop_the_shard_worker():
-    """Training's shard worker is forked with the monkeypatches of the test
-    that started it; stop it after each test, so that none outlives its test."""
+def _stop_the_helpers():
+    """The shard worker and the records helper are forked with the
+    monkeypatches of the test that started them; stop them after each test,
+    so that none outlives its test."""
     yield
-    shards.close()
+    parallel.close_all()
 
 
 @pytest.fixture(scope="session")

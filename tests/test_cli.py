@@ -86,14 +86,15 @@ def test_killed_shard_worker_exits_4_and_the_next_step_forks_another(workdir, tm
     forks a new worker."""
     import signal
     import time
+    from mapnav.numerics import parallel
     from mapnav.train_eval import shards, training
-    monkeypatch.setattr(shards, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     assemble, calls, killed = training.assemble_batch, [], []
 
     def killing(records, sigma):
         calls.append(len(records))
         if len(calls) == 2:   # after the first step
-            killed.append(shards._SIDE.pid)
+            killed.append(shards._SIDE.helper.pid)
             os.kill(killed[0], signal.SIGKILL)
         return assemble(records, sigma)
 
@@ -102,11 +103,11 @@ def test_killed_shard_worker_exits_4_and_the_next_step_forks_another(workdir, tm
     t0 = time.monotonic()
     assert main(args + ["--out", str(tmp_path / "killed")]) == EXIT_WORKER
     assert time.monotonic() - t0 < 30
-    assert len(calls) == 2 and shards._SIDE is None
+    assert len(calls) == 2 and shards._SIDE.helper.closed
     assert f"(pid {killed[0]}) died with exit status -9 (signal 9)" in capsys.readouterr().err
     monkeypatch.setattr(training, "assemble_batch", assemble)
     assert main(args + ["--out", str(tmp_path / "again")]) == EXIT_OK
-    assert shards._SIDE.pid != killed[0]
+    assert shards._SIDE.helper.pid != killed[0]
 
 
 def test_train_missing_data(workdir, tmp_path):
@@ -376,6 +377,29 @@ def test_rollout_unknown_episode(workdir, tmp_path):
                  "--episodes", str(workdir["data"] / "unseen_episodes.jsonl"),
                  "--episode", "999999999",
                  "--trace", str(tmp_path / "t.jsonl")]) == EXIT_USAGE
+
+
+def test_rollout_generates_only_its_episodes_floorplan(workdir, tmp_path, monkeypatch):
+    """rollout finds its episode in a file of three floorplans and generates
+    that floorplan alone; an unknown id generates none and exits 2."""
+    import mapnav.worldsim.floorplan as floorplan
+    from mapnav.train_eval import generate_split
+    from mapnav.worldsim.episodes import save_episodes
+    pairs = generate_split(tiny_config(), range(300, 303), 2000, 1)
+    assert len({ep.floorplan_seed for _, ep in pairs}) == 3
+    episodes = tmp_path / "episodes.jsonl"
+    save_episodes(episodes, [ep for _, ep in pairs])
+    made, generate = [], floorplan.generate_floorplan
+    monkeypatch.setattr(floorplan, "generate_floorplan",
+                        lambda seed, size: made.append(seed) or generate(seed, size))
+    args = ["rollout", "--config", str(workdir["config"]),
+            "--ckpt", str(workdir["run"] / "model.ckpt"), "--episodes", str(episodes),
+            "--trace", str(tmp_path / "t.jsonl"), "--episode"]
+    assert main(args + [str(pairs[1][1].episode_id)]) == EXIT_OK
+    assert made == [pairs[1][1].floorplan_seed]
+    made.clear()
+    assert main(args + ["999999999"]) == EXIT_USAGE
+    assert made == []
 
 
 # ------------------------------------------------------------------- config

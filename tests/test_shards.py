@@ -15,6 +15,7 @@ from mapnav import numerics as nm
 from mapnav.config import RunConfig
 from mapnav.errors import UsageError
 from mapnav.model import CM2Model
+from mapnav.numerics import parallel
 from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, shards, train
 from mapnav.worldsim import generate_episode
 
@@ -36,7 +37,7 @@ def records(plan):
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(shards, "usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
 
 
 def _one_graph(monkeypatch):
@@ -105,7 +106,7 @@ def test_paths_and_cpu_counts_give_the_same_checkpoint_and_curve(records, tmp_pa
         train(config, records, tmp_path / path)
         runs.append([(tmp_path / path / f).read_bytes() for f in ("model.ckpt",
                                                                   "loss_curve.csv")])
-        assert isinstance(shards._SIDE, shards._Worker) == (path == "worker")
+        assert shards._SIDE.helper.forked == (path == "worker")
     assert runs[0] == runs[1]
 
 
@@ -159,7 +160,7 @@ def test_the_worker_persists_and_a_forked_child_forgets_it(records, monkeypatch)
     model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
     batch = assemble_batch(records[:4], config.sigma)
     want = _loss_and_grads(model, batch, config)
-    pid = shards._SIDE.pid
+    pid = shards._SIDE.helper.pid
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_step_in_child, args=(send, model, batch, config))
@@ -178,13 +179,13 @@ def test_the_worker_persists_and_a_forked_child_forgets_it(records, monkeypatch)
     assert loss == want[0] and grads.keys() == want[1].keys()
     assert all(grads[n].tobytes() == want[1][n].tobytes() for n in grads)
     assert _loss_and_grads(model, batch, config)[0] == want[0]
-    assert shards._SIDE.pid == pid
+    assert shards._SIDE.helper.pid == pid
 
 
 def _step_in_child(conn, model, batch, config):
-    forgot = shards._SIDE is None
+    forgot = shards._SIDE.helper.closed
     loss, grads = _loss_and_grads(model, batch, config)
-    conn.send((forgot, loss, grads, getattr(shards._SIDE, "pid", None)))
+    conn.send((forgot, loss, grads, shards._SIDE.helper.pid))
     conn.close()
     shards.close()   # a multiprocessing child ends without running atexit
 
@@ -206,29 +207,38 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_a_process_that_exits_leaves_no_worker_running():
+    """Set-up forks the records helper, then the steps fork the shard
+    worker, which must not keep the helper's pipe open: at exit both see EOF
+    at once, exit and are reaped, well within the reap timeout."""
+    import time
     proc = _fresh(
+        "import time\n"
         "import numpy as np\n"
         "from mapnav.config import RunConfig\n"
         "from mapnav.model import CM2Model\n"
-        "from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, shards\n"
+        "from mapnav.numerics import parallel\n"
+        "from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, dataset, shards\n"
         "from mapnav.worldsim import generate_episode, generate_floorplan\n"
-        "shards.usable_cpus = lambda: 2\n"
+        "parallel.usable_cpus = lambda: 2\n"
         "plan = generate_floorplan(3, 64)\n"
         "cfg = RunConfig(ego_size=24, d=16, k=5, unet_base=8, unet_depth=3,\n"
         "                n_instr_layers=1, batch_size=4).validate()\n"
-        "recs = build_dataset([(plan, generate_episode(plan, 0, episode_id=0))], 4, 5, 24, 1,\n"
-        "                     num_rays=cfg.num_rays, max_range=cfg.max_range,\n"
-        "                     p_noise=cfg.p_noise)\n"
+        "pairs = [(plan, generate_episode(plan, s, episode_id=s)) for s in range(2)]\n"
+        "recs = build_dataset(pairs, 2, 5, 24, 1, num_rays=cfg.num_rays,\n"
+        "                     max_range=cfg.max_range, p_noise=cfg.p_noise)\n"
         "model = CM2Model(cfg.model_config(), rng=np.random.default_rng(0))\n"
-        "pids = []\n"
+        "pids = [dataset._HELPER.pid]\n"
         "for _ in range(2):\n"
         "    batch_loss(model, assemble_batch(recs, cfg.sigma), cfg)[0].backward()\n"
-        "    pids.append(shards._SIDE.pid)\n"
-        "print(*pids)\n")
+        "    pids.append(shards._SIDE.helper.pid)\n"
+        "print(*pids, time.time())\n")
+    exited = time.time()
     assert proc.returncode == 0, proc.stderr
-    first, second = map(int, proc.stdout.split())
-    assert first == second
-    assert not _running(first)
+    *pids, done = proc.stdout.split()
+    helper, first, second = map(int, pids)
+    assert first == second and None not in (helper, first)
+    assert exited - float(done) < parallel.REAP_TIMEOUT_S / 2
+    assert not _running(helper) and not _running(first)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
@@ -237,8 +247,9 @@ def test_importing_every_module_starts_no_process():
         "import glob, os, pkgutil, importlib, mapnav\n"
         "for m in pkgutil.walk_packages(mapnav.__path__, 'mapnav.'):\n"
         "    importlib.import_module(m.name)\n"
-        "from mapnav.train_eval import shards\n"
-        "assert shards._SIDE is None\n"
+        "from mapnav.numerics import parallel\n"
+        "from mapnav.train_eval import dataset, shards\n"
+        "assert shards._SIDE is None and dataset._HELPER is None and not parallel._OPEN\n"
         "kids = [open(f).read().split() for f in glob.glob('/proc/self/task/*/children')]\n"
         "assert not any(kids), kids\n")
     assert proc.returncode == 0, proc.stderr

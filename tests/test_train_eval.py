@@ -671,7 +671,7 @@ def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
 
     import mapnav.model.cm2 as cm2
     from mapnav.model import CM2Model
-    from mapnav.train_eval import shards
+    from mapnav.numerics import parallel
     calls = collections.Counter()
     _counting(monkeypatch, calls, cm2, "encode_instruction", lambda *a: ("encoder", a[0].shape))
     _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: ("text", a[2]))
@@ -683,7 +683,7 @@ def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
         batch_loss(model, batch, config)
     assert calls == {("encoder", (4, m)): 1, ("text", "attn_o."): 1, ("text", "attn_s."): 1}
     calls.clear()
-    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     batch_loss(model, batch, config)
     assert calls == {("encoder", (2, m)): 2, ("text", "attn_o."): 2, ("text", "attn_s."): 2}
 
@@ -696,8 +696,8 @@ def test_ground_truth_map_batch_encodes_only_the_path_block(train_records, monke
 
     import mapnav.model.cm2 as cm2
     from mapnav.model import CM2Model
-    from mapnav.train_eval import shards
-    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+    from mapnav.numerics import parallel
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     calls = collections.Counter()
     _counting(monkeypatch, calls, cm2, "text_keys_values", lambda *a: a[2])
     config = tiny_config(mode="cm2-gt")
