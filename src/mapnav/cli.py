@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:
         # One BLAS thread per process, unless the caller set a count: the
-        # parallelism is in processes (training's batch shards, the eval
-        # pool), and a BLAS thread pool in each of two training processes on
+        # parallelism is in processes (training's batch shards, the map
+        # helper), and a BLAS thread pool in each of two training processes on
         # two CPUs took a default train step from 0.47 s to 1.4 s.
         for var in BLAS_THREAD_VARS:
             os.environ.setdefault(var, "1")

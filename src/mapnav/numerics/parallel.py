@@ -1,12 +1,13 @@
 """Processes on this machine's CPUs.
 
-:func:`usable_cpus` sizes the eval pool, and :func:`single_blas_thread`
-starts that pool's processes with single-threaded BLAS. :class:`Helper` runs
-a message handler in one persistent forked process; there are two, each
-made by its owner on first use: training's shard worker, which runs the
-second batch shard (:mod:`mapnav.train_eval.shards`), and the records
-helper, which builds the second half of the episodes of each
-``build_dataset`` call (:mod:`mapnav.train_eval.dataset`).
+:class:`Helper` runs a message handler in one persistent forked process;
+there are two, each made by its owner on first use: training's shard
+worker, which runs the second batch shard (:mod:`mapnav.train_eval.shards`),
+and the map helper, which runs the second half of the items of each
+:func:`ordered_map` call. That map is how ``build_dataset`` builds its
+episodes' records, ``generate_splits`` its floorplans' episodes and
+``evaluate_navigation`` its rollouts: two processes, whatever
+:func:`usable_cpus` reads above one.
 
 A helper's lifecycle, the same for both:
 - it forks when it is made and serves its handler over a pipe: the handler
@@ -25,24 +26,25 @@ A helper's lifecycle, the same for both:
 With one usable CPU, inside a daemonic process, or without ``fork``, the
 handler runs in this process instead: a message is handled as it is sent,
 and its replies are kept for :meth:`Helper.recv`. The forked process is
-forked, not spawned, because a spawned one takes 0.2-0.3 s to import
-``mapnav``, and the processes that make helpers run no threads.
+forked, not spawned: a spawned one takes 0.2-0.3 s to import ``mapnav``
+and imports the calling script's main module again, and the processes that
+make helpers run no threads. A forked helper inherits this process's
+environment, its BLAS thread count among it.
 """
 from __future__ import annotations
 
 import atexit
 import collections
-import contextlib
 import os
 import signal
 import time
 
-from .. import BLAS_THREAD_VARS
 from ..errors import WorkerError
 
 REAP_TIMEOUT_S = 10.0   # after this long a closed helper that has not exited is killed
 
 _OPEN: list = []   # the forked helpers of this process that are not closed
+_HELPER = None     # the map helper
 
 
 def usable_cpus() -> int:
@@ -51,22 +53,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Processes started inside start with single-threaded BLAS; the
-    caller's environment is restored on exit."""
-    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
 
 
 def forks() -> bool:
@@ -196,6 +182,68 @@ def _forget():
         helper.closed = True
         helper._close_files()
     _OPEN.clear()
+
+
+
+def ordered_map(fn, shared, items) -> list:
+    """``[fn(shared, x) for x in items]``, on two processes where the map
+    helper forks. Of n >= 2 items, the first ⌈n/2⌉ run here and the rest in
+    the helper, which sends each result back as it is done; they are read
+    between this process's own items, so that no message holds the helper's
+    whole half and the helper does not wait long on a full pipe. ``fn`` is
+    a module-level function, sent by name, and ``shared`` is sent once per
+    call; ``fn`` must not call this map. An exception that ``fn`` raises on
+    an item of the helper's half is raised here."""
+    items = list(items)
+    na = -(-len(items) // 2)
+    ours, theirs = [], []
+    helper = _map_helper() if len(items) > na else None
+    try:
+        if helper is not None:
+            helper.send((fn, shared, items[na:]))
+        for x in items[:na]:
+            ours.append(fn(shared, x))
+            while len(theirs) < len(items) - na and helper.poll():
+                theirs.append(_take(helper))
+        while len(theirs) < len(items) - na:
+            theirs.append(_take(helper))
+    except BaseException:
+        if helper is not None:
+            helper.close()   # its replies to this call may still be coming
+        raise
+    return ours + theirs
+
+
+def _map_items(message, reply):
+    """The map helper's handler: one reply per item, (result, None), up to
+    the first item that raises, whose reply is (None, error)."""
+    fn, shared, items = message
+    for x in items:
+        try:
+            result = fn(shared, x)
+        except Exception as e:  # the caller raises it
+            reply((None, e))
+            return
+        reply((result, None))
+
+
+def _take(helper):
+    result, error = helper.recv()
+    if error is not None:
+        raise error
+    return result
+
+
+def _map_helper() -> Helper:
+    """The map helper, made on first use and again when it was closed or
+    the path changed."""
+    global _HELPER
+    fork = forks()
+    if _HELPER is None or _HELPER.closed or _HELPER.forked != fork:
+        if _HELPER is not None:
+            _HELPER.close()
+        _HELPER = Helper("map helper", lambda: _map_items, fork)
+    return _HELPER
 
 
 os.register_at_fork(after_in_child=_forget)

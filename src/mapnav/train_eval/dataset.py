@@ -30,7 +30,7 @@ from ..language.vocab import MAX_TOKENS
 from ..mapping import (crop_ego_occupancy, crop_ego_semantic, ego_cells, ground_project,
                        new_global_occupancy, update_global, world_to_ego)
 from ..model.supervision import sample_waypoints
-from ..numerics.parallel import Helper, forks
+from ..numerics.parallel import ordered_map
 from ..worldsim.agent import Pose, raycast, wrap_angle
 from ..worldsim.episodes import arc_lengths, generate_episode
 from ..worldsim.floorplan import generate_floorplan
@@ -133,75 +133,21 @@ def build_dataset(plans_episodes, samples_per_episode: int, k: int,
     in order. The sensing settings are the run config's ``num_rays``,
     ``max_range`` and ``p_noise``.
 
-    Of n >= 2 pairs, the first ⌈n/2⌉ are built here and the rest by the
-    records helper (:mod:`mapnav.numerics.parallel`), a second process
-    where one is forked. The helper sends its records an episode at a time,
-    and they are read between this process's own episodes, so that no
-    message holds the helper's whole half and the helper does not wait long
-    on a full pipe. Each episode draws only from its own
-    :func:`episode_rng`, so the list is the serial loop's, byte for byte,
-    whichever process builds an episode."""
-    pairs = list(plans_episodes)
-    na = -(-len(pairs) // 2)
+    The episodes run through :func:`~mapnav.numerics.parallel.ordered_map`,
+    half of them in the map helper where one is forked. Each episode draws
+    only from its own :func:`episode_rng`, so the list is the serial loop's,
+    byte for byte, whichever process builds an episode."""
     settings = (samples_per_episode, k, ego_size, seed,
                 dict(num_rays=num_rays, max_range=max_range, p_noise=p_noise))
-    ours, theirs = [], []
-    helper = _records_helper() if len(pairs) > na else None
-    try:
-        if helper is not None:
-            helper.send((pairs[na:], settings))
-        for plan, episode in pairs[:na]:
-            ours += _episode_records(plan, episode, settings)
-            while len(theirs) < len(pairs) - na and helper.poll():
-                theirs.append(_take(helper))
-        while len(theirs) < len(pairs) - na:
-            theirs.append(_take(helper))
-    except BaseException:
-        if helper is not None:
-            helper.close()   # its replies to this call may still be coming
-        raise
-    return ours + [r for records in theirs for r in records]
+    return [r for records in ordered_map(_episode_records, settings, plans_episodes)
+            for r in records]
 
 
-def _episode_records(plan, episode, settings) -> list[TrainingRecord]:
+def _episode_records(settings, pair) -> list[TrainingRecord]:
     samples_per_episode, k, ego_size, seed, sensing = settings
+    plan, episode = pair
     return build_episode_records(plan, episode, samples_per_episode, k, ego_size,
                                  episode_rng(seed, episode), **sensing)
-
-
-def _build_records(message, reply):
-    """The records helper's handler: one reply per episode, (records, None),
-    up to the first episode that raises, whose reply is (None, error)."""
-    pairs, settings = message
-    for plan, episode in pairs:
-        try:
-            records = _episode_records(plan, episode, settings)
-        except Exception as e:  # the caller raises it
-            reply((None, e))
-            return
-        reply((records, None))
-
-
-def _take(helper) -> list[TrainingRecord]:
-    records, error = helper.recv()
-    if error is not None:
-        raise error
-    return records
-
-
-_HELPER = None   # the records helper
-
-
-def _records_helper() -> Helper:
-    """The records helper, made on first use and again when it was closed
-    or the path changed."""
-    global _HELPER
-    fork = forks()
-    if _HELPER is None or _HELPER.closed or _HELPER.forked != fork:
-        if _HELPER is not None:
-            _HELPER.close()
-        _HELPER = Helper("records helper", lambda: _build_records, fork)
-    return _HELPER
 
 
 # ----------------------------------------------------------------------
@@ -232,19 +178,32 @@ def generate_splits(config) -> dict[str, list]:
 
     "seen": fresh episodes on training floorplans; "unseen": episodes on
     held-out floorplans. Each evaluation split holds ``eval_episodes``
-    episodes, spread evenly over as many of its floorplans as needed."""
-    def eval_split(seeds, episode_offset):
-        seeds = seeds[:config.eval_episodes]
-        per_plan = -(-config.eval_episodes // max(1, len(seeds)))
-        return generate_split(config, seeds, episode_offset, per_plan)[:config.eval_episodes]
+    episodes, spread evenly over as many of its floorplans as needed.
 
+    Each split's floorplans are items of
+    :func:`~mapnav.numerics.parallel.ordered_map`, one per floorplan seed,
+    joined in order: a floorplan's episodes depend only on its seed and the
+    split's episode offset, so the splits are :func:`generate_split`'s."""
     train_seeds = range(config.num_floorplans)
-    return {
-        "train": generate_split(config, train_seeds, 0, config.episodes_per_floorplan),
-        "seen": eval_split(train_seeds, 1000),
-        "unseen": eval_split(range(config.num_floorplans,
-                                   config.num_floorplans + config.heldout_floorplans), 2000),
-    }
+    heldout_seeds = range(config.num_floorplans,
+                          config.num_floorplans + config.heldout_floorplans)
+    jobs = [("train", fp_seed, 0, config.episodes_per_floorplan) for fp_seed in train_seeds]
+    for name, seeds, episode_offset in (("seen", train_seeds, 1000),
+                                        ("unseen", heldout_seeds, 2000)):
+        seeds = seeds[:config.eval_episodes]
+        jobs += [(name, fp_seed, episode_offset, -(-config.eval_episodes // len(seeds)))
+                 for fp_seed in seeds]
+    splits = {"train": [], "seen": [], "unseen": []}
+    for (name, *_), pairs in zip(jobs, ordered_map(_plan_pairs, config, jobs)):
+        splits[name] += pairs
+    for name in ("seen", "unseen"):
+        splits[name] = splits[name][:config.eval_episodes]
+    return splits
+
+
+def _plan_pairs(config, job) -> list:
+    _, fp_seed, episode_offset, episodes_per_plan = job
+    return generate_split(config, [fp_seed], episode_offset, episodes_per_plan)
 
 
 def _record_dtype(s: int, k: int, m: int) -> np.dtype:

@@ -1,9 +1,7 @@
 """Closed-loop navigation evaluation and open-loop map/waypoint quality."""
 from __future__ import annotations
 
-import contextlib
 import csv
-import multiprocessing
 
 import numpy as np
 
@@ -12,7 +10,7 @@ from ..config import RunConfig
 from ..controller import decode_waypoints, run_rollout
 from ..mapping import crop_ego_occupancy, crop_ego_semantic, world_to_ego
 from ..model import CM2Model, make_gt_heatmaps
-from ..numerics.parallel import single_blas_thread, usable_cpus
+from ..numerics.parallel import ordered_map
 from ..train_eval import shards
 from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
@@ -62,40 +60,23 @@ def evaluate_episode(model: CM2Model, config: RunConfig, plan, episode,
                            config.success_radius)
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(model, config):
-    _WORKER.update(model=model, config=config)
-
-
-def _eval_pair(pair):
-    plan, episode = pair
-    return evaluate_episode(_WORKER["model"], _WORKER["config"], plan, episode)
-
-
-@contextlib.contextmanager
-def _episode_pool(model: CM2Model, config: RunConfig, n_episodes: int):
-    """A ``spawn`` pool of min(usable CPUs, ``n_episodes``) processes, each
-    given ``model`` and ``config`` once and started with single-threaded
-    BLAS: each runs one episode at a time, so BLAS threads in it would only
-    compete with the other processes for the same CPUs."""
-    with single_blas_thread(), multiprocessing.get_context("spawn").Pool(
-            max(1, min(usable_cpus(), n_episodes)), initializer=_init_worker,
-            initargs=(model, config)) as pool:
-        yield pool
-
-
 def evaluate_navigation(model: CM2Model, config: RunConfig,
                         plans_episodes) -> tuple[list[NavMetrics], dict]:
     """Roll out every (Floorplan, Episode) pair of ``plans_episodes`` and
-    aggregate. Episodes run in a ``spawn`` pool of one process per usable
-    CPU, so a script that calls this needs an ``if __name__ == "__main__":``
-    guard."""
-    pairs = list(plans_episodes)
-    with _episode_pool(model, config, len(pairs)) as pool:
-        per_episode = pool.map(_eval_pair, pairs)
+    aggregate. The episodes run through
+    :func:`~mapnav.numerics.parallel.ordered_map`, half of them in the map
+    helper where one is forked, which is sent ``model`` and ``config`` once
+    per call. Each rollout draws only from its episode's own seeded stream,
+    so the metrics are the serial loop's, whichever process runs an
+    episode."""
+    per_episode = ordered_map(_pair_metrics, (model, config), plans_episodes)
     return per_episode, aggregate_nav(per_episode)
+
+
+def _pair_metrics(shared, pair) -> NavMetrics:
+    model, config = shared
+    plan, episode = pair
+    return evaluate_episode(model, config, plan, episode)
 
 
 def evaluate_map_quality(model: CM2Model, config: RunConfig,

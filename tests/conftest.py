@@ -7,9 +7,10 @@ from mapnav.worldsim import generate_floorplan, generate_episode
 
 @pytest.fixture(autouse=True)
 def _stop_the_helpers():
-    """The shard worker and the records helper are forked with the
-    monkeypatches of the test that started them; stop them after each test,
-    so that none outlives its test."""
+    """The shard worker and the map helper, which builds records and splits
+    and rolls out episodes, are forked with the monkeypatches of the test
+    that started them; stop them after each test, so that none outlives its
+    test."""
     yield
     parallel.close_all()
 

@@ -132,52 +132,39 @@ def test_eval_writes_metrics(workdir, tmp_path, capsys):
     assert "PCW" in capsys.readouterr().out
 
 
-def test_eval_worker_pool_equals_serial_eval(workdir):
-    """The process pool gives every episode's NavMetrics, in order, and the
-    aggregate equal to a serial in-process loop over ``evaluate_episode``."""
-    from mapnav.cli import _load_pairs
-    from mapnav.model import CM2Model
-    from mapnav.train_eval.evaluate import evaluate_episode, evaluate_navigation
-    from mapnav.train_eval.metrics import aggregate_nav
-    config = RunConfig.load(workdir["config"])
-    model = CM2Model.load(workdir["run"] / "model.ckpt")
-    pairs = [pair for split in ("seen", "unseen") for pair in
-             _load_pairs(workdir["data"] / f"{split}_episodes.jsonl", config.world_size)]
-    assert len(pairs) >= 3
-    serial = [evaluate_episode(model, config, plan, ep) for plan, ep in pairs]
-    pooled, agg = evaluate_navigation(model, config, pairs)
-    assert pooled == serial
-    assert agg == aggregate_nav(serial)
-
-
-def test_eval_pool_runs_single_threaded_blas(monkeypatch):
-    """Pool processes start with one BLAS thread; the caller's environment
-    is as it was, whether a variable was set or not."""
-    from mapnav import BLAS_THREAD_VARS
-    from mapnav.model import CM2Model
-    from mapnav.train_eval.evaluate import _episode_pool
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    before = dict(os.environ)
-    config = tiny_config()
-    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
-    with _episode_pool(model, config, 2) as pool:
-        seen = pool.map(os.getenv, BLAS_THREAD_VARS * 2)
-    assert seen == ["1"] * len(seen)
-    assert dict(os.environ) == before
-
-
-def test_eval_pool_has_one_process_per_usable_cpu(monkeypatch):
-    """The pool takes its size from the usable-CPU count that the conv ops'
-    image blocks also use, capped by the episode count."""
-    from mapnav.model import CM2Model
+def test_a_killed_map_helper_exits_4_and_the_next_eval_forks_another(
+        workdir, tmp_path, monkeypatch, capsys):
+    """A map helper killed mid-rollout fails eval with a WorkerError naming
+    its exit status, at once; the next call forks a new helper and writes
+    the metrics of an in-process run."""
+    import signal
+    import time
+    from mapnav.numerics import parallel
     from mapnav.train_eval import evaluate
-    config = tiny_config()
-    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
-    for cpus, episodes, size in ((1, 3, 1), (3, 2, 2)):
-        monkeypatch.setattr(evaluate, "usable_cpus", lambda: cpus)
-        with evaluate._episode_pool(model, config, episodes) as pool:
-            assert pool._processes == size, (cpus, episodes)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    caller, rollout = os.getpid(), evaluate.evaluate_episode
+
+    def killing(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "evaluate_episode", killing)
+    args = ["eval", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+            "--ckpt", str(workdir["run"] / "model.ckpt"), "--split", "seen", "--out"]
+    t0 = time.monotonic()
+    assert main(args + [str(tmp_path / "killed.csv")]) == EXIT_WORKER
+    assert time.monotonic() - t0 < 30
+    killed = parallel._HELPER.pid
+    assert parallel._HELPER.closed and not parallel._OPEN
+    assert (f"map helper (pid {killed}) died with exit status -9 (signal 9)"
+            in capsys.readouterr().err)
+    monkeypatch.setattr(evaluate, "evaluate_episode", rollout)
+    assert main(args + [str(tmp_path / "forked.csv")]) == EXIT_OK
+    assert parallel._HELPER.pid not in (None, killed)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert main(args + [str(tmp_path / "in-process.csv")]) == EXIT_OK
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
 
 def test_eval_missing_checkpoint(workdir, tmp_path):

@@ -207,9 +207,10 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_a_process_that_exits_leaves_no_worker_running():
-    """Set-up forks the records helper, then the steps fork the shard
-    worker, which must not keep the helper's pipe open: at exit both see EOF
-    at once, exit and are reaped, well within the reap timeout."""
+    """Set-up forks the map helper, then the steps fork the shard worker,
+    which must not keep the helper's pipe open, and evaluation reuses the
+    map helper: at exit both see EOF at once, exit and are reaped, well
+    within the reap timeout."""
     import time
     proc = _fresh(
         "import time\n"
@@ -217,26 +218,29 @@ def test_a_process_that_exits_leaves_no_worker_running():
         "from mapnav.config import RunConfig\n"
         "from mapnav.model import CM2Model\n"
         "from mapnav.numerics import parallel\n"
-        "from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, dataset, shards\n"
+        "from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, shards\n"
+        "from mapnav.train_eval.evaluate import evaluate_navigation\n"
         "from mapnav.worldsim import generate_episode, generate_floorplan\n"
         "parallel.usable_cpus = lambda: 2\n"
         "plan = generate_floorplan(3, 64)\n"
         "cfg = RunConfig(ego_size=24, d=16, k=5, unet_base=8, unet_depth=3,\n"
-        "                n_instr_layers=1, batch_size=4).validate()\n"
+        "                n_instr_layers=1, batch_size=4, budget=5).validate()\n"
         "pairs = [(plan, generate_episode(plan, s, episode_id=s)) for s in range(2)]\n"
         "recs = build_dataset(pairs, 2, 5, 24, 1, num_rays=cfg.num_rays,\n"
         "                     max_range=cfg.max_range, p_noise=cfg.p_noise)\n"
         "model = CM2Model(cfg.model_config(), rng=np.random.default_rng(0))\n"
-        "pids = [dataset._HELPER.pid]\n"
+        "pids = [parallel._HELPER.pid]\n"
         "for _ in range(2):\n"
         "    batch_loss(model, assemble_batch(recs, cfg.sigma), cfg)[0].backward()\n"
         "    pids.append(shards._SIDE.helper.pid)\n"
+        "evaluate_navigation(model, cfg, pairs)\n"
+        "pids.append(parallel._HELPER.pid)\n"
         "print(*pids, time.time())\n")
     exited = time.time()
     assert proc.returncode == 0, proc.stderr
     *pids, done = proc.stdout.split()
-    helper, first, second = map(int, pids)
-    assert first == second and None not in (helper, first)
+    helper, first, second, evaluated = map(int, pids)
+    assert first == second and helper == evaluated and helper != first
     assert exited - float(done) < parallel.REAP_TIMEOUT_S / 2
     assert not _running(helper) and not _running(first)
 
@@ -248,8 +252,8 @@ def test_importing_every_module_starts_no_process():
         "for m in pkgutil.walk_packages(mapnav.__path__, 'mapnav.'):\n"
         "    importlib.import_module(m.name)\n"
         "from mapnav.numerics import parallel\n"
-        "from mapnav.train_eval import dataset, shards\n"
-        "assert shards._SIDE is None and dataset._HELPER is None and not parallel._OPEN\n"
+        "from mapnav.train_eval import shards\n"
+        "assert shards._SIDE is None and parallel._HELPER is None and not parallel._OPEN\n"
         "kids = [open(f).read().split() for f in glob.glob('/proc/self/task/*/children')]\n"
         "assert not any(kids), kids\n")
     assert proc.returncode == 0, proc.stderr
