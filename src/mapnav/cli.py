@@ -119,7 +119,8 @@ def cmd_train(args) -> int:
     rec_path = os.path.join(args.data, "train_records.bin")
     records = load_records(rec_path)
     model, history = train(config, records, args.out)
-    print(f"trained {len(history)} steps; final loss {history[-1]['loss']:.4f}; "
+    final = f"; final loss {history[-1]['loss']:.4f}" if history else ""
+    print(f"trained {len(history)} steps{final}; "
           f"checkpoint at {os.path.join(args.out, 'model.ckpt')}")
     return EXIT_OK
 

@@ -3,7 +3,7 @@
 :class:`Helper` runs a message handler in one persistent forked process;
 there are two, each made by its owner on first use: training's shard
 worker, which runs the second batch shard (:mod:`mapnav.train_eval.shards`),
-and the map helper, which runs the second half of the items of each
+and the map helper, which runs every other item of each
 :func:`ordered_map` call. That map is how ``build_dataset`` builds its
 episodes' records, ``generate_splits`` its floorplans' episodes and
 ``evaluate_navigation`` its rollouts: two processes, whatever
@@ -187,31 +187,35 @@ def _forget():
 
 def ordered_map(fn, shared, items) -> list:
     """``[fn(shared, x) for x in items]``, on two processes where the map
-    helper forks. Of n >= 2 items, the first ⌈n/2⌉ run here and the rest in
-    the helper, which sends each result back as it is done; they are read
-    between this process's own items, so that no message holds the helper's
-    whole half and the helper does not wait long on a full pipe. ``fn`` is
-    a module-level function, sent by name, and ``shared`` is sent once per
-    call; ``fn`` must not call this map. An exception that ``fn`` raises on
-    an item of the helper's half is raised here."""
+    helper forks. Of n >= 2 items, the even-indexed ones run here and the
+    odd-indexed ones in the helper, so that items whose cost trends along
+    the list are split evenly. The helper sends each result back as it is
+    done; they are read between this process's own items, so that no
+    message holds the helper's whole half and the helper does not wait long
+    on a full pipe. ``fn`` is a module-level function, sent by name, and
+    ``shared`` is sent once per call; ``fn`` must not call this map. An
+    exception that ``fn`` raises on an item of the helper's half is raised
+    here."""
     items = list(items)
-    na = -(-len(items) // 2)
+    n = len(items) // 2   # the helper's items, the odd-indexed ones
     ours, theirs = [], []
-    helper = _map_helper() if len(items) > na else None
+    helper = _map_helper() if n else None
     try:
         if helper is not None:
-            helper.send((fn, shared, items[na:]))
-        for x in items[:na]:
+            helper.send((fn, shared, items[1::2]))
+        for x in items[0::2]:
             ours.append(fn(shared, x))
-            while len(theirs) < len(items) - na and helper.poll():
+            while len(theirs) < n and helper.poll():
                 theirs.append(_take(helper))
-        while len(theirs) < len(items) - na:
+        while len(theirs) < n:
             theirs.append(_take(helper))
     except BaseException:
         if helper is not None:
             helper.close()   # its replies to this call may still be coming
         raise
-    return ours + theirs
+    out = ours + theirs
+    out[0::2], out[1::2] = ours, theirs
+    return out
 
 
 def _map_items(message, reply):

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 A ``Tensor`` wraps a numpy array plus an optional gradient buffer. Operations
-build a computation graph of backward closures; calling ``backward()`` on a
-scalar loss runs the closures in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad``.
+build a computation graph of backward closures; :func:`backward` walks it
+from roots that hold a gradient, running the closures in reverse topological
+order and accumulating gradients into every reachable tensor with
+``requires_grad``. ``Tensor.backward()`` walks from a scalar loss.
 
 All data is 64-bit so analytic gradients can be validated tightly against
 central finite differences.
@@ -17,7 +18,6 @@ import numpy as np
 from ..errors import UsageError
 
 _GRAD_ENABLED = True
-_FINISHERS: list[list] = []   # one list per running backward(), innermost last
 
 
 @contextlib.contextmanager
@@ -63,57 +63,42 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
-        """Backpropagate from a scalar; populates ``grad`` on the graph.
-
-        The graph is consumed: each node drops its backward closure and its
-        parent links once the closure has run, so the activations and buffers
-        the closures held are freed as soon as the caller drops the loss. To
-        backpropagate again, run the forward pass again.
-
-        Once every closure has run, the callables that closures passed to
-        :func:`after_backward` run in turn; none runs if a closure raised.
-        """
+        """Backpropagate from a scalar: seed its gradient with one and walk
+        from it (:func:`backward`)."""
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar, got shape {self.shape}")
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        finishers = []
-        _FINISHERS.append(finishers)
-        try:
-            while topo:
-                node = topo.pop()
-                if node._backward is not None:
-                    node._backward()
-                    node._backward = None
-                    node._parents = ()
-        finally:
-            _FINISHERS.pop()
-        for fn in finishers:
-            fn()
+        backward([self])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def after_backward(fn):
-    """Call ``fn()`` when the running :meth:`Tensor.backward` has run its
-    whole graph; for a backward closure whose work ends after the others'.
-    A backward started inside a closure runs its own."""
-    _FINISHERS[-1].append(fn)
+def backward(roots):
+    """Backpropagate the gradients that the tensors of the list ``roots``
+    hold through the graph below them, and consume that graph: each node
+    drops its closure and parent links once the closure has run, freeing
+    what they held; to backpropagate again, run the forward again. Nodes
+    that no root reaches are left as they are. The walk empties ``roots``,
+    so a root that the caller dropped is freed once it has run. A closure
+    may start a walk of its own."""
+    topo, visited = [], set()
+    stack = [(r, False) for r in roots]
+    roots.clear()
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            node._backward()
+            node._backward = None
+            node._parents = ()
 
 
 def make_op(data: np.ndarray, parents, backward_factory) -> Tensor:

@@ -134,7 +134,7 @@ def build_dataset(plans_episodes, samples_per_episode: int, k: int,
     ``max_range`` and ``p_noise``.
 
     The episodes run through :func:`~mapnav.numerics.parallel.ordered_map`,
-    half of them in the map helper where one is forked. Each episode draws
+    every other one in the map helper where one is forked. Each episode draws
     only from its own :func:`episode_rng`, so the list is the serial loop's,
     byte for byte, whichever process builds an episode."""
     settings = (samples_per_episode, k, ego_size, seed,

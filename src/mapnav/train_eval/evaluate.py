@@ -64,8 +64,8 @@ def evaluate_navigation(model: CM2Model, config: RunConfig,
                         plans_episodes) -> tuple[list[NavMetrics], dict]:
     """Roll out every (Floorplan, Episode) pair of ``plans_episodes`` and
     aggregate. The episodes run through
-    :func:`~mapnav.numerics.parallel.ordered_map`, half of them in the map
-    helper where one is forked, which is sent ``model`` and ``config`` once
+    :func:`~mapnav.numerics.parallel.ordered_map`, every other one in the
+    map helper where one is forked, which is sent ``model`` and ``config`` once
     per call. Each rollout draws only from its episode's own seeded stream,
     so the metrics are the serial loop's, whichever process runs an
     episode."""

@@ -14,11 +14,14 @@ One step:
   block and sends shard B's inputs (label maps, start heatmaps, tokens) down
   the pipe; the worker sends back shard B's outputs (heatmaps, traversal
   probabilities, occupancy and semantic maps);
-- when the caller's backward reaches the joined outputs, it sends their
-  gradients' shard B rows down the pipe and goes on with shard A. The worker
-  backpropagates them and writes its parameter gradients into the block's
-  second half. Once the caller's backward is done, they are added after
-  shard A's (:func:`~mapnav.numerics.tensor.after_backward`).
+- when the caller's backward has every joined output's gradient, it sends
+  their shard B rows down the pipe and walks shard A's graph from their
+  shard A rows (:func:`~mapnav.numerics.tensor.backward`). Meanwhile the
+  worker walks shard B's graph from the rows it got and writes its
+  parameter gradients into the block's second half; they are added after
+  shard A's. Each walk starts from the outputs that a gradient reached, so
+  an output that no loss reads, such as the traversal head's at
+  ``lambda_xi = 0``, has no closure run.
 
 With one usable CPU, inside a daemonic process, or without ``fork`` or
 ``memfd_create`` (Linux has both), shard B runs in the calling process
@@ -46,7 +49,7 @@ from ..errors import UsageError, WorkerError
 from ..model import CM2Model
 from ..numerics import Tensor
 from ..numerics.parallel import Helper, forks
-from ..numerics.tensor import accumulate, after_backward, grad_enabled, make_op
+from ..numerics.tensor import accumulate, backward, grad_enabled, make_op
 
 
 def model_forward(model: CM2Model, mode: str, inputs) -> list:
@@ -77,25 +80,29 @@ def forward(model: CM2Model, mode: str, inputs) -> list:
 
 def _join(side, step: int, params: list, outs_a: list, outs_b: list, na: int) -> list:
     """Shard A's outputs and shard B's output arrays joined along the batch.
-    Each joined output that needs a gradient is made from one hub node whose
-    parents are shard A's outputs: a backward reaches the hub once it has
-    every joined output's gradient and before any of shard A's graph."""
+    Each joined output that needs a gradient is made from one hub node, which
+    a backward reaches once it has every joined output's gradient. The hub
+    has no parents: its closure runs the rest of the step, shard A's walk
+    among it."""
     joined = []
 
     def hub_factory(hub):
-        def backward():
+        def run():
             if side is not _SIDE or side.latest != step:
                 raise UsageError("a newer sharded forward dropped this loss's second shard; "
                                  "run the forward again")
             grads = [None if j is None else j.grad for j in joined]
             side.helper.send(("backward", step, [None if g is None else g[na:] for g in grads]))
-            for a, g in zip(outs_a, grads):
+            roots = _seed(outs_a, [None if g is None else g[:na] for g in grads])
+            del grads, joined[:], outs_a[:]   # the walk frees each output once it has run
+            backward(roots)
+            for p, g in zip(params, side.grads(_reply(side, step))):
                 if g is not None:
-                    accumulate(a, g[:na])
-            after_backward(lambda: _add_grads(side, step, params))
-        return backward
+                    accumulate(p, g)
+        return run
 
     hub = make_op(np.zeros(()), [a for a in outs_a if a is not None], hub_factory)
+    hub._parents = ()   # its closure walks shard A's graph, not the walk that reached it
     for a, b in zip(outs_a, outs_b):
         if a is None:
             joined.append(None)
@@ -110,11 +117,13 @@ def _no_backward(out):
     return lambda: None
 
 
-def _add_grads(side, step: int, params: list):
-    """Add shard B's parameter gradients of ``step`` after shard A's."""
-    for p, g in zip(params, side.grads(_reply(side, step))):
+def _seed(outs: list, grads: list) -> list:
+    """The outputs whose gradient is not None, seeded with it: the roots
+    of a walk."""
+    for t, g in zip(outs, grads):
         if g is not None:
-            accumulate(p, g)
+            accumulate(t, g)
+    return [t for t, g in zip(outs, grads) if g is not None]
 
 
 # ----------------------------------------------------------------------
@@ -122,13 +131,13 @@ def _add_grads(side, step: int, params: list):
 
 class _Shard:
     """Shard B's model, on the parameters in the first half of ``block``,
-    and the graph of its latest forward."""
+    and the outputs of its latest forward."""
 
     def __init__(self, config, layout, block: np.ndarray):
         self.params, self.grads = _views(layout, block)
         self.model = CM2Model(config, params={name: Tensor(v, requires_grad=True)
                                               for (name, _), v in zip(layout, self.params)})
-        self.step, self.root, self.out_grads = None, None, None
+        self.step, self.outs = None, None
 
     def handle(self, message, reply):
         """Reply to one message with (step, result, error)."""
@@ -141,32 +150,22 @@ class _Shard:
         reply((step, result, None))
 
     def forward(self, step, payload) -> list:
-        """Shard B's output arrays. A root node, made while grad mode is on,
-        will seed its outputs' gradients for :meth:`backward`."""
-        self.step = self.root = None   # frees the older graph first
+        """Shard B's output arrays; the outputs are kept for
+        :meth:`backward`."""
+        self.step = self.outs = None   # frees the older graph first
         mode, inputs = payload
-        outs = model_forward(self.model, mode, inputs)
-
-        def seed(root):
-            def backward():
-                for t, g in zip(outs, self.out_grads):
-                    if g is not None:
-                        accumulate(t, g)
-            return backward
-
+        self.outs = model_forward(self.model, mode, inputs)
         self.step = step
-        self.root = make_op(np.zeros(()), [t for t in outs if t is not None], seed)
-        return [None if t is None else t.data for t in outs]
+        return [None if t is None else t.data for t in self.outs]
 
     def backward(self, step, out_grads) -> list:
         """Backpropagate shard B's output gradients; writes its parameter
         gradients into the block and returns which parameters have one."""
         if step != self.step:
             raise UsageError(f"no second-shard graph of step {step}")
-        root, self.step, self.root = self.root, None, None
-        self.out_grads = out_grads
-        root.backward()
-        self.out_grads = None
+        roots = _seed(self.outs, out_grads)
+        self.step = self.outs = None   # the walk frees each output once it has run it
+        backward(roots)
         has = []
         for p, g in zip(self.model.params.values(), self.grads):
             has.append(p.grad is not None)

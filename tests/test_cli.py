@@ -116,6 +116,23 @@ def test_train_missing_data(workdir, tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+def test_train_with_zero_steps_writes_the_untrained_model(workdir, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    config = tiny_config(train_steps=0)
+    config.save(cfg_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(workdir["data"]),
+                 "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "trained 0 steps" in printed and "final loss" not in printed
+    assert (out / "loss_curve.csv").read_text().splitlines() == ["step,loss,loss_wp,loss_m"]
+    from mapnav.model import CM2Model
+    saved = CM2Model.load(out / "model.ckpt")
+    fresh = CM2Model(config.model_config(), rng=np.random.default_rng(config.seed))
+    assert saved.params.keys() == fresh.params.keys()
+    assert all(np.array_equal(saved.params[n].data, p.data) for n, p in fresh.params.items())
+
+
 # --------------------------------------------------------------------- eval
 def test_eval_writes_metrics(workdir, tmp_path, capsys):
     out = tmp_path / "metrics.csv"
@@ -525,6 +542,21 @@ def test_ablate_rejects_bad_arguments(workdir, tmp_path, capsys, argv):
                  "--out", str(out)] + argv) == EXIT_USAGE
     assert argv[0] in capsys.readouterr().err
     assert not out.exists()  # nothing trained
+
+
+def test_ablate_default_suite_trains_and_evaluates_every_variant(workdir, tmp_path):
+    """Every variant, ``lambda-xi-0`` among them, trains over two batch
+    shards and is evaluated; the full model's first seed also runs the tau
+    sweep."""
+    from mapnav.train_eval.ablations import TAU_SWEEP, VARIANTS
+    cfg_path = tmp_path / "config.json"
+    tiny_config(train_steps=2, budget=10).save(cfg_path)
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(cfg_path), "--data", str(workdir["data"]),
+                 "--out", str(out), "--seeds", "1"]) == EXIT_OK
+    rows = (out / "ablations.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == (list(VARIANTS)
+                                              + [f"tau-{t}" for t in TAU_SWEEP])
 
 
 def test_exit_code_constants():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gradcheck import grad_check
 from mapnav import numerics as nm
 from mapnav.errors import ConfigError, NumericError, ShapeError, UsageError
-from mapnav.numerics import ops
+from mapnav.numerics import ops, tensor
 
 TOL = 1e-4
 
@@ -381,7 +381,7 @@ def test_conv2d_second_input_equals_conv_of_the_concat(rng):
 def test_conv2d_input_gradient_skips_an_input_without_grad(rng, monkeypatch):
     """The input gradient is one correlation whose output channels are those
     of the inputs that require a gradient, and only those."""
-    from mapnav.numerics import ops
+    from mapnav.numerics import ops, tensor
     rows = []
     correlate = ops._correlate_rows
 
@@ -726,6 +726,67 @@ def test_repeated_backward_requires_zero_grad(rng):
     a.grad = None
     nm.tsum(a).backward()
     assert np.allclose(a.grad, 1.0)
+
+
+def test_a_walk_from_seeded_roots_gives_the_gradients_of_their_seeded_sum(rng):
+    """Seeding roots r_i with s_i and walking from them gives the gradients
+    of the scalar sum_i <r_i, s_i>; the roots share a parameter."""
+    a, b, w = P(rng, 3, 4), P(rng, 3, 4), P(rng, 4, 2)
+    seeds = [rng.normal(size=(3, 4)), rng.normal(size=(3, 2))]
+
+    def roots():
+        return [nm.mul(a, b), nm.sigmoid(nm.matmul(a, w))]
+
+    nm.tsum(nm.add(*[nm.tsum(nm.mul(r, nm.Tensor(s))) for r, s in zip(roots(), seeds)])
+            ).backward()
+    want = {n: p.grad for n, p in (("a", a), ("b", b), ("w", w))}
+    for p in (a, b, w):
+        p.grad = None
+    rs = roots()
+    for r, s in zip(rs, seeds):
+        r.grad = s.copy()
+    tensor.backward(rs)
+    for n, p in (("a", a), ("b", b), ("w", w)):
+        assert np.allclose(p.grad, want[n], rtol=1e-12, atol=1e-15), n
+
+
+def test_a_walk_leaves_what_no_seeded_root_reaches(rng):
+    x = P(rng, 3)
+    calls = []
+    unreached = tensor.make_op(np.zeros(3), [x], lambda out: lambda: calls.append(out))
+    root = nm.mul(x, x)
+    root.grad = np.ones(3)
+    tensor.backward([root])
+    assert calls == [] and unreached.grad is None
+    assert unreached._backward is not None   # its graph is not consumed either
+    assert np.allclose(x.grad, 2.0 * x.data)
+
+
+def test_a_walk_started_inside_a_closure_completes(rng):
+    """A closure that walks a graph of its own, as a sharded backward's hub
+    walks its first shard: both walks run every closure once."""
+    x, y = P(rng, 3), P(rng, 3)
+    inner = nm.mul(y, y)
+
+    def factory(out):
+        def run():
+            tensor.accumulate(x, 3.0 * out.grad)
+            inner.grad = out.grad.copy()
+            tensor.backward([inner])
+        return run
+
+    outer = tensor.make_op(np.zeros(3), [x], factory)
+    nm.tsum(outer).backward()
+    assert np.array_equal(x.grad, np.full(3, 3.0))
+    assert np.allclose(y.grad, 2.0 * y.data)
+    assert outer._backward is None and inner._backward is None
+
+
+def test_tensor_backward_rejects_a_non_scalar(rng):
+    a = P(rng, 3)
+    with pytest.raises(UsageError, match="requires a scalar"):
+        nm.mul(a, a).backward()
+    assert a.grad is None
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from mapnav.config import RunConfig
 from mapnav.errors import UsageError
 from mapnav.model import CM2Model
 from mapnav.numerics import parallel
-from mapnav.train_eval import assemble_batch, batch_loss, build_dataset, shards, train
+from mapnav.train_eval import (ablations, assemble_batch, batch_loss, build_dataset, shards,
+                               train)
 from mapnav.worldsim import generate_episode
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mapnav.__file__)))
@@ -57,11 +58,13 @@ def _loss_and_grads(model, batch, config):
 @pytest.mark.parametrize("path", PATHS)
 def test_sharded_loss_equals_one_forward_and_grads_to_rounding(records, monkeypatch, path):
     """The loss of two shards is that of one forward, byte for byte, for an
-    even and an odd batch, with and without the map heads; every gradient
-    is the one-graph gradient to rounding (measured: ≤ 2.1e-14 of the
-    parameter's largest entry at this config, 1.3e-15 at the default)."""
-    for mode, bsz in (("cm2", 4), ("cm2", 5), ("cm2-gt", 4)):
-        config = small_config(mode=mode)
+    even and an odd batch, with and without the map heads, and without the
+    traversal loss; every gradient is the one-graph gradient to rounding
+    (measured: ≤ 2.1e-14 of the parameter's largest entry at this config,
+    1.3e-15 at the default), and the same parameters have one."""
+    for mode, bsz, over in (("cm2", 4, {}), ("cm2", 5, {}), ("cm2-gt", 4, {}),
+                            ("cm2", 4, {"lambda_xi": 0.0})):
+        config = small_config(mode=mode, **over)
         model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
         batch = assemble_batch(records[:bsz], config.sigma)
         with monkeypatch.context() as m:
@@ -70,11 +73,12 @@ def test_sharded_loss_equals_one_forward_and_grads_to_rounding(records, monkeypa
         with monkeypatch.context() as m:
             _cpus(m, PATHS[path])
             got, grads = _loss_and_grads(model, batch, config)
-        assert got == want, (mode, bsz)
-        assert grads.keys() == ref.keys(), (mode, bsz)
+        assert got == want, (mode, bsz, over)
+        assert grads.keys() == ref.keys(), (mode, bsz, over)
+        assert any(n.startswith("xi.") for n in grads) == (config.lambda_xi > 0), (mode, bsz)
         for name, g in grads.items():
             bound = 1e-12 * np.max(np.abs(ref[name]))
-            assert np.max(np.abs(g - ref[name])) <= bound, (mode, bsz, name)
+            assert np.max(np.abs(g - ref[name])) <= bound, (mode, bsz, over, name)
 
 
 def test_joined_outputs_equal_one_forward_at_the_default_config(plan):
@@ -97,9 +101,10 @@ def test_joined_outputs_equal_one_forward_at_the_default_config(plan):
         assert out.data.tobytes() == joined.tobytes(), k
 
 
+@pytest.mark.parametrize("variant", ablations.VARIANTS)
 def test_paths_and_cpu_counts_give_the_same_checkpoint_and_curve(records, tmp_path,
-                                                                monkeypatch):
-    config = small_config()
+                                                                monkeypatch, variant):
+    config = ablations.variant_config(small_config(), variant, seed=0)
     runs = []
     for path, cpus in PATHS.items():
         _cpus(monkeypatch, cpus)
