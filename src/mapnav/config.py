@@ -76,6 +76,9 @@ class RunConfig:
             raise ConfigError("lr, batch_size must be positive; train_steps non-negative")
         if not 0.0 <= self.p_noise <= 1.0:
             raise ConfigError(f"p_noise must be in [0,1], got {self.p_noise}")
+        for name in ("num_floorplans", "heldout_floorplans"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.eval_episodes < 1:
             raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
         if self.episodes_per_floorplan < 1 or self.samples_per_episode < 1:

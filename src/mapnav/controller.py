@@ -176,7 +176,10 @@ def run_rollout(plan, episode, predict, config: RunConfig, trace_path=None,
     """Closed-loop episode rollout.
 
     ``predict(pose, gmap, occ_frame, sem_frame)`` supplies the (k, u, v)
-    waypoint heatmap stack for the current state. ``occ_frame`` is always
+    waypoint heatmap stack for the current state. The rollout only reads
+    it: a predictor may return the same read-only stack again at a later
+    step (``make_predictor`` does, for a state it has seen at the agent's
+    position). ``occ_frame`` is always
     None: each scan is registered straight into ``gmap``, so there is no
     single-frame ego occupancy grid; the slot stays because predictor
     wrappers pass four arguments through. The controller decodes modes,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -16,37 +17,84 @@ from ..train_eval.dataset import TrainingRecord, episode_rng
 from ..train_eval.metrics import (NavMetrics, aggregate_nav, compute_map_metrics,
                                   compute_pcw, episode_metrics)
 from ..train_eval.training import assemble_batch
+from ..worldsim.agent import TURN_STEP
+
+# Heatmap stacks a predictor keeps at one position: a spin in place meets
+# its states again one full turn later, and label noise makes states that
+# may never come back, so the bound keeps the memory of a noisy spin small.
+KEPT_PER_POSITION = round(2 * math.pi / TURN_STEP)
 
 
-def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
-    """Per-episode closure ``forward(pose, gmap, sem_frame)``: the model's
-    :class:`Forward` at one rollout state, in ``config.mode``, under no_grad.
-    The instruction is encoded once, here, for every step of the episode."""
+def _episode_step(model: CM2Model, config: RunConfig, plan, episode):
+    """The two halves of a rollout step's model forward, for one episode:
+    ``inputs(pose, gmap, sem_frame)`` builds the arrays that
+    ``model.forward`` reads at that state (the start heatmap ``p0``, then
+    the ``occ``/``sem_obs`` label maps or, in ``cm2-gt``, the ``sem_gt``
+    crop), and ``run(x)`` runs the forward on them in ``config.mode``
+    under no_grad. The instruction is encoded once, here."""
     with nm.no_grad():
         instr = [model.encode_instruction(np.asarray(episode.tokens), config.mode)]
     c = model.config
     u = c.heatmap_size
     start = np.array([[episode.start.x, episode.start.y]])
 
-    def forward(pose, gmap, sem_frame):
-        with nm.no_grad():
-            p0, _ = make_gt_heatmaps(world_to_ego(pose, start), u, u, config.sigma)
-            if config.mode == "cm2-gt":
-                maps = {"sem_gt": crop_ego_semantic(plan, pose, c.ego_size)[None]}
-            else:
-                maps = {"occ": crop_ego_occupancy(gmap, pose, c.ego_size)[None],
-                        "sem_obs": sem_frame[None]}
-            return model.forward(config.mode, instr, p0[None], **maps)
+    def inputs(pose, gmap, sem_frame) -> dict:
+        p0, _ = make_gt_heatmaps(world_to_ego(pose, start), u, u, config.sigma)
+        if config.mode == "cm2-gt":
+            maps = {"sem_gt": crop_ego_semantic(plan, pose, c.ego_size)[None]}
+        else:
+            maps = {"occ": crop_ego_occupancy(gmap, pose, c.ego_size)[None],
+                    "sem_obs": sem_frame[None]}
+        return {"start_heatmap": p0[None], **maps}
 
-    return forward
+    def run(x: dict):
+        with nm.no_grad():
+            return model.forward(config.mode, instr, **x)
+
+    return inputs, run
+
+
+def episode_forward(model: CM2Model, config: RunConfig, plan, episode):
+    """Per-episode closure ``forward(pose, gmap, sem_frame)``: the model's
+    :class:`Forward` at one rollout state, in ``config.mode``, under no_grad.
+    The instruction is encoded once, here, for every step of the episode."""
+    inputs, run = _episode_step(model, config, plan, episode)
+    return lambda pose, gmap, sem_frame: run(inputs(pose, gmap, sem_frame))
 
 
 def make_predictor(model: CM2Model, config: RunConfig, plan, episode):
-    """Per-episode closure mapping rollout state to waypoint heatmaps."""
-    forward = episode_forward(model, config, plan, episode)
+    """Per-episode closure ``predict(pose, gmap, occ_frame, sem_frame)``
+    mapping rollout state to the (k, u, v) waypoint heatmap stack.
+
+    The model runs once per distinct state at the agent's position: the
+    stack is kept, keyed by the exact bytes of the forward's inputs, and a
+    step whose inputs match a kept key gets the kept stack again without a
+    forward. The forwards are stateless and the instruction encoding and
+    the parameters are fixed for the episode, so that stack is the one a
+    forward would return, byte for byte. The kept stacks are dropped when
+    the agent's (x, y) changes, and at most :data:`KEPT_PER_POSITION` are
+    kept, the least recently used going first. Every stack returned is
+    read-only, and the same array may come back at a later step: callers
+    must not write into it."""
+    inputs, run = _episode_step(model, config, plan, episode)
+    kept: dict[bytes, np.ndarray] = {}   # in order of last use
+    at = None
 
     def predict(pose, gmap, occ_frame, sem_frame):
-        return np.asarray(forward(pose, gmap, sem_frame).heatmaps.data[0])
+        nonlocal at
+        if (pose.x, pose.y) != at:
+            kept.clear()
+            at = (pose.x, pose.y)
+        x = inputs(pose, gmap, sem_frame)
+        key = b"".join(a.tobytes() for a in x.values())
+        heatmaps = kept.pop(key, None)
+        if heatmaps is None:
+            heatmaps = np.asarray(run(x).heatmaps.data[0])
+            heatmaps.flags.writeable = False
+            if len(kept) == KEPT_PER_POSITION:
+                del kept[next(iter(kept))]
+        kept[key] = heatmaps
+        return heatmaps
 
     return predict
 

@@ -442,6 +442,7 @@ def test_config_rejects_invalid():
         tiny_config(ego_size=25)
     with pytest.raises(ConfigError):
         tiny_config(eval_episodes=0)  # an evaluation split holds eval_episodes episodes
+    tiny_config(num_floorplans=0, heldout_floorplans=0)  # no floorplan of a split is legal
     for field in ("episodes_per_floorplan", "samples_per_episode"):
         for value in (0, -1):  # no training records, or a raw numpy error
             with pytest.raises(ConfigError):
@@ -524,7 +525,11 @@ def test_run_settings_have_one_default():
                                           ("sigma", 0.0),
                                           ("d", "x"),
                                           ("lr", None),
-                                          ("seed", "1")])
+                                          ("seed", "1"),
+                                          # held-out seeds below 0: a raw numpy error
+                                          ("num_floorplans", -3),
+                                          # an empty unseen split, silently
+                                          ("heldout_floorplans", -1)])
 def test_gen_data_rejects_empty_dataset_config(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     dataclasses.replace(tiny_config(), **{field: value}).save(bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -630,7 +631,8 @@ def _counting(monkeypatch, calls, module, name, key):
 def test_rollout_runs_per_episode_work_once(plan, episode, monkeypatch):
     """What only the episode determines stays out of the rollout step: a
     T-step rollout runs the language encoder once, each cross-modal block's
-    text branch once, and one shortest-path search per distinct trajectory
+    text branch once, one model forward per distinct input state since the
+    agent last moved, and one shortest-path search per distinct trajectory
     position."""
     import collections
 
@@ -651,17 +653,167 @@ def test_rollout_runs_per_episode_work_once(plan, episode, monkeypatch):
         return episode_metrics(plan, episode, trajectory, *args)
 
     monkeypatch.setattr(evaluate, "episode_metrics", recording)
-    config = tiny_config(budget=8)
-    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    config = tiny_config(budget=48)
+    states = []
+    make_predictor = evaluate.make_predictor
+
+    def inputs_recording(*args):
+        predict = make_predictor(*args)
+        u = config.model_config().heatmap_size
+        start = np.array([[episode.start.x, episode.start.y]])
+
+        def wrapped(pose, gmap, occ_frame, sem_frame):
+            p0, _ = make_gt_heatmaps(world_to_ego(pose, start), u, u, config.sigma)
+            occ = crop_ego_occupancy(gmap, pose, config.ego_size)
+            states.append(((pose.x, pose.y), p0.tobytes() + occ.tobytes() + sem_frame.tobytes()))
+            return predict(pose, gmap, occ_frame, sem_frame)
+        return wrapped
+
+    monkeypatch.setattr(evaluate, "make_predictor", inputs_recording)
+    # this init spins in place; its states repeat from the second full turn on
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(1))
     evaluate.evaluate_episode(model, config, plan, episode)
-    steps = calls["map", "attn_s."]
+    forwards = calls["map", "attn_s."]
     (trajectory,) = trajectories
     positions = {(x, y) for x, y, _ in trajectory}
-    assert steps >= 4 and calls["map", "attn_o."] == steps
+    distinct, seen, at = 0, set(), None
+    for position, state in states:
+        if position != at:
+            seen, at = set(), position
+        distinct += state not in seen
+        seen.add(state)
+    assert len(states) == 48 and calls["map", "attn_o."] == forwards
+    assert forwards == distinct < len(states)   # a state repeated before a move
     assert calls["encoder"] == 1
     assert calls["text", "attn_o."] == calls["text", "attn_s."] == 1
     assert len(positions) < len(trajectory)   # the rollout turned in place
     assert calls["search"] == len(positions)
+
+
+def _counted_forwards(monkeypatch, model) -> list:
+    """Count ``model.forward`` calls; the returned one-item list holds the
+    count."""
+    count = [0]
+    forward = model.forward
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    return count
+
+
+@pytest.mark.parametrize("mode", ["cm2", "cm2-gt"])
+def test_predictor_runs_one_forward_per_state_at_a_position(plan, episode, monkeypatch, mode):
+    """A state seen again at the agent's position gets the kept heatmap
+    stack, read-only and byte for byte a fresh forward's; a state whose
+    model inputs differ runs the forward, and so does a state seen again
+    after the agent moved away and back."""
+    import mapnav.train_eval.evaluate as evaluate
+    from mapnav.model import CM2Model
+    config = tiny_config(mode=mode)
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    forward = evaluate.episode_forward(model, config, plan, episode)
+    count = _counted_forwards(monkeypatch, model)
+    predict = evaluate.make_predictor(model, config, plan, episode)
+    pose = Pose(episode.start.x, episode.start.y, episode.start.theta)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays, config.max_range,
+                      0.0, None)
+    first = predict(pose, gmap, None, sem_frame)
+    again = predict(pose, gmap, None, sem_frame.copy())
+    assert count[0] == 1
+    fresh = np.asarray(forward(pose, gmap, sem_frame).heatmaps.data[0])
+    count[0] -= 1
+    for heatmaps in (first, again):
+        assert heatmaps.tobytes() == fresh.tobytes()
+        assert not heatmaps.flags.writeable
+        with pytest.raises(ValueError):
+            heatmaps[0, 0, 0] = 1.0
+    noisy = sense(plan, pose, None, config.ego_size, config.num_rays, config.max_range,
+                  0.5, np.random.default_rng(0))
+    assert not np.array_equal(noisy, sem_frame)
+    predict(pose, gmap, None, noisy)
+    # cm2-gt reads the ground-truth crop, not the sensed frame
+    assert count[0] == (2 if mode == "cm2" else 1)
+    moved = Pose(pose.x + 0.2, pose.y, pose.theta)
+    predict(moved, gmap, None, sem_frame)
+    back = predict(pose, gmap, None, sem_frame)
+    assert count[0] == (4 if mode == "cm2" else 3)
+    assert back.tobytes() == fresh.tobytes() and not back.flags.writeable
+
+
+def test_predictor_keeps_one_turn_of_states_at_a_position(plan, episode, monkeypatch):
+    """At one position the predictor keeps the stacks of at most one full
+    turn's worth of states; a new state beyond that drops the least
+    recently used one, which then runs the forward again."""
+    import mapnav.train_eval.evaluate as evaluate
+    from mapnav.model import CM2Model
+    n = evaluate.KEPT_PER_POSITION
+    assert n == 24   # 15-degree turns
+    config = tiny_config()
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(0))
+    count = _counted_forwards(monkeypatch, model)
+    predict = evaluate.make_predictor(model, config, plan, episode)
+    pose = Pose(episode.start.x, episode.start.y, episode.start.theta)
+    gmap = new_global_occupancy(plan.grid.shape[0])
+    sem_frame = sense(plan, pose, gmap, config.ego_size, config.num_rays, config.max_range,
+                      0.0, None)
+    frames = []
+    for i in range(n + 1):   # n + 1 states that differ in one label each
+        frames.append(sem_frame.copy())
+        frames[-1].flat[i] = (sem_frame.flat[i] + 1) % NUM_CLASSES
+    for frame in frames[:n]:
+        predict(pose, gmap, None, frame)
+    predict(pose, gmap, None, frames[0])       # kept: now the most recently used
+    assert count[0] == n
+    predict(pose, gmap, None, frames[n])       # drops frames[1]'s stack
+    predict(pose, gmap, None, frames[0])
+    assert count[0] == n + 1
+    predict(pose, gmap, None, frames[1])
+    assert count[0] == n + 2
+
+
+@pytest.mark.parametrize("mode", ["cm2", "cm2-gt"])
+@pytest.mark.parametrize("p_noise", [0.0, 0.2])
+def test_rollout_reusing_heatmaps_equals_a_forward_per_step(plan, episode, tmp_path,
+                                                            monkeypatch, mode, p_noise):
+    """A rollout that spins in place and reuses kept heatmaps takes the
+    trajectory, the actions, the trace file and the metrics of a predictor
+    that runs the forward at every step, byte for byte."""
+    import mapnav.train_eval.evaluate as evaluate
+    from mapnav.model import CM2Model
+    config = tiny_config(mode=mode, p_noise=p_noise, budget=48)
+    # this init spins in place; its states repeat from the second full turn on
+    model = CM2Model(config.model_config(), rng=np.random.default_rng(1))
+    count = _counted_forwards(monkeypatch, model)
+    results = []
+    run_rollout = evaluate.run_rollout
+
+    def recording(*args, **kwargs):
+        results.append(run_rollout(*args, **kwargs))
+        return results[-1]
+
+    def per_step(model, config, plan, episode):
+        forward = evaluate.episode_forward(model, config, plan, episode)
+        return lambda pose, gmap, occ_frame, sem_frame: np.asarray(
+            forward(pose, gmap, sem_frame).heatmaps.data[0])
+
+    monkeypatch.setattr(evaluate, "run_rollout", recording)
+    metrics = [evaluate.evaluate_episode(model, config, plan, episode,
+                                         trace_path=tmp_path / "reused.jsonl")]
+    forwards, count[0] = count[0], 0
+    monkeypatch.setattr(evaluate, "make_predictor", per_step)
+    metrics.append(evaluate.evaluate_episode(model, config, plan, episode,
+                                             trace_path=tmp_path / "per_step.jsonl"))
+    reused, fresh = results
+    assert count[0] == len(fresh.trace)
+    assert forwards < count[0]
+    assert reused.trajectory == fresh.trajectory and reused.actions == fresh.actions
+    assert (tmp_path / "reused.jsonl").read_bytes() == (tmp_path / "per_step.jsonl").read_bytes()
+    packed = [struct.pack("<5d", *dataclasses.astuple(m)) for m in metrics]
+    assert packed[0] == packed[1]
 
 
 def test_batch_loss_encodes_its_batch_once(train_records, monkeypatch):
